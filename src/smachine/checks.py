@@ -10,22 +10,19 @@ sorted keys, explicit seeds.
 
 from __future__ import annotations
 
+import functools
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .compose import M3Build, start_configuration_m3
-from .enumerate import enumerate_computations
+from .enumerate import PRUNE, enumerate_computations, reach_levels, search
 from .lr import build_lr
 from .machine import (
     History,
     NotApplicableAt,
-    Rule,
     SMachine,
-    apply_rule,
     format_slabel,
-    is_applicable,
     run_history,
 )
 from .main_machine import MainMachineBundle
@@ -93,25 +90,7 @@ def _repro(start: AdmissibleWord, history: History) -> dict:
 
 
 # --------------------------------------------------------------------------
-# reduced-path reachability with per-state provenance (all paths covered)
-
-
-@dataclass
-class _Node:
-    word: AdmissibleWord
-    last: tuple[str, int] | None
-    start: AdmissibleWord
-    start_len: int
-    parent: "_Node | None"
-    extra: tuple = ()
-
-    def history(self) -> History:
-        out = []
-        node = self
-        while node.parent is not None:
-            out.append(node.last)
-            node = node.parent
-        return tuple(reversed(out))
+# level sweeps over reduced computations (all paths covered)
 
 
 def check_lr_bound(max_tape: int = 4, alphabet: Sequence[str] = ("a",)) -> CheckReport:
@@ -142,33 +121,21 @@ def check_lr_bound(max_tape: int = 4, alphabet: Sequence[str] = ("a",)) -> Check
                         )
     max_bound = 2 * (3 + max_tape) - 2
     depth = max_bound + 1
-    # level-synchronized sweep over (word, last rule); track the smallest
-    # start length reaching each state so the bound check is tightest
-    level: dict[tuple, _Node] = {}
-    for w in region_words:
-        level[(w, None)] = _Node(w, None, w, w.length(), None)
+
+    def within_tape(state, rule, word):
+        return PRUNE if word.y_length() > max_tape else None
+
+    # shortest starts first: the first path into a state then comes from
+    # the shortest start reaching it, which makes the bound check tightest
+    starts = sorted(region_words, key=AdmissibleWord.length)
     min_slack = None
-    states_total = len(level)
-    for t in range(1, depth + 1):
-        nxt: dict[tuple, _Node] = {}
-        for node in level.values():
-            for r in lr.candidate_rules(node.word.q[0]):
-                if node.last is not None and node.last[0] == r.label and node.last[1] == -r.sign:
-                    continue
-                if not is_applicable(lr, node.word, r):
-                    continue
-                w2 = apply_rule(lr, node.word, r)
-                if w2.y_length() > max_tape:
-                    continue
-                key = (w2, r.signed_label)
-                cand = nxt.get(key)
-                if cand is None or node.start_len < cand.start_len:
-                    nxt[key] = _Node(w2, r.signed_label, node.start, node.start_len, node)
-        if not nxt:
-            break
-        states_total += len(nxt)
-        for node in nxt.values():
-            slack = node.start_len + node.word.length() - 2 - t
+    states_total = 0
+    for t, states in reach_levels(lr, starts, depth, extend=within_tape):
+        states_total += len(states)
+        if t == 0:
+            continue
+        for s in states:
+            slack = s.start.length() + s.word.length() - 2 - t
             if min_slack is None or slack < min_slack:
                 min_slack = slack
             if slack < 0:
@@ -178,9 +145,8 @@ def check_lr_bound(max_tape: int = 4, alphabet: Sequence[str] = ("a",)) -> Check
                     params={"max_tape": max_tape, "alphabet": list(alphabet)},
                     counts={"start_words": len(region_words), "states": states_total},
                     stats={"violation_at": t},
-                    counterexample=_repro(node.start, node.history()),
+                    counterexample=_repro(s.start, s.history()),
                 )
-        level = nxt
     return CheckReport(
         suite="lr-bound",
         status="pass",
@@ -271,46 +237,33 @@ def check_chi_occurrences(
     Reduced standard-base computations, covered exhaustively by a level
     sweep over (word, last rule, capped occurrence vector).
     """
-    machine = m3.machine
     chi_index = {lbl: i for i, lbl in enumerate(m3.chi_labels)}
+
+    def occurrences(state, rule, word):
+        vec = state.extra
+        i = chi_index.get(rule.label)
+        if i is None:
+            return vec
+        return vec[:i] + (min(vec[i] + 1, 2),) + vec[i + 1 :]
+
     zero = (0,) * len(m3.chi_labels)
-    level: dict[tuple, _Node] = {}
-    for w in starts:
-        level[(w, None, zero)] = _Node(w, None, w, w.length(), None, zero)
     max_seen = 0
-    states_total = len(level)
-    for t in range(1, depth + 1):
-        nxt: dict[tuple, _Node] = {}
-        for node in level.values():
-            vec = node.extra
-            for r in machine.candidate_rules(node.word.q[0]):
-                if node.last is not None and node.last[0] == r.label and node.last[1] == -r.sign:
-                    continue
-                if not is_applicable(machine, node.word, r):
-                    continue
-                w2 = apply_rule(machine, node.word, r)
-                v2 = vec
-                if r.label in chi_index:
-                    i = chi_index[r.label]
-                    v2 = vec[:i] + (min(vec[i] + 1, 2),) + vec[i + 1 :]
-                    max_seen = max(max_seen, v2[i])
-                    if v2[i] >= 2:
-                        bad = _Node(w2, r.signed_label, node.start, node.start_len, node, v2)
-                        return CheckReport(
-                            suite="chi-occurrences",
-                            status="fail",
-                            params={"depth": depth},
-                            counts={"states": states_total},
-                            stats={"chi_rule": r.label},
-                            counterexample=_repro(bad.start, bad.history()),
-                        )
-                key = (w2, r.signed_label, v2)
-                if key not in nxt:
-                    nxt[key] = _Node(w2, r.signed_label, node.start, node.start_len, node, v2)
-        if not nxt:
-            break
-        states_total += len(nxt)
-        level = nxt
+    states_total = 0
+    for t, states in reach_levels(m3.machine, starts, depth, extend=occurrences, extra=zero):
+        top = max(max(s.extra, default=0) for s in states)
+        if top >= 2:
+            # the first state in level order is the first offending application
+            bad = next(s for s in states if 2 in s.extra)
+            return CheckReport(
+                suite="chi-occurrences",
+                status="fail",
+                params={"depth": depth},
+                counts={"states": states_total},
+                stats={"chi_rule": bad.last[0]},
+                counterexample=_repro(bad.start, bad.history()),
+            )
+        max_seen = max(max_seen, top)
+        states_total += len(states)
     return CheckReport(
         suite="chi-occurrences",
         status="pass",
@@ -322,39 +275,22 @@ def check_chi_occurrences(
 
 def check_norep(bundle: MainMachineBundle, k: int, depth: int = 8) -> CheckReport:
     """No nontrivial reduced return to W(k,k) without the first two sets."""
-    machine = bundle.machine
     target = bundle.w_word(k, k)
     allowed = {"set3", "set4", "set5", "tr23", "tr34", "tr45", "tr50"}
-    level: dict[tuple, _Node] = {(target, None): _Node(target, None, target, target.length(), None)}
-    states_total = 1
-    for t in range(1, depth + 1):
-        nxt: dict[tuple, _Node] = {}
-        for node in level.values():
-            for r in machine.candidate_rules(node.word.q[0]):
-                if r.tag not in allowed:
-                    continue
-                if node.last is not None and node.last[0] == r.label and node.last[1] == -r.sign:
-                    continue
-                if not is_applicable(machine, node.word, r):
-                    continue
-                w2 = apply_rule(machine, node.word, r)
-                nn = _Node(w2, r.signed_label, node.start, node.start_len, node)
-                if w2 == target:
-                    return CheckReport(
-                        suite="no-return",
-                        status="fail",
-                        params={"k": k, "depth": depth},
-                        counts={"states": states_total},
-                        stats={"return_at": t},
-                        counterexample=_repro(target, nn.history()),
-                    )
-                key = (w2, r.signed_label)
-                if key not in nxt:
-                    nxt[key] = nn
-        if not nxt:
-            break
-        states_total += len(nxt)
-        level = nxt
+    states_total = 0
+    levels = reach_levels(bundle.machine, [target], depth, keep=lambda r: r.tag in allowed)
+    for t, states in levels:
+        back = next((s for s in states if t and s.word == target), None)
+        if back is not None:
+            return CheckReport(
+                suite="no-return",
+                status="fail",
+                params={"k": k, "depth": depth},
+                counts={"states": states_total},
+                stats={"return_at": t},
+                counterexample=_repro(target, back.history()),
+            )
+        states_total += len(states)
     return CheckReport(
         suite="no-return",
         status="pass",
@@ -428,57 +364,6 @@ def check_periodic_distinctness(
 # the accepted-language experiment
 
 
-def _bidirectional_search(
-    machine: SMachine,
-    rules: Sequence[Rule],
-    source: AdmissibleWord,
-    target: AdmissibleWord,
-    budget: int,
-) -> tuple[History | None, bool]:
-    """Meet-in-the-middle BFS; returns (witness, budget_exhausted)."""
-    rule_labels = {r.label for r in rules}
-    if source == target:
-        return (), False
-    fwd: dict[AdmissibleWord, History] = {source: ()}
-    bwd: dict[AdmissibleWord, History] = {target: ()}
-    fq, bq = deque([source]), deque([target])
-    spent = 0
-
-    def expand(queue, seen, other, backward):
-        nonlocal spent
-        for _ in range(len(queue)):
-            w = queue.popleft()
-            hist = seen[w]
-            for r in machine.candidate_rules(w.q[0]):
-                if r.label not in rule_labels:
-                    continue
-                if not is_applicable(machine, w, r):
-                    continue
-                spent += 1
-                if spent > budget:
-                    return "exhausted"
-                w2 = apply_rule(machine, w, r)
-                if w2 in seen:
-                    continue
-                seen[w2] = hist + (r.signed_label,)
-                if w2 in other:
-                    return w2
-                queue.append(w2)
-        return None
-
-    while fq or bq:
-        side = expand(fq, fwd, bwd, False) if len(fq) <= len(bq) and fq else expand(bq, bwd, fwd, True)
-        if side == "exhausted":
-            return None, True
-        if side is not None:
-            meet = side
-            back = tuple((lbl, -sg) for lbl, sg in reversed(bwd[meet]))
-            return fwd[meet] + back, False
-        if not fq and not bq:
-            break
-    return None, False
-
-
 def accepted_language_experiment(
     bundle: MainMachineBundle,
     ks: Sequence[int] = (0, 1, 2, 3),
@@ -493,7 +378,6 @@ def accepted_language_experiment(
     """
     machine = bundle.machine
     allowed = {"set3", "set4", "set5", "tr34", "tr45", "tr50"}
-    rules = tuple(r for r in machine.rules_in_order if r.tag in allowed)
     rows = []
     failures = []
     any_unknown = False
@@ -509,8 +393,13 @@ def accepted_language_experiment(
                 failures.append(f"k={k}: constructed witness does not reach the accept word")
             verdict, witness_len, via = "yes", len(hist), "constructed"
         else:
-            wit, exhausted = _bidirectional_search(
-                machine, rules, bundle.w_word(k, k), bundle.w_ac, budget
+            wit, exhausted = search(
+                machine,
+                bundle.w_word(k, k),
+                [bundle.w_ac],
+                budget,
+                keep=lambda r: r.tag in allowed,
+                bidirectional=True,
             )
             if wit is not None:
                 comp = run_history(machine, bundle.w_word(k, k), wit)
@@ -650,27 +539,19 @@ def _m3_build(m: int) -> M3Build:
     return compose_m3_cached(toy, m)
 
 
-_M3_CACHE: dict[int, M3Build] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def compose_m3_cached(toy, m: int) -> M3Build:
     from .compose import add_control_letters, add_history_sectors, compose_m3
 
-    if m not in _M3_CACHE:
-        _M3_CACHE[m] = compose_m3(add_control_letters(add_history_sectors(toy.machine)), m)
-    return _M3_CACHE[m]
+    return compose_m3(add_control_letters(add_history_sectors(toy.machine)), m)
 
 
-_BUNDLE_CACHE: dict[tuple[int, int], MainMachineBundle] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def bundle_cached(m: int, L: int) -> MainMachineBundle:
     from .main_machine import build_main_machine
     from .toy import toy_even_recognizer
 
-    if (m, L) not in _BUNDLE_CACHE:
-        _BUNDLE_CACHE[(m, L)] = build_main_machine(toy_even_recognizer(), m=m, L=L)
-    return _BUNDLE_CACHE[(m, L)]
+    return build_main_machine(toy_even_recognizer(), m=m, L=L)
 
 
 def run_one_suite(name: str, opts: Mapping[str, object]) -> list[CheckReport]:
@@ -731,9 +612,9 @@ def run_one_suite(name: str, opts: Mapping[str, object]) -> list[CheckReport]:
     raise ValueError(f"unknown suite {name!r}")
 
 
-def _suite_worker(task: tuple[str, dict]) -> list[dict]:
+def _suite_worker(task: tuple[str, dict]) -> list[CheckReport]:
     name, opts = task
-    return [r.to_dict() for r in run_one_suite(name, opts)]
+    return run_one_suite(name, opts)
 
 
 def run_suites(suite: str, jobs: int = 1, **opts: object) -> list[CheckReport]:
@@ -741,28 +622,12 @@ def run_suites(suite: str, jobs: int = 1, **opts: object) -> list[CheckReport]:
     for n in names:
         if n not in SUITE_NAMES:
             raise ValueError(f"unknown suite {n!r}")
+    tasks = [(n, dict(opts)) for n in names]
     if jobs > 1 and len(names) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            dicts = list(pool.map(_suite_worker, [(n, dict(opts)) for n in names]))
-        out = []
-        for group in dicts:
-            for d in group:
-                out.append(
-                    CheckReport(
-                        suite=d["suite"],
-                        status=d["status"],
-                        params=d["params"],
-                        counts=d["counts"],
-                        stats=d["stats"],
-                        counterexample=d["counterexample"],
-                        depth_exhausted=d["depth_exhausted"],
-                        notes=tuple(d["notes"]),
-                    )
-                )
-        return out
-    out = []
-    for n in names:
-        out.extend(run_one_suite(n, dict(opts)))
-    return out
+            groups = list(pool.map(_suite_worker, tasks))
+    else:
+        groups = [_suite_worker(t) for t in tasks]
+    return [r for group in groups for r in group]

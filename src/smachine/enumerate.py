@@ -1,43 +1,58 @@
-"""Breadth-first enumeration of computations and level-set reachability.
+"""The frontier engine: every search over computations goes through here.
+
+``successors`` is the one expansion step: the applicable rules at a
+word, in the machine's rule order (label-sorted, positive before
+negative), each with the word it produces.
 
 ``enumerate_computations`` yields every computation from a start word of
 length <= depth passing the filter, exactly once, in a deterministic
-order: by length, then lexicographically by the rule order of the
-machine (label-sorted, positive before negative).
+order: by length, then lexicographically by rule order.
 
-``reach_levels`` is the workhorse for the verification suites: a level-
-synchronous sweep over (word, last rule) states that covers *all*
-reduced paths without enumerating them one by one.
+``reach_levels`` is the level sweep behind the verification suites: a
+level-synchronous sweep over (word, last rule, extra) states that covers
+*all* reduced paths without enumerating them one by one.
+
+``search`` is the word-graph BFS behind the accepted-language
+experiment and the disk words: a budgeted search for a path to a target
+word, one-directional or meet-in-the-middle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from collections import deque
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .machine import (
     Computation,
     History,
     Rule,
+    SignedLabel,
     SMachine,
     apply_rule,
+    invert_history,
     is_applicable,
 )
 from .words import AdmissibleWord
 
 Filter = str  # "reduced" | "eligible" | "all"
+Keep = Callable[[Rule], bool]
 
 
-def _passes(filt: str, prev: tuple[str, int] | None, rule: Rule, eligible_label: str | None) -> bool:
-    if filt == "all" or prev is None:
-        return True
-    lbl, sg = prev
-    if lbl == rule.label and sg == -rule.sign:
-        if filt == "eligible" and eligible_label is not None:
-            # theta(23)·theta(23)^-1 allowed, the reversed order rejected
-            return lbl == eligible_label and sg == 1 and rule.sign == -1
-        return False
-    return True
+def successors(
+    machine: SMachine,
+    word: AdmissibleWord,
+    last: SignedLabel | None = None,
+    keep: Keep | None = None,
+) -> Iterator[tuple[Rule, AdmissibleWord]]:
+    """Yield (rule, word·rule) for each applicable rule, in rule order,
+    skipping the inverse of ``last`` and the rules ``keep`` rejects."""
+    for r in machine.candidate_rules(word.q[0]):
+        if last is not None and last[0] == r.label and last[1] == -r.sign:
+            continue
+        if keep is not None and not keep(r):
+            continue
+        if is_applicable(machine, word, r):
+            yield r, apply_rule(machine, word, r)
 
 
 def enumerate_computations(
@@ -46,9 +61,12 @@ def enumerate_computations(
     depth: int,
     filt: Filter = "reduced",
     eligible_label: str | None = None,
-    rule_subset: Callable[[Rule], bool] | None = None,
 ) -> Iterator[Computation]:
-    """Stream computations of length <= depth, breadth first."""
+    """Stream computations of length <= depth, breadth first.
+
+    "reduced" never follows a rule by its inverse, "all" may, and
+    "eligible" allows only ``eligible_label`` followed by its inverse.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if filt not in ("reduced", "eligible", "all"):
@@ -58,17 +76,10 @@ def enumerate_computations(
     for _ in range(depth):
         nxt: list[tuple[History, tuple[AdmissibleWord, ...]]] = []
         for hist, trace in level:
-            prev = hist[-1] if hist else None
-            cur = trace[-1]
-            rules = machine.candidate_rules(cur.q[0])
-            if rule_subset is not None:
-                rules = tuple(r for r in rules if rule_subset(r))
-            for r in rules:
-                if not _passes(filt, prev, r, eligible_label):
-                    continue
-                if not is_applicable(machine, cur, r):
-                    continue
-                w2 = apply_rule(machine, cur, r)
+            last = hist[-1] if hist else None
+            if filt == "all" or (filt == "eligible" and last == (eligible_label, 1)):
+                last = None
+            for r, w2 in successors(machine, trace[-1], last):
                 item = (hist + (r.signed_label,), trace + (w2,))
                 nxt.append(item)
                 yield Computation(start, item[0], item[1])
@@ -77,18 +88,29 @@ def enumerate_computations(
         level = nxt
 
 
-@dataclass
-class LevelState:
-    """One reachable (word, last-rule) state with provenance for witnesses."""
+# returned by a ``reach_levels`` extension to drop the successor
+PRUNE = object()
+
+
+class State(NamedTuple):
+    """One reachable state of a level sweep, with provenance for witnesses."""
 
     word: AdmissibleWord
-    last: tuple[str, int] | None
-    parent: "LevelState | None" = None
+    last: SignedLabel | None
+    parent: "State | None"
+    extra: object = None
+
+    @property
+    def start(self) -> AdmissibleWord:
+        node = self
+        while node.parent is not None:
+            node = node.parent
+        return node.word
 
     def history(self) -> History:
         out = []
-        node: LevelState | None = self
-        while node is not None and node.last is not None:
+        node = self
+        while node.parent is not None:
             out.append(node.last)
             node = node.parent
         return tuple(reversed(out))
@@ -98,46 +120,107 @@ def reach_levels(
     machine: SMachine,
     starts: Iterable[AdmissibleWord],
     depth: int,
-    filt: Filter = "reduced",
-    eligible_label: str | None = None,
-    rule_subset: Callable[[Rule], bool] | None = None,
-    state_key: Callable[[LevelState], object] | None = None,
-) -> Iterator[tuple[int, list[LevelState]]]:
-    """Level-synchronous reachability over (word, last rule) states.
+    keep: Keep | None = None,
+    extend: Callable[[State, Rule, AdmissibleWord], object] | None = None,
+    extra: object = None,
+) -> Iterator[tuple[int, list[State]]]:
+    """Level-synchronous reachability over reduced paths.
 
-    Yields (t, states). A state appears in level t iff some path of
-    length t under the filter ends there; states deduplicate per level by
-    ``state_key`` (default: word + last rule), so all paths are covered
-    without per-path enumeration.
+    Yields (t, states), t = 0..depth, stopping early at an empty level.
+    A state appears in level t iff some reduced path of length t from a
+    start ends there.  Starts carry ``extra``; ``extend(state, rule,
+    word)`` gives a successor's extra, or ``PRUNE`` to drop it.  States
+    deduplicate per level on (word, last rule, extra) and the first path
+    in (start, rule) order wins, so all paths are covered without
+    per-path enumeration.
     """
-    key = state_key or (lambda s: (s.word, s.last))
-    level = [LevelState(w, None) for w in starts]
-    seen_dedup: dict[object, LevelState] = {}
-    deduped = []
-    for s in level:
-        k = key(s)
-        if k not in seen_dedup:
-            seen_dedup[k] = s
-            deduped.append(s)
-    level = deduped
+    level = list({(w, None, extra): State(w, None, None, extra) for w in starts}.values())
     yield 0, level
     for t in range(1, depth + 1):
-        nxt: dict[object, LevelState] = {}
+        nxt: dict[tuple, State] = {}
         for s in level:
-            rules = machine.candidate_rules(s.word.q[0])
-            if rule_subset is not None:
-                rules = tuple(r for r in rules if rule_subset(r))
-            for r in rules:
-                if not _passes(filt, s.last, r, eligible_label):
+            for r, w2 in successors(machine, s.word, s.last, keep):
+                x = extend(s, r, w2) if extend is not None else None
+                if x is PRUNE:
                     continue
-                if not is_applicable(machine, s.word, r):
-                    continue
-                w2 = apply_rule(machine, s.word, r)
-                ns = LevelState(w2, r.signed_label, s)
-                k = key(ns)
-                if k not in nxt:
-                    nxt[k] = ns
+                sl = r.signed_label
+                key = (w2, sl, x)
+                if key not in nxt:
+                    nxt[key] = State(w2, sl, s, x)
         if not nxt:
             return
         level = list(nxt.values())
         yield t, level
+
+
+class _Exhausted(Exception):
+    pass
+
+
+def _path(parent: dict, w: AdmissibleWord) -> History:
+    out = []
+    while parent[w] is not None:
+        w, sl = parent[w]
+        out.append(sl)
+    return tuple(reversed(out))
+
+
+def search(
+    machine: SMachine,
+    source: AdmissibleWord,
+    targets: Iterable[AdmissibleWord],
+    budget: int,
+    keep: Keep | None = None,
+    bidirectional: bool = False,
+) -> tuple[History | None, bool]:
+    """Word-graph BFS from ``source`` to any of ``targets``.
+
+    Every applicable rule tried counts against ``budget``.  Returns
+    (witness history, budget_exhausted); a witness of None with the flag
+    unset means a reachable set closed without a hit: a definite no.
+    With ``bidirectional`` the targets grow a backward frontier too and
+    the smaller frontier expands one layer at a time until the two meet.
+    """
+    # word -> (parent word, rule) or None at a root, per side
+    fwd: dict = {source: None}
+    bwd: dict = dict.fromkeys(targets)
+    if source in bwd:
+        return (), False
+    fq, bq = deque(fwd), deque(bwd)
+    spent = 0
+
+    def expand(queue: deque, seen: dict, other) -> AdmissibleWord | None:
+        """Expand one BFS layer; returns the first new word in ``other``."""
+        nonlocal spent
+        for _ in range(len(queue)):
+            w = queue.popleft()
+            for r, w2 in successors(machine, w, keep=keep):
+                spent += 1
+                if spent > budget:
+                    raise _Exhausted
+                if w2 in seen:
+                    continue
+                seen[w2] = (w, r.signed_label)
+                if w2 in other:
+                    return w2
+                queue.append(w2)
+        return None
+
+    try:
+        if not bidirectional:
+            while fq:
+                hit = expand(fq, fwd, bwd)
+                if hit is not None:
+                    return _path(fwd, hit), False
+            return None, False
+        # an emptied frontier has closed its side without meeting the other
+        while fq and bq:
+            if len(fq) <= len(bq):
+                meet = expand(fq, fwd, bwd)
+            else:
+                meet = expand(bq, bwd, fwd)
+            if meet is not None:
+                return _path(fwd, meet) + invert_history(_path(bwd, meet)), False
+        return None, False
+    except _Exhausted:
+        return None, True

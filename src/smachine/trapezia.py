@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .enumerate import search
 from .machine import (
     Computation,
     History,
@@ -326,57 +327,14 @@ class DiskVerdict:
     budget_exhausted: bool = False
 
 
-def _bounded_reach(
-    machine: SMachine,
-    start: AdmissibleWord,
-    targets: set[AdmissibleWord],
-    budget: int,
-) -> tuple[History | None, bool]:
-    """Word-graph BFS to any target under a rule-application budget.
-
-    Returns (witness history, budget_exhausted); witness None with the
-    flag unset means the reachable set was exhausted: a definite no.
-    """
-    from collections import deque
-
-    from .machine import apply_rule as _apply, is_applicable as _ok
-
-    if start in targets:
-        return (), False
-    parent: dict[AdmissibleWord, tuple[AdmissibleWord, tuple[str, int]] | None] = {start: None}
-    queue = deque([start])
-    spent = 0
-    while queue:
-        w = queue.popleft()
-        for r in machine.candidate_rules(w.q[0]):
-            if not _ok(machine, w, r):
-                continue
-            spent += 1
-            if spent > budget:
-                return None, True
-            w2 = _apply(machine, w, r)
-            if w2 in parent:
-                continue
-            parent[w2] = (w, r.signed_label)
-            if w2 in targets:
-                hist: list[tuple[str, int]] = []
-                cur = w2
-                while parent[cur] is not None:
-                    prev, sl = parent[cur]  # type: ignore[misc]
-                    hist.append(sl)
-                    cur = prev
-                return tuple(reversed(hist)), False
-            queue.append(w2)
-    return None, False
-
-
 def is_disk_word(
     v: PermissibleWord, bundle: MainMachineBundle, budget: int = 10_000
 ) -> DiskVerdict:
     """Does the erasure factor as the L-th power of an accessible word?
 
-    The power test is exact; accessibility is certified by a bounded
-    bidirectional search, so "unknown" is a possible verdict.
+    The power test is exact; accessibility is certified by two bounded
+    one-directional searches (base to the accept word, then the start
+    word to base), so "unknown" is a possible verdict.
     """
     w = v.erase()
     L = bundle.L
@@ -394,10 +352,10 @@ def is_disk_word(
     if base.base != bundle.w_st.base:
         return DiskVerdict("no")
     machine = bundle.machine
-    wit, exhausted1 = _bounded_reach(machine, base, {bundle.w_ac}, budget)
+    wit, exhausted1 = search(machine, base, [bundle.w_ac], budget)
     if wit is not None:
         return DiskVerdict("yes", wit, "accepting")
-    wit, exhausted2 = _bounded_reach(machine, bundle.s1(), {base}, budget)
+    wit, exhausted2 = search(machine, bundle.s1(), [base], budget)
     if wit is not None:
         return DiskVerdict("yes", wit, "from-start")
     if exhausted1 or exhausted2:

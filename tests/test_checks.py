@@ -2,9 +2,11 @@
 seeded defects, and report replayable counterexamples."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
+from smachine import checks
 from smachine.checks import (
     _best_periodic_gain,
     check_chi_occurrences,
@@ -17,8 +19,9 @@ from smachine.checks import (
     run_suites,
 )
 from smachine.compose import start_configuration_m3
+from smachine.enumerate import search
 from smachine.lr import build_lr
-from smachine.machine import UnknownRule, history, run_history
+from smachine.machine import Rule, RulePart, UnknownRule, history, run_history
 from smachine.presentation import Relator, compile_group_G, factory_for
 from smachine.toy import toy_even_recognizer
 from smachine.words import AdmissibleWord, QLetter, YLetter
@@ -115,15 +118,93 @@ def test_presentation_audit_catches_seeded_defect(session_bundle):
 
 
 def test_counterexamples_replay(session_bundle):
-    """A seeded machine defect is caught and its reproduction replays."""
+    """The real machines pass; a period that undoes itself is a skip."""
     lr = build_lr(["a"])
-    # sabotage: pretend the bound must hold with slack > 3 by shrinking the cap
+    # control: at a small tape cap the real sweep machine has no counterexample
     rep = check_lr_bound(max_tape=1)
-    assert rep.status == "pass"  # the real machine has no counterexample
-    # a failing report from the periodic suite carries a replayable history
+    assert rep.status == "pass"
+    # z12 z12^-1 returns to its start, so the distinctness hypothesis fails
     w = lr.hardware.word(["q1", "p1", "q2"])
     rep2 = check_periodic_distinctness(lr, w, ["z12", "z12^-1"], max_reps=2)
     assert rep2.status == "skip"
+
+
+def _identity_rule(machine, label, state, tag=""):
+    """A rule fixing ``state`` (and the first letter of every other part)
+    that leaves the tape alone."""
+    hw = machine.hardware
+    letters = [state if state in names else names[0] for names in hw.parts]
+    return Rule(label, tuple(RulePart(x, (), x, ()) for x in letters), hw.sector_alphabets, tag=tag)
+
+
+def _with_rules(machine, *rules):
+    return dataclasses.replace(machine, positive_rules=machine.positive_rules + rules)
+
+
+def test_lr_bound_fails_on_seeded_identity_rule(monkeypatch):
+    """An identity rule keeps the length fixed while t grows, so the
+    length bound must break; the reported path replays to a violation."""
+    real = checks.build_lr
+    seeded = {}
+
+    def build_lr_seeded(alphabet):
+        lr = real(alphabet)
+        seeded["machine"] = _with_rules(lr, _identity_rule(lr, "id", "p1"))
+        return seeded["machine"]
+
+    monkeypatch.setattr(checks, "build_lr", build_lr_seeded)
+    rep = check_lr_bound(max_tape=1)
+    assert rep.status == "fail"
+    assert rep.counts == {"start_words": 18, "states": 160}
+    assert rep.stats == {"violation_at": 5}
+    lr = seeded["machine"]
+    start = lr.hardware.word(rep.counterexample["start"].split())
+    comp = run_history(lr, start, rep.counterexample["history"])
+    assert len(comp) == 5
+    assert start.length() + comp.end.length() - 2 < len(comp)
+
+
+def test_chi_occurrences_fails_on_repeated_rule():
+    """Naming a rule the sweep repeats as a transition is caught at the
+    first level where it occurs twice."""
+    m3 = compose_m3_cached(toy_even_recognizer(), 2)
+    seeded = dataclasses.replace(m3, chi_labels=m3.chi_labels + ("s1_r2_fin",))
+    rep = check_chi_occurrences(seeded, [start_configuration_m3(m3, 0, ["fin"])], depth=6)
+    assert rep.to_dict() == CHI_SEEDED
+
+
+def test_norep_fails_on_seeded_identity_rule():
+    """A set3 identity rule at p2 turns a sweep back on itself."""
+    lr = build_lr(["a"])
+    retagged = tuple(dataclasses.replace(r, tag="set3") for r in lr.positive_rules)
+    machine = dataclasses.replace(lr, positive_rules=retagged)
+    machine = _with_rules(machine, _identity_rule(machine, "id", "p2", tag="set3"))
+    target = machine.hardware.word(["q1", "a", "p1", "q2"])
+    bundle = SimpleNamespace(machine=machine, w_word=lambda k, k2: target)
+    rep = check_norep(bundle, 0, depth=6)
+    assert rep.to_dict() == NOREP_SEEDED
+
+
+def test_meet_in_the_middle_ends_when_a_frontier_empties():
+    """No rule applies at q1 a' p1 q2, so a frontier grown from it closes
+    after one layer: a definite no, where the forward side alone grows
+    without end and can only run out of budget."""
+    lr = build_lr(["a"])
+    live = lr.hardware.word(["q1", "a", "p1", "q2"])
+    dead = lr.hardware.word(["q1", "a'", "p1", "q2"])
+    assert search(lr, live, [dead], 1000, bidirectional=True) == (None, False)
+    assert search(lr, dead, [live], 1000, bidirectional=True) == (None, False)
+    assert search(lr, live, [dead], 1000) == (None, True)
+
+
+def test_compose_m3_cached_keys_on_the_toy():
+    """Equal toys share one build; a toy over another letter gets its own."""
+    a = compose_m3_cached(toy_even_recognizer("a"), 2)
+    assert compose_m3_cached(toy_even_recognizer("a"), 2) is a
+    b = compose_m3_cached(toy_even_recognizer("b"), 2)
+    assert b is not a
+    assert b.machine != a.machine
+    assert "b" in b.machine.hardware.sector_alphabets[b.machine.input_sector]
 
 
 def test_run_suites_registry_and_json(session_bundle):
@@ -154,3 +235,31 @@ def test_raise_on_fail_kinds(session_bundle):
         rep.raise_on_fail()
     ok = CheckReport(suite="lr-bound", status="pass")
     assert ok.raise_on_fail() is ok
+
+
+# Whole reports of the two seeded sweeps above: they pin the first
+# offending application and the state count of the levels before it.
+CHI_SEEDED = {
+    "suite": "chi-occurrences",
+    "status": "fail",
+    "params": {"depth": 6},
+    "counts": {"states": 58},
+    "stats": {"chi_rule": "s1_r2_fin"},
+    "counterexample": {
+        "start": "cp0_s1 q0s_r_s1 cr0_s1 cp1_s1 q1s_l_s1 cr1a_s1 fin_l1 cp2_s1 q1s_r_s1 cr2_s1 cp3_s1 q2s_l_s1 cr3_s1",
+        "history": ["s1_r1_fin", "s1_rt", "s1_r2_fin", "s1_r2_fin"],
+    },
+    "depth_exhausted": False,
+    "notes": [],
+}
+
+NOREP_SEEDED = {
+    "suite": "no-return",
+    "status": "fail",
+    "params": {"k": 0, "depth": 6},
+    "counts": {"states": 25},
+    "stats": {"return_at": 5},
+    "counterexample": {"start": "q1 a p1 q2", "history": ["z1_a", "z12", "id", "z12^-1", "z1_a^-1"]},
+    "depth_exhausted": False,
+    "notes": [],
+}

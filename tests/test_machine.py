@@ -16,8 +16,10 @@ from smachine.machine import (
     run_history,
     step_history,
 )
-from smachine.enumerate import enumerate_computations
+from smachine.enumerate import enumerate_computations, reach_levels
 from smachine.words import AdmissibleWord, QLetter, YLetter
+
+from conftest import random_words_for
 
 
 @pytest.fixture(scope="module")
@@ -184,21 +186,54 @@ def test_enumerate_exactly_once(lr):
     assert len(hs) == len(set(hs))
 
 
-def test_reach_levels_covers_enumeration(lr):
-    """Level states at depth t are exactly the (word, last) pairs of
-    length-t reduced computations."""
-    from smachine.enumerate import reach_levels
+def _sweep_machines(bundle):
+    from smachine.checks import compose_m3_cached
+    from smachine.toy import toy_even_recognizer
 
-    w = lr.hardware.word(["q1", "a", "p1", "q2"])
-    comps = list(enumerate_computations(lr, w, 3, "reduced"))
-    by_depth = {}
-    for c in comps:
-        key = (c.end, c.history[-1] if c.history else None)
-        by_depth.setdefault(len(c), set()).add(key)
-    for t, states in reach_levels(lr, [w], 3, "reduced"):
-        got = {(s.word, s.last) for s in states}
-        assert got == by_depth[t]
-        for s in states:
-            if s.last is not None:
-                comp = run_history(lr, w, s.history())
-                assert comp.end == s.word
+    return {
+        "LR": build_lr(["a", "b"]),
+        "M3": compose_m3_cached(toy_even_recognizer(), 2).machine,
+        "main": bundle.machine,
+    }
+
+
+@pytest.mark.parametrize("name", ["LR", "M3", "main"])
+def test_reach_levels_covers_enumeration(name, session_bundle):
+    """Level states at depth t are exactly the (word, last) pairs of
+    length-t reduced computations, and each replays from its start."""
+    machine = _sweep_machines(session_bundle)[name]
+    starts = random_words_for(machine, 6, seed=3)
+    if name == "LR":
+        starts.insert(0, machine.hardware.word(["q1", "a", "p1", "q2"]))
+    deepest = 0
+    for w in starts:
+        by_depth = {}
+        for c in enumerate_computations(machine, w, 3, "reduced"):
+            key = (c.end, c.history[-1] if c.history else None)
+            by_depth.setdefault(len(c), set()).add(key)
+        levels = 0
+        for t, states in reach_levels(machine, [w], 3):
+            levels += 1
+            got = [(s.word, s.last) for s in states]
+            assert len(got) == len(set(got))
+            assert set(got) == by_depth[t]
+            for s in states:
+                assert s.start == w
+                assert run_history(machine, w, s.history()).end == s.word
+        assert levels == len(by_depth)
+        deepest = max(deepest, levels - 1)
+    assert deepest == 3  # non-vacuous: some start has computations of length 3
+
+
+def test_reach_levels_first_start_wins():
+    """A state reached from two starts keeps the path from the earlier
+    one; check_lr_bound relies on this by sorting its starts by length."""
+    lr = build_lr(["a"])
+    u = lr.hardware.word(["q1", "p2", "a'", "q2"])
+    v = lr.hardware.word(["q1", "a", "p1", "q2"])
+    meet = lr.hardware.word(["q1", "a^-1", "p1", "a'", "a'", "q2"])
+    for starts in ([u, v], [v, u]):
+        level2 = dict(reach_levels(lr, starts, 2))[2]
+        (s,) = [s for s in level2 if s.word == meet and s.last == ("z1_a", 1)]
+        assert s.start == starts[0]
+        assert run_history(lr, s.start, s.history()).end == meet
