@@ -25,7 +25,7 @@ from .machine import (
     format_slabel,
     run_history,
 )
-from .main_machine import MainMachineBundle
+from .main_machine import MIXED_TAG, PLAIN_FAMILY_TAGS, MainMachineBundle
 from .presentation import Presentation, mu, nu
 from .words import AdmissibleWord, QLetter, YLetter
 
@@ -276,7 +276,7 @@ def check_chi_occurrences(
 def check_norep(bundle: MainMachineBundle, k: int, depth: int = 8) -> CheckReport:
     """No nontrivial reduced return to W(k,k) without the first two sets."""
     target = bundle.w_word(k, k)
-    allowed = {"set3", "set4", "set5", "tr23", "tr34", "tr45", "tr50"}
+    allowed = {*PLAIN_FAMILY_TAGS, MIXED_TAG}
     states_total = 0
     levels = reach_levels(bundle.machine, [target], depth, keep=lambda r: r.tag in allowed)
     for t, states in levels:
@@ -377,7 +377,7 @@ def accepted_language_experiment(
     hand), no (search closure exhausted), unknown (budget ran out).
     """
     machine = bundle.machine
-    allowed = {"set3", "set4", "set5", "tr34", "tr45", "tr50"}
+    allowed = set(PLAIN_FAMILY_TAGS)
     rows = []
     failures = []
     any_unknown = False

@@ -10,7 +10,7 @@ copies, ``_m`` for mirror copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .machine import Hardware, Rule, RulePart, SMachine
 from .words import AdmissibleWord, Word, YLetter
@@ -300,6 +300,17 @@ class M3Build:
         return self.m2bar.input_sector
 
 
+class _Sweep(NamedTuple):
+    """How one kind of history-sweep stage is built."""
+
+    letter: str  # in the rule labels: s{sigma}_{letter}1_.., _{letter}t, _{letter}2_..
+    sign: int  # sign of the right-copy letter a first-pass step consumes
+    frozen: tuple[str, ...]  # base letter each part's stage copies are named after
+    running: Mapping[int, ControlledHistorySector]  # running part -> its history sector
+    content: Mapping[int, frozenset[str]]  # domains of the sectors holding the history
+    scratch: Mapping[int, frozenset[str]]  # domains open during the turn as well
+
+
 def _stage_kind(sigma: int) -> str:
     r = sigma % 4
     return {1: "rl", 2: "fwd", 3: "lr", 0: "bwd"}[r]
@@ -321,207 +332,97 @@ def compose_m3(m2bar: M2BarBuild, m: int, name: str = "M3") -> M3Build:
     hist = m2bar.history
     if not hist:
         raise StageMismatch("controlled machine has no history sectors")
-    labels = m2bar.rule_labels
-    running_r = {h.r_part for h in hist}
-    running_p = {h.p_part for h in hist}
     n_stages = 4 * m + 1
-
-    start_copy = {base.start_letters[i]: i for i in range(hw.n_parts)}
-    part_start = {i: base.start_letters[i] for i in range(hw.n_parts)}
-    part_end = {i: base.end_letters[i] for i in range(hw.n_parts)}
+    input_dom = hw.sector_alphabets[m2bar.input_sector]
+    left = {h.sector: h.left_alphabet for h in hist}
+    right = {h.sector: h.right_alphabet for h in hist}
+    sweeps = {
+        "rl": _Sweep(
+            "r",
+            1,
+            base.start_letters,
+            {h.r_part: h for h in hist},
+            left,
+            {**{h.rl_scratch: h.right_alphabet for h in hist}, m2bar.input_sector: input_dom},
+        ),
+        "lr": _Sweep(
+            "l",
+            -1,
+            base.end_letters,
+            {h.p_part: h for h in hist},
+            right,
+            {h.lr_scratch: h.left_alphabet for h in hist},
+        ),
+    }
 
     def stage_parts(sigma: int) -> list[tuple[str, ...]]:
+        sweep = sweeps.get(_stage_kind(sigma))
+        if sweep is None:
+            return [tuple(f"{x}_s{sigma}" for x in part) for part in hw.parts]
+        return [
+            (f"{q}a_s{sigma}", f"{q}b_s{sigma}") if i in sweep.running else (f"{q}_s{sigma}",)
+            for i, q in enumerate(sweep.frozen)
+        ]
+
+    def stage_ends(sigma: int, sparts: list[tuple[str, ...]]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """A sweep starts and ends on each part's first and last letter, a run on the base's."""
         kind = _stage_kind(sigma)
-        out = []
-        for i in range(hw.n_parts):
-            if kind in ("rl", "lr"):
-                frozen = part_start[i] if kind == "rl" else part_end[i]
-                if kind == "rl" and i in running_r:
-                    out.append((f"{frozen}a_s{sigma}", f"{frozen}b_s{sigma}"))
-                elif kind == "lr" and i in running_p:
-                    out.append((f"{frozen}a_s{sigma}", f"{frozen}b_s{sigma}"))
-                else:
-                    out.append((f"{frozen}_s{sigma}",))
-            else:
-                out.append(tuple(f"{x}_s{sigma}" for x in hw.parts[i]))
-        return out
-
-    def stage_start(sigma: int) -> tuple[str, ...]:
-        kind = _stage_kind(sigma)
-        out = []
-        for i in range(hw.n_parts):
-            if kind == "rl":
-                base_l = part_start[i]
-                out.append(f"{base_l}a_s{sigma}" if i in running_r else f"{base_l}_s{sigma}")
-            elif kind == "lr":
-                base_l = part_end[i]
-                out.append(f"{base_l}a_s{sigma}" if i in running_p else f"{base_l}_s{sigma}")
-            elif kind == "fwd":
-                out.append(f"{part_start[i]}_s{sigma}")
-            else:
-                out.append(f"{part_end[i]}_s{sigma}")
-        return tuple(out)
-
-    def stage_end(sigma: int) -> tuple[str, ...]:
-        kind = _stage_kind(sigma)
-        out = []
-        for i in range(hw.n_parts):
-            if kind == "rl":
-                base_l = part_start[i]
-                out.append(f"{base_l}b_s{sigma}" if i in running_r else f"{base_l}_s{sigma}")
-            elif kind == "lr":
-                base_l = part_end[i]
-                out.append(f"{base_l}b_s{sigma}" if i in running_p else f"{base_l}_s{sigma}")
-            elif kind == "fwd":
-                out.append(f"{part_end[i]}_s{sigma}")
-            else:
-                out.append(f"{part_start[i]}_s{sigma}")
-        return tuple(out)
-
-    parts: list[list[str]] = [[] for _ in range(hw.n_parts)]
-    for sigma in range(1, n_stages + 1):
-        for i, ps in enumerate(stage_parts(sigma)):
-            parts[i].extend(ps)
-
-    n_sec = hw.n_sectors
-    empty_doms = [frozenset()] * n_sec
+        if kind in sweeps:
+            return tuple(p[0] for p in sparts), tuple(p[-1] for p in sparts)
+        first, last = base.start_letters, base.end_letters
+        if kind == "bwd":
+            first, last = last, first
+        return tuple(f"{q}_s{sigma}" for q in first), tuple(f"{q}_s{sigma}" for q in last)
 
     def doms_with(entries: Mapping[int, frozenset[str]]) -> tuple[frozenset[str], ...]:
-        d = list(empty_doms)
-        for k, v in entries.items():
-            d[k] = v
-        return tuple(d)
+        return tuple(entries.get(k, frozenset()) for k in range(hw.n_sectors))
 
-    input_dom = hw.sector_alphabets[m2bar.input_sector]
-
+    parts: list[list[str]] = [[] for _ in range(hw.n_parts)]
     stages: list[Stage] = []
     rules: list[Rule] = []
-    chi_labels: list[str] = []
     for sigma in range(1, n_stages + 1):
         kind = _stage_kind(sigma)
         sparts = stage_parts(sigma)
-        stage_rules: list[str] = []
-
-        def ident(i: int) -> RulePart:
-            x = sparts[i][0]
-            return RulePart(x, (), x, ())
-
-        if kind == "rl":
-            # run right: consume a left-copy on the right, deposit the right copy left
-            for lbl in labels:
-                rps = []
-                for i in range(hw.n_parts):
-                    if i in running_r:
-                        h = next(h for h in hist if h.r_part == i)
-                        x = sparts[i][0]
-                        rps.append(
-                            RulePart(x, (YLetter(h.right_copy[lbl], 1),), x, (YLetter(h.left_copy[lbl], -1),))
-                        )
-                    else:
-                        rps.append(ident(i))
-                dom = {h.sector: h.left_alphabet for h in hist}
-                dom.update({h.rl_scratch: h.right_alphabet for h in hist})
-                dom[m2bar.input_sector] = input_dom
-                rules.append(Rule(f"s{sigma}_r1_{lbl}", tuple(rps), doms_with(dom), tag="m3"))
-                stage_rules.append(f"s{sigma}_r1_{lbl}")
-            rps = []
-            for i in range(hw.n_parts):
-                if i in running_r:
-                    rps.append(RulePart(sparts[i][0], (), sparts[i][1], ()))
-                else:
-                    rps.append(ident(i))
-            dom = {h.rl_scratch: h.right_alphabet for h in hist}
-            dom[m2bar.input_sector] = input_dom
-            rules.append(Rule(f"s{sigma}_rt", tuple(rps), doms_with(dom), tag="m3"))
-            stage_rules.append(f"s{sigma}_rt")
-            for lbl in labels:
-                rps = []
-                for i in range(hw.n_parts):
-                    if i in running_r:
-                        h = next(h for h in hist if h.r_part == i)
-                        x = sparts[i][1]
-                        rps.append(
-                            RulePart(x, (YLetter(h.right_copy[lbl], -1),), x, (YLetter(h.left_copy[lbl], 1),))
-                        )
-                    else:
-                        rps.append(ident(i))
-                dom = {h.sector: h.left_alphabet for h in hist}
-                dom.update({h.rl_scratch: h.right_alphabet for h in hist})
-                dom[m2bar.input_sector] = input_dom
-                rules.append(Rule(f"s{sigma}_r2_{lbl}", tuple(rps), doms_with(dom), tag="m3"))
-                stage_rules.append(f"s{sigma}_r2_{lbl}")
-        elif kind == "lr":
-            for lbl in labels:
-                rps = []
-                for i in range(hw.n_parts):
-                    if i in running_p:
-                        h = next(h for h in hist if h.p_part == i)
-                        x = sparts[i][0]
-                        rps.append(
-                            RulePart(x, (YLetter(h.right_copy[lbl], -1),), x, (YLetter(h.left_copy[lbl], 1),))
-                        )
-                    else:
-                        rps.append(ident(i))
-                dom = {h.sector: h.right_alphabet for h in hist}
-                dom.update({h.lr_scratch: h.left_alphabet for h in hist})
-                rules.append(Rule(f"s{sigma}_l1_{lbl}", tuple(rps), doms_with(dom), tag="m3"))
-                stage_rules.append(f"s{sigma}_l1_{lbl}")
-            rps = []
-            for i in range(hw.n_parts):
-                if i in running_p:
-                    rps.append(RulePart(sparts[i][0], (), sparts[i][1], ()))
-                else:
-                    rps.append(ident(i))
-            dom = {h.lr_scratch: h.left_alphabet for h in hist}
-            rules.append(Rule(f"s{sigma}_lt", tuple(rps), doms_with(dom), tag="m3"))
-            stage_rules.append(f"s{sigma}_lt")
-            for lbl in labels:
-                rps = []
-                for i in range(hw.n_parts):
-                    if i in running_p:
-                        h = next(h for h in hist if h.p_part == i)
-                        x = sparts[i][1]
-                        rps.append(
-                            RulePart(x, (YLetter(h.right_copy[lbl], 1),), x, (YLetter(h.left_copy[lbl], -1),))
-                        )
-                    else:
-                        rps.append(ident(i))
-                dom = {h.sector: h.right_alphabet for h in hist}
-                dom.update({h.lr_scratch: h.left_alphabet for h in hist})
-                rules.append(Rule(f"s{sigma}_l2_{lbl}", tuple(rps), doms_with(dom), tag="m3"))
-                stage_rules.append(f"s{sigma}_l2_{lbl}")
+        for i, ps in enumerate(sparts):
+            parts[i].extend(ps)
+        first_rule = len(rules)
+        if kind in sweeps:
+            # a running step moves one history letter from the content
+            # sector to the scratch sector (first pass) or back (second)
+            sweep = sweeps[kind]
+            for j, s in ((0, sweep.sign), (1, -sweep.sign)):
+                for lbl in m2bar.rule_labels:
+                    rps = []
+                    for i, p in enumerate(sparts):
+                        h = sweep.running.get(i)
+                        x = p[j] if h else p[0]
+                        a = (YLetter(h.right_copy[lbl], s),) if h else ()
+                        b = (YLetter(h.left_copy[lbl], -s),) if h else ()
+                        rps.append(RulePart(x, a, x, b))
+                    dom = doms_with({**sweep.content, **sweep.scratch})
+                    rules.append(Rule(f"s{sigma}_{sweep.letter}{j+1}_{lbl}", tuple(rps), dom, tag="m3"))
+                if j == 0:
+                    turn = tuple(RulePart(p[0], (), p[-1], ()) for p in sparts)
+                    rules.append(Rule(f"s{sigma}_{sweep.letter}t", turn, doms_with(sweep.scratch), tag="m3"))
         else:
+            suffix = "" if kind == "fwd" else "_b"
             for rule in base.positive_rules:
                 src_rule = rule if kind == "fwd" else rule.inv()
-                suffix = "" if kind == "fwd" else "_b"
-                rps = []
-                for i in range(hw.n_parts):
-                    p = src_rule.parts[i]
-                    rps.append(RulePart(f"{p.src}_s{sigma}", p.a, f"{p.dst}_s{sigma}", p.b))
-                dom = {j: rule.domains[j] for j in range(n_sec) if rule.domains[j]}
-                rules.append(
-                    Rule(f"s{sigma}_{rule.label}{suffix}", tuple(rps), doms_with(dom), tag="m3")
-                )
-                stage_rules.append(f"s{sigma}_{rule.label}{suffix}")
+                rps = tuple(RulePart(f"{p.src}_s{sigma}", p.a, f"{p.dst}_s{sigma}", p.b) for p in src_rule.parts)
+                rules.append(Rule(f"s{sigma}_{rule.label}{suffix}", rps, rule.domains, tag="m3"))
+        start, end = stage_ends(sigma, sparts)
+        stages.append(Stage(sigma, kind, start, end, tuple(r.label for r in rules[first_rule:])))
 
-        stages.append(Stage(sigma, kind, stage_start(sigma), stage_end(sigma), tuple(stage_rules)))
-
+    chi_labels: list[str] = []
     for sigma in range(1, n_stages):
         frm, to = stages[sigma - 1], stages[sigma]
-        rps = [RulePart(frm.end_letters[i], (), to.start_letters[i], ()) for i in range(hw.n_parts)]
-        kind = _stage_kind(sigma)
-        if kind == "rl":  # chi(1,2)-type: left alphabets plus the input sector
-            dom = {h.sector: h.left_alphabet for h in hist}
-            dom[m2bar.input_sector] = input_dom
-        elif kind == "fwd":  # chi(2,3)-type: right alphabets only
-            dom = {h.sector: h.right_alphabet for h in hist}
-        elif kind == "lr":  # chi(3,4)-type
-            dom = {h.sector: h.right_alphabet for h in hist}
-        else:  # chi(4,5)-type
-            dom = {h.sector: h.left_alphabet for h in hist}
-            dom[m2bar.input_sector] = input_dom
+        rps = tuple(RulePart(x, (), y, ()) for x, y in zip(frm.end_letters, to.start_letters))
+        if _stage_kind(sigma) in ("rl", "bwd"):  # chi(1,2)- and chi(4,5)-type
+            dom = {**left, m2bar.input_sector: input_dom}
+        else:  # chi(2,3)- and chi(3,4)-type: right alphabets only
+            dom = right
         lbl = f"chi_{sigma}_{sigma+1}"
-        rules.append(Rule(lbl, tuple(rps), doms_with(dom), tag="m3"))
+        rules.append(Rule(lbl, rps, doms_with(dom), tag="m3"))
         chi_labels.append(lbl)
 
     machine = SMachine(

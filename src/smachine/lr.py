@@ -1,15 +1,17 @@
 """Running-state-letter machines.
 
-``build_lr(Y)``: standard base Q1 P Q2; the middle letter sweeps left
-through the left sector, replacing each letter a by its primed copy a'
-deposited in the right sector, turns, and sweeps back.  ``build_rl`` is
-the mirror image (content in the right sector, scratch on the left).
-``build_lr_m`` repeats the sweep m times with 2m phase letters.
+``build_lr_m(Y, m)``: standard base Q1 P Q2; the middle letter sweeps
+left through the left sector, replacing each letter a by its primed copy
+a' deposited in the right sector, turns, and sweeps back, m times over
+with 2m phase letters.  It is the one hand-written sweep: ``build_lr`` is
+``build_lr_m(Y, 1)`` with the labels z1_a, z12, z2_a, and ``build_rl``
+is ``build_lr`` read right to left (content in the right sector, scratch
+on the left) with the letters r1, r2 and the labels x1_a, x12, x2_a.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .machine import Hardware, Rule, RulePart, SMachine
 from .words import YLetter
@@ -27,8 +29,61 @@ def primed(name: str) -> str:
     return name + "'"
 
 
-def _domains(left: frozenset[str], right: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
-    return (left, right)
+def _same(x: str) -> str:
+    return x
+
+
+def _renamed(
+    machine: SMachine,
+    name: str,
+    tag: str,
+    label: Callable[[str], str],
+    state: Callable[[str], str] = _same,
+) -> SMachine:
+    """``machine`` with its rule labels and state letters renamed and its rules retagged."""
+    hw = machine.hardware
+    return SMachine(
+        hardware=Hardware(tuple(tuple(map(state, p)) for p in hw.parts), hw.sector_alphabets, hw.circular),
+        positive_rules=tuple(
+            Rule(
+                label(r.label),
+                tuple(RulePart(state(p.src), p.a, state(p.dst), p.b) for p in r.parts),
+                r.domains,
+                tag=tag,
+            )
+            for r in machine.positive_rules
+        ),
+        start_letters=tuple(map(state, machine.start_letters)),
+        end_letters=tuple(map(state, machine.end_letters)),
+        input_sector=machine.input_sector,
+        name=name,
+    )
+
+
+def _read_right_to_left(machine: SMachine) -> SMachine:
+    """``machine`` read right to left: parts, sectors and inserts reversed.
+
+    A part ``q -> a q' b`` becomes ``q -> b^R q' a^R`` with no letter
+    inverted, so a word W goes to W read backwards, and W·theta to the
+    backwards W read under the reversed theta.
+    """
+    hw = machine.hardware
+    return SMachine(
+        hardware=Hardware(hw.parts[::-1], hw.sector_alphabets[::-1]),
+        positive_rules=tuple(
+            Rule(
+                r.label,
+                tuple(RulePart(p.src, p.b[::-1], p.dst, p.a[::-1]) for p in reversed(r.parts)),
+                r.domains[::-1],
+                tag=r.tag,
+            )
+            for r in machine.positive_rules
+        ),
+        start_letters=machine.start_letters[::-1],
+        end_letters=machine.end_letters[::-1],
+        input_sector=hw.n_sectors - 1 - machine.input_sector,
+        name=machine.name,
+    )
 
 
 def build_lr(alphabet: Sequence[str], name: str = "LR") -> SMachine:
@@ -37,123 +92,23 @@ def build_lr(alphabet: Sequence[str], name: str = "LR") -> SMachine:
     Positive rules per letter a: z1_a (p1 -> a^-1 p1 a'), the turn z12
     locking the left sector, and z2_a (p2 -> a p2 a'^-1).
     """
-    if not alphabet:
-        raise EmptyAlphabet("running-letter machine needs a nonempty alphabet")
-    ys = tuple(alphabet)
-    ysp = tuple(primed(a) for a in ys)
-    both = frozenset(ys) | frozenset(ysp)
-    hw = Hardware(
-        parts=(("q1",), ("p1", "p2"), ("q2",)),
-        sector_alphabets=(both, both),
-    )
-    plain, prim = frozenset(ys), frozenset(ysp)
-    rules = []
-    for a in ys:
-        rules.append(
-            Rule(
-                f"z1_{a}",
-                (
-                    RulePart("q1", (), "q1", ()),
-                    RulePart("p1", (YLetter(a, -1),), "p1", (YLetter(primed(a), 1),)),
-                    RulePart("q2", (), "q2", ()),
-                ),
-                _domains(plain, prim),
-                tag="lr",
-            )
-        )
-    rules.append(
-        Rule(
-            "z12",
-            (
-                RulePart("q1", (), "q1", ()),
-                RulePart("p1", (), "p2", ()),
-                RulePart("q2", (), "q2", ()),
-            ),
-            _domains(frozenset(), prim),
-            tag="lr",
-        )
-    )
-    for a in ys:
-        rules.append(
-            Rule(
-                f"z2_{a}",
-                (
-                    RulePart("q1", (), "q1", ()),
-                    RulePart("p2", (YLetter(a, 1),), "p2", (YLetter(primed(a), -1),)),
-                    RulePart("q2", (), "q2", ()),
-                ),
-                _domains(plain, prim),
-                tag="lr",
-            )
-        )
-    return SMachine(
-        hardware=hw,
-        positive_rules=tuple(rules),
-        start_letters=("q1", "p1", "q2"),
-        end_letters=("q1", "p2", "q2"),
-        input_sector=0,
-        name=name,
+    return _renamed(
+        build_lr_m(alphabet, 1),
+        name,
+        "lr",
+        lambda lbl: "z12" if lbl == "zt1" else lbl.replace("zm", "z", 1),
     )
 
 
 def build_rl(alphabet: Sequence[str], name: str = "RL") -> SMachine:
     """Mirror of LR: content in the right sector, run right then left."""
-    if not alphabet:
-        raise EmptyAlphabet("running-letter machine needs a nonempty alphabet")
-    ys = tuple(alphabet)
-    ysp = tuple(primed(a) for a in ys)
-    both = frozenset(ys) | frozenset(ysp)
-    hw = Hardware(
-        parts=(("q1",), ("r1", "r2"), ("q2",)),
-        sector_alphabets=(both, both),
-    )
-    plain, prim = frozenset(ys), frozenset(ysp)
-    rules = []
-    for a in ys:
-        rules.append(
-            Rule(
-                f"x1_{a}",
-                (
-                    RulePart("q1", (), "q1", ()),
-                    RulePart("r1", (YLetter(primed(a), 1),), "r1", (YLetter(a, -1),)),
-                    RulePart("q2", (), "q2", ()),
-                ),
-                _domains(prim, plain),
-                tag="rl",
-            )
-        )
-    rules.append(
-        Rule(
-            "x12",
-            (
-                RulePart("q1", (), "q1", ()),
-                RulePart("r1", (), "r2", ()),
-                RulePart("q2", (), "q2", ()),
-            ),
-            _domains(prim, frozenset()),
-            tag="rl",
-        )
-    )
-    for a in ys:
-        rules.append(
-            Rule(
-                f"x2_{a}",
-                (
-                    RulePart("q1", (), "q1", ()),
-                    RulePart("r2", (YLetter(primed(a), -1),), "r2", (YLetter(a, 1),)),
-                    RulePart("q2", (), "q2", ()),
-                ),
-                _domains(prim, plain),
-                tag="rl",
-            )
-        )
-    return SMachine(
-        hardware=hw,
-        positive_rules=tuple(rules),
-        start_letters=("q1", "r1", "q2"),
-        end_letters=("q1", "r2", "q2"),
-        input_sector=1,
-        name=name,
+    states = {"q1": "q2", "q2": "q1", "p1": "r1", "p2": "r2"}
+    return _renamed(
+        _read_right_to_left(build_lr(alphabet)),
+        name,
+        "rl",
+        lambda lbl: "x" + lbl[1:],
+        states.__getitem__,
     )
 
 
@@ -188,12 +143,11 @@ def build_lr_m(alphabet: Sequence[str], m: int, name: str = "LRm") -> SMachine:
                 Rule(
                     f"zm{i}_{a}",
                     (RulePart("q1", (), "q1", ()), mid, RulePart("q2", (), "q2", ())),
-                    _domains(plain, prim),
+                    (plain, prim),
                     tag="lrm",
                 )
             )
         if i < 2 * m:
-            doms = _domains(frozenset(), prim) if i % 2 == 1 else _domains(plain, frozenset())
             rules.append(
                 Rule(
                     f"zt{i}",
@@ -202,7 +156,7 @@ def build_lr_m(alphabet: Sequence[str], m: int, name: str = "LRm") -> SMachine:
                         RulePart(f"p{i}", (), f"p{i+1}", ()),
                         RulePart("q2", (), "q2", ()),
                     ),
-                    doms,
+                    (frozenset(), prim) if i % 2 == 1 else (plain, frozenset()),
                     tag="lrm",
                 )
             )

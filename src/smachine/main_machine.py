@@ -37,7 +37,9 @@ class BadParameters(Exception):
     pass
 
 
-TRANSITION_TAGS = ("tr01", "tr12", "tr23", "tr34", "tr45", "tr50")
+# Rule families, by tag.  Relation letters of the sup family carry L
+# superscripted copies; the mixed transition theta(23) carries them on its
+# source side only; the plain family (the trimmed machine's rules) has none.
 SUP_FAMILY_TAGS = ("tr01", "set1", "tr12", "set2")
 MIXED_TAG = "tr23"
 PLAIN_FAMILY_TAGS = ("set3", "tr34", "set4", "tr45", "set5", "tr50")
@@ -355,7 +357,7 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
     rules.append(
         mk(
             "tr_23",
-            "tr23",
+            MIXED_TAG,
             fix_lrm(phase_letters("w2", "w3"), f"z{2*m}", "w3"),
             {},
             {input_sector: frozenset({a})},

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .machine import Rule, SMachine
-from .main_machine import MainMachineBundle, build_trimmed_machine
+from .main_machine import MIXED_TAG, SUP_FAMILY_TAGS, MainMachineBundle, build_trimmed_machine
 from .words import AdmissibleWord, Word
 
 
@@ -209,20 +209,18 @@ class RelatorFactory:
 
 def _classify(bundle: MainMachineBundle) -> dict[str, str]:
     fams: dict[str, str] = {}
-    sup_tags = {"tr01", "set1", "tr12", "set2"}
     for r in bundle.machine.positive_rules:
-        if r.tag in sup_tags:
+        if r.tag in SUP_FAMILY_TAGS:
             fams[r.label] = "sup"
-        elif r.tag == "tr23":
+        elif r.tag == MIXED_TAG:
             fams[r.label] = "mixed"
         else:
             fams[r.label] = "plain"
     return fams
 
 
-def _supped_letters(bundle: MainMachineBundle) -> frozenset[str]:
+def _supped_letters(bundle: MainMachineBundle, fams: dict[str, str]) -> frozenset[str]:
     out: set[str] = set()
-    fams = _classify(bundle)
     for r in bundle.machine.positive_rules:
         fam = fams[r.label]
         if fam == "sup":
@@ -236,12 +234,8 @@ def _supped_letters(bundle: MainMachineBundle) -> frozenset[str]:
 
 
 def factory_for(bundle: MainMachineBundle) -> RelatorFactory:
-    return RelatorFactory(
-        N=bundle.N,
-        L=bundle.L,
-        supped=_supped_letters(bundle),
-        families=_classify(bundle),
-    )
+    fams = _classify(bundle)
+    return RelatorFactory(N=bundle.N, L=bundle.L, supped=_supped_letters(bundle, fams), families=fams)
 
 
 def _tape_letters(machine: SMachine) -> tuple[str, ...]:
@@ -251,40 +245,42 @@ def _tape_letters(machine: SMachine) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-def compile_group_M(bundle: MainMachineBundle) -> Presentation:
-    """All rule relations of the main machine (no hubs)."""
-    fac = factory_for(bundle)
-    machine = bundle.machine
+def _compile(name: str, machine: SMachine, fac: RelatorFactory) -> Presentation:
+    """All rule relations of ``machine`` (no hubs); its t part is part 0.
+
+    Tape letters get L superscripted copies iff some state letter does.
+    """
+    sups_all = tuple(range(1, fac.L + 1))
     gens: set[Generator] = set()
-    for i, part in enumerate(machine.hardware.parts):
+    for part in machine.hardware.parts:
         for q in part:
-            if q in fac.supped:
-                gens.update(Generator("q", q, None, i2) for i2 in range(1, bundle.L + 1))
-            else:
-                gens.add(Generator("q", q, None, None))
+            gens.update(Generator("q", q, None, s) for s in (sups_all if q in fac.supped else (None,)))
+    tape_sups = (None,) + sups_all if fac.supped else (None,)
     for a in _tape_letters(machine):
-        gens.add(Generator("a", a, None, None))
-        gens.update(Generator("a", a, None, i) for i in range(1, bundle.L + 1))
+        gens.update(Generator("a", a, None, s) for s in tape_sups)
     relators: list[Relator] = []
     for rule in machine.positive_rules:
-        fam = fac.families[rule.label]
-        sups: tuple[int | None, ...] = (None,) if fam == "plain" else tuple(range(1, bundle.L + 1))
-        for idx in range(1, bundle.N + 1):
-            gens.update(Generator("th", rule.label, idx, s) for s in sups)
+        sups = (None,) if fac.family(rule) == "plain" else sups_all
+        gens.update(Generator("th", rule.label, idx, s) for idx in range(1, fac.N + 1) for s in sups)
         for sup in sups:
-            for j in range(bundle.N):
+            for j in range(fac.N):
                 relators.append(fac.theta_q_relator(rule, j, sup))
             for sector in range(machine.hardware.n_sectors):
                 for letter in sorted(rule.domains[sector]):
                     relators.append(fac.theta_a_relator(rule, sector, letter, sup))
     return Presentation(
-        name="M",
-        L=bundle.L,
-        N=bundle.N,
+        name=name,
+        L=fac.L,
+        N=fac.N,
         generators=frozenset(gens),
         relators=tuple(relators),
-        t_letters=frozenset(bundle.machine.hardware.parts[bundle.t_part]),
+        t_letters=frozenset(machine.hardware.parts[0]),
     )
+
+
+def compile_group_M(bundle: MainMachineBundle) -> Presentation:
+    """All rule relations of the main machine (no hubs)."""
+    return _compile("M", bundle.machine, factory_for(bundle))
 
 
 def word_to_gens(fac: RelatorFactory, w: AdmissibleWord, sup: int | None = None) -> GWord:
@@ -298,23 +294,23 @@ def word_to_gens(fac: RelatorFactory, w: AdmissibleWord, sup: int | None = None)
     return tuple(out)
 
 
+def _hub_accept(fac: RelatorFactory, bundle: MainMachineBundle) -> Relator:
+    """W_ac^L = 1."""
+    word = word_to_gens(fac, bundle.w_ac) * bundle.L
+    return Relator(canonical_rotation(word), "hub", rule="hub-accept")
+
+
 def hub_relators(bundle: MainMachineBundle) -> tuple[Relator, Relator]:
     """W_st^(1)...W_st^(L) = 1 and W_ac^L = 1."""
     fac = factory_for(bundle)
-    w_st, w_ac = bundle.w_st, bundle.w_ac
+    w_st = bundle.w_st
     for x in w_st.q:
         if x.name not in fac.supped:
             raise SuperscriptMismatch(f"start letter {x.name} has no superscript copies")
     hub1: list[GLetter] = []
     for i in range(1, bundle.L + 1):
         hub1.extend(word_to_gens(fac, w_st, sup=i))
-    hub2: list[GLetter] = []
-    for _ in range(bundle.L):
-        hub2.extend(word_to_gens(fac, w_ac))
-    return (
-        Relator(canonical_rotation(tuple(hub1)), "hub", rule="hub-start"),
-        Relator(canonical_rotation(tuple(hub2)), "hub", rule="hub-accept"),
-    )
+    return Relator(canonical_rotation(tuple(hub1)), "hub", rule="hub-start"), _hub_accept(fac, bundle)
 
 
 def add_hub_relations(pres: Presentation, bundle: MainMachineBundle) -> Presentation:
@@ -334,34 +330,8 @@ def compile_trimmed(bundle: MainMachineBundle) -> tuple[Presentation, Presentati
         supped=frozenset(),
         families={r.label: "plain" for r in mbar.positive_rules},
     )
-    gens: set[Generator] = set()
-    for part in mbar.hardware.parts:
-        gens.update(Generator("q", q, None, None) for q in part)
-    for a in _tape_letters(mbar):
-        gens.add(Generator("a", a, None, None))
-    relators: list[Relator] = []
-    for rule in mbar.positive_rules:
-        gens.update(Generator("th", rule.label, idx, None) for idx in range(1, bundle.N + 1))
-        for j in range(bundle.N):
-            relators.append(fac.theta_q_relator(rule, j, None))
-        for sector in range(mbar.hardware.n_sectors):
-            for letter in sorted(rule.domains[sector]):
-                relators.append(fac.theta_a_relator(rule, sector, letter, None))
-    p_mbar = Presentation(
-        name="Mbar",
-        L=bundle.L,
-        N=bundle.N,
-        generators=frozenset(gens),
-        relators=tuple(relators),
-        t_letters=frozenset(mbar.hardware.parts[0]),
-    )
-    hub2: list[GLetter] = []
-    for _ in range(bundle.L):
-        hub2.extend(word_to_gens(fac, bundle.w_ac))
-    p_gbar = p_mbar.with_relators(
-        [Relator(canonical_rotation(tuple(hub2)), "hub", rule="hub-accept")], name="Gbar"
-    )
-    return p_mbar, p_gbar
+    p_mbar = _compile("Mbar", mbar, fac)
+    return p_mbar, p_mbar.with_relators([_hub_accept(fac, bundle)], name="Gbar")
 
 
 def hnn_Gk(pres: Presentation, bundle: MainMachineBundle, k: int) -> Presentation:

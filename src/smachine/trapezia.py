@@ -22,7 +22,7 @@ from .machine import (
     format_slabel,
     is_eligible,
 )
-from .main_machine import MainMachineBundle
+from .main_machine import MIXED_TAG, SUP_FAMILY_TAGS, MainMachineBundle
 from .presentation import GWord, RelatorFactory, factory_for
 from .words import AdmissibleWord, QLetter, Word, YLetter, invert_word
 
@@ -90,9 +90,9 @@ class PermissibleWord:
 
 def lift_kind(rule: Rule) -> str:
     """'sup' when the lift carries superscripts, 'plain' when it must not."""
-    if rule.tag in ("tr01", "set1", "tr12", "set2"):
+    if rule.tag in SUP_FAMILY_TAGS:
         return "sup"
-    if rule.tag == "tr23":
+    if rule.tag == MIXED_TAG:
         return "sup" if rule.sign > 0 else "plain"
     return "plain"
 

@@ -10,6 +10,7 @@ import pytest
 
 import smachine
 from smachine.cli import main
+from smachine.machine import run_history
 
 # The directory that holds the imported package: ``src`` under
 # ``PYTHONPATH=src``, the checkout's ``src`` under ``pip install -e .``.
@@ -87,6 +88,24 @@ def test_enumerate_deterministic(tmp_path):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_enumerate_eligible_allows_the_mixed_transition(tmp_path, session_bundle):
+    # the eligible filter reads theta(23) off the machine file's tags
+    mfile = tmp_path / "main.txt"
+    assert run_cli(["build", "--main", "-o", str(mfile)])[0] == 0
+    b = session_bundle
+    comp = run_history(b.machine, b.w_st, b.witness_wst_to_wkk(1))
+    assert comp.end == b.w_word(1, 1)
+    word = str(comp.trace[-2])
+    counts = {}
+    for filt in ("eligible", "reduced"):
+        code, out = run_cli(
+            ["enumerate", "--machine", str(mfile), "--word", word, "--depth", "4", "--filter", filt]
+        )
+        assert code == 0
+        counts[filt] = len(out.splitlines())
+    assert counts == {"eligible": 129, "reduced": 123}
 
 
 def test_verify_exit_codes(tmp_path):

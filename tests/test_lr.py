@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import random_words_for
 from smachine.lr import EmptyAlphabet, InvalidM, build_lr, build_lr_m, build_rl
 from smachine.machine import (
     apply_rule,
@@ -9,7 +10,7 @@ from smachine.machine import (
     is_applicable,
     run_history,
 )
-from smachine.words import YLetter
+from smachine.words import AdmissibleWord, QLetter, YLetter
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +150,33 @@ def test_bad_parameters():
         build_lr([])
     with pytest.raises(InvalidM):
         build_lr_m(["a"], 0)
+
+
+# LR's state letters under the right-to-left reading, as RL names them
+RL_NAMES = {"q1": "q2", "q2": "q1", "p1": "r1", "p2": "r2"}
+
+
+def reverse(w):
+    """An LR word read right to left, in RL's letters; no letter is inverted."""
+    q = tuple(QLetter(2 - x.part, RL_NAMES[x.name], x.sign) for x in reversed(w.q))
+    u = tuple(tuple(reversed(v)) for v in reversed(w.u))
+    return AdmissibleWord(q, u)
+
+
+@pytest.mark.parametrize("alphabet", [["a"], ["a", "b"]])
+def test_rl_is_lr_read_right_to_left(alphabet):
+    lr, rl = build_lr(alphabet), build_rl(alphabet)
+    words = random_words_for(lr, 60, seed=11)
+    applied = 0
+    for w in words:
+        rw = reverse(w)
+        rl.hardware.validate(rw)
+        for r in lr.rules:
+            r2 = rl.rule(("x" + r.label[1:], r.sign))
+            ok = is_applicable(lr, w, r)
+            assert is_applicable(rl, rw, r2) == ok
+            if ok:
+                assert apply_rule(rl, rw, r2) == reverse(apply_rule(lr, w, r))
+                applied += 1
+    # about half the words are built from a rule, which then applies
+    assert applied >= len(words) // 2

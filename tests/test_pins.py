@@ -1,0 +1,65 @@
+"""Byte pins: the sha256 of printed machines and exported presentations.
+
+The sweep machines, the stage tower and the compiled presentations are
+derived from one another; these pins make sure a change to how they are
+built leaves every machine file and export byte the same.
+"""
+
+import hashlib
+
+import pytest
+
+from smachine.compose import (
+    add_control_letters,
+    add_history_sectors,
+    circularize_m5,
+    compose_m3,
+    mirror_m4,
+)
+from smachine.lr import build_lr, build_lr_m, build_rl
+from smachine.main_machine import build_trimmed_machine
+from smachine.presentation import compile_group_M, compile_trimmed, export
+from smachine.serialize import print_machine
+from smachine.toy import toy_even_recognizer
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def tower(m: int):
+    m3 = compose_m3(add_control_letters(add_history_sectors(toy_even_recognizer().machine)), m)
+    m4 = mirror_m4(m3)
+    return m3, m4, circularize_m5(m4)
+
+
+MACHINE_PINS = {
+    "LR[a]": (lambda b: build_lr(["a"]), "a36d039178bf30027c532e928741b222a7a5711dc9cd180b00024982ab85ae2c"),
+    "LR[a,b]": (lambda b: build_lr(["a", "b"]), "f0f19ab5618c9e6c90e44ae7418995c4427effe2a527d00d600dd95e4119b68e"),
+    "RL[a]": (lambda b: build_rl(["a"]), "63911c917a9e7431f4fc9268c0037845937ec299dea62de507355239679ff5bf"),
+    "RL[a,b]": (lambda b: build_rl(["a", "b"]), "9d76727773922a4f132666ce1f54372c830fa1598ef8c542535dd56944468a3f"),
+    "LRm[a],2": (lambda b: build_lr_m(["a"], 2), "98eb4fd76a463cc6dabc1444cde06ab7f608199a1b41597019cebc0b6d975a50"),
+    "M3": (lambda b: tower(2)[0].machine, "ba31b89896ceb9c8f5ab3eb3b863ea5da3310a14416d1165a526cc08687cccb9"),
+    "M4": (lambda b: tower(2)[1].machine, "9fd3ec15d03ddc8459cb8fb4b656c249404e2874fee7510a7316fad50ba7e05a"),
+    "M5": (lambda b: tower(2)[2].machine, "f75b3227dd85976b6d4bfccf645b8bb54dc1ff7f031f97c04f4c8258195f8e12"),
+    "main(2,12)": (lambda b: b.machine, "90de020493be501cb5ac247d308b821bbf4d9e051d591015338102e27714fea3"),
+    "Mbar(2,12)": (build_trimmed_machine, "26f79c69b181f22a7b4a4e1433bed560bd14b97843eff6f6a71ea32317974ea3"),
+}
+
+EXPORT_PINS = {
+    "M": (compile_group_M, "8e633d762503e45269b26678eecda6ccc2806454109556b523ccb4a3421727ce"),
+    "Mbar": (lambda b: compile_trimmed(b)[0], "8bc12df4e1122cf548982204420615e9d68f1639dd2ef1b0752fcd208a6c7648"),
+    "Gbar": (lambda b: compile_trimmed(b)[1], "d53bc2558cd4a8e8a723b2df4f65e598d7c434a6e82d324d83b5610feaa4f7fe"),
+}
+
+
+@pytest.mark.parametrize("name", list(MACHINE_PINS))
+def test_machine_file_pinned(name, session_bundle):
+    build, digest = MACHINE_PINS[name]
+    assert sha(print_machine(build(session_bundle))) == digest
+
+
+@pytest.mark.parametrize("name", list(EXPORT_PINS))
+def test_plain_export_pinned(name, session_bundle):
+    compile_, digest = EXPORT_PINS[name]
+    assert sha(export(compile_(session_bundle), "plain")) == digest
