@@ -10,7 +10,6 @@ from .machine import (
     RulePart,
     SMachine,
     apply_rule,
-    base_of,
     history,
     invert_rule,
     is_applicable,
@@ -32,7 +31,6 @@ __all__ = [
     "Word",
     "YLetter",
     "apply_rule",
-    "base_of",
     "enumerate_computations",
     "history",
     "invert_rule",

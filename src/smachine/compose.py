@@ -557,10 +557,6 @@ class M5Build:
     m4: M4Build
     part_tags: tuple[str, ...]
 
-    @property
-    def offset(self) -> int:
-        return 1  # every m4 part/sector index shifts by one
-
 
 def circularize_m5(m4: M4Build, name: str = "M5") -> M5Build:
     """Prepend the one-letter part {t} and close the base into a circle.

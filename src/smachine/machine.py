@@ -3,8 +3,8 @@
 A rule is a tuple of per-part substitutions ``q_i -> a_i q_i' b_i``
 together with one domain alphabet per sector; an empty domain locks the
 sector.  Every rule stores only its positive form; the machine exposes
-the symmetric closure.  Applying a rule substitutes per part, freely
-reduces, and trims tape letters at the word ends.
+the symmetric closure.  Applying a rule puts its inserts beside each
+state letter and freely reduces each tape word at its two ends.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .words import AdmissibleWord, MalformedWord, QLetter, Word, YLetter, invert_word
+from .words import AdmissibleWord, MalformedWord, QLetter, Word, YLetter, invert_word, reduce_word
 
 
 class NotApplicable(Exception):
@@ -59,10 +59,6 @@ def history(*tokens: str) -> History:
 
 def invert_history(h: History) -> History:
     return tuple((lbl, -sg) for lbl, sg in reversed(h))
-
-
-def is_reduced_history(h: History) -> bool:
-    return all(not (a[0] == b[0] and a[1] == -b[1]) for a, b in zip(h, h[1:]))
 
 
 def is_eligible(h: History, allowed: str | None = None) -> bool:
@@ -217,9 +213,6 @@ class Rule:
     domains: tuple[frozenset[str], ...]
     tag: str = ""
     sign: int = 1
-
-    def part_for(self, part_index: int) -> RulePart:
-        return self.parts[part_index]
 
     @property
     def signed_label(self) -> SignedLabel:
@@ -407,55 +400,28 @@ def _check(machine: SMachine, w: AdmissibleWord, rule: Rule) -> None:
                 )
 
 
+def inserts(rule: Rule, x: QLetter) -> tuple[Word, Word]:
+    """The tape words ``rule`` puts left and right of state letter ``x``."""
+    p = rule.parts[x.part]
+    if x.sign > 0:
+        return p.a, p.b
+    return invert_word(p.b), invert_word(p.a)
+
+
 def apply_rule(machine: SMachine, w: AdmissibleWord, rule: Rule) -> AdmissibleWord:
-    """W·theta: substitute per part, reduce, trim first/last tape letters."""
+    """W·theta: each tape word is reduced between the inserts of its two
+    state letters; the inserts outside the end letters are never added.
+
+    State letters never cancel, so this is the free reduction of the
+    whole substituted word with its end tape letters trimmed.
+    """
     _check(machine, w, rule)
-    flat: list[QLetter | YLetter] = []
-    for i, x in enumerate(w.q):
-        p = rule.parts[x.part]
-        if x.sign > 0:
-            flat.extend(p.a)
-            flat.append(QLetter(x.part, p.dst, 1))
-            flat.extend(p.b)
-        else:
-            flat.extend(invert_word(p.b))
-            flat.append(QLetter(x.part, p.dst, -1))
-            flat.extend(invert_word(p.a))
-        if i < len(w.u):
-            flat.extend(w.u[i])
-    # free reduction over the mixed letter sequence; state letters never
-    # cancel (a q-letter cancelling would need its whole block cancelled,
-    # impossible against a reduced neighbour word)
-    stack: list[QLetter | YLetter] = []
-    for item in flat:
-        if (
-            stack
-            and isinstance(item, YLetter)
-            and isinstance(stack[-1], YLetter)
-            and stack[-1].name == item.name
-            and stack[-1].sign == -item.sign
-        ):
-            stack.pop()
-        else:
-            stack.append(item)
-    # trim tape letters at both ends
-    lo, hi = 0, len(stack)
-    while lo < hi and isinstance(stack[lo], YLetter):
-        lo += 1
-    while hi > lo and isinstance(stack[hi - 1], YLetter):
-        hi -= 1
-    trimmed = stack[lo:hi]
-    if not trimmed:
-        raise MalformedWord("rule application produced an empty word")
-    qs: list[QLetter] = []
-    us: list[list[YLetter]] = []
-    for item in trimmed:
-        if isinstance(item, QLetter):
-            qs.append(item)
-            us.append([])
-        else:
-            us[-1].append(item)
-    return AdmissibleWord(tuple(qs), tuple(tuple(u) for u in us[:-1]))
+    parts = rule.parts
+    ins = [inserts(rule, x) for x in w.q]
+    return AdmissibleWord(
+        tuple(QLetter(x.part, parts[x.part].dst, x.sign) for x in w.q),
+        tuple(reduce_word(ins[i][1] + u + ins[i + 1][0]) for i, u in enumerate(w.u)),
+    )
 
 
 @dataclass(frozen=True)
@@ -491,10 +457,6 @@ def run_history(machine: SMachine, w: AdmissibleWord, h: History | Iterable[str]
             raise NotApplicableAt(k, format_slabel(sl), str(e)) from e
         trace.append(cur)
     return Computation(w, hist, tuple(trace))
-
-
-def base_of(w: AdmissibleWord) -> tuple[tuple[int, int], ...]:
-    return w.base
 
 
 def step_history(h: History, machine: SMachine) -> tuple[str, ...]:

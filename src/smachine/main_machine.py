@@ -107,24 +107,6 @@ class MainMachineBundle:
         }
         return self._phase_config("w3", tape)
 
-    # -- rule families ---------------------------------------------------
-
-    def labels_with_tags(self, tags: tuple[str, ...]) -> tuple[str, ...]:
-        want = set(tags)
-        return tuple(r.label for r in self.machine.positive_rules if r.tag in want)
-
-    @property
-    def sup_family(self) -> tuple[str, ...]:
-        return self.labels_with_tags(SUP_FAMILY_TAGS)
-
-    @property
-    def mixed_family(self) -> tuple[str, ...]:
-        return self.labels_with_tags((MIXED_TAG,))
-
-    @property
-    def plain_family(self) -> tuple[str, ...]:
-        return self.labels_with_tags(PLAIN_FAMILY_TAGS)
-
     # -- witness histories ----------------------------------------------
 
     def witness_wst_to_wkk(self, k: int) -> History:

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 from .machine import Rule, SMachine
 from .main_machine import MIXED_TAG, SUP_FAMILY_TAGS, MainMachineBundle, build_trimmed_machine
-from .words import AdmissibleWord, Word
+from .words import AdmissibleWord, Word, reduce_word
 
 
 class SuperscriptMismatch(Exception):
@@ -55,19 +55,9 @@ def g_inv(w: GWord) -> GWord:
     return tuple((g, -s) for g, s in reversed(w))
 
 
-def g_reduce(w: Iterable[GLetter]) -> GWord:
-    stack: list[GLetter] = []
-    for x in w:
-        if stack and stack[-1][0] == x[0] and stack[-1][1] == -x[1]:
-            stack.pop()
-        else:
-            stack.append(x)
-    return tuple(stack)
-
-
 def canonical_rotation(w: GWord) -> GWord:
     """Cyclically reduce, then pick the lexicographically least rotation."""
-    w = g_reduce(w)
+    w = reduce_word(w)
     while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
         w = w[1:-1]
     if not w:
@@ -375,7 +365,7 @@ def nu(word: GWord) -> GWord:
     for g, _ in word:
         if g.kind == "q":
             raise QLetterPresent(g.display())
-    return g_reduce(x for x in word if x[0].kind != "a")
+    return reduce_word(x for x in word if x[0].kind != "a")
 
 
 # --------------------------------------------------------------------------

@@ -20,11 +20,12 @@ from .machine import (
     SMachine,
     apply_rule,
     format_slabel,
+    inserts,
     is_eligible,
 )
 from .main_machine import MIXED_TAG, SUP_FAMILY_TAGS, MainMachineBundle
 from .presentation import GWord, RelatorFactory, factory_for
-from .words import AdmissibleWord, QLetter, Word, YLetter, invert_word
+from .words import AdmissibleWord, QLetter, Word, YLetter
 
 
 class SuperscriptRequired(Exception):
@@ -78,15 +79,6 @@ class PermissibleWord:
                     toks.append(str(y) if ys is None else f"{y.name}^({ys})" + ("^-1" if y.sign < 0 else ""))
         return " ".join(toks)
 
-    def to_gens(self, fac: RelatorFactory) -> GWord:
-        out = []
-        for i, x in enumerate(self.word.q):
-            out.append((fac.q_gen(x.name, self.q_sups[i]), x.sign))
-            if i < len(self.word.u):
-                for y, s in zip(self.word.u[i], self.u_sups[i]):
-                    out.append((fac.a_gen(y.name, s), y.sign))
-        return tuple(out)
-
 
 def lift_kind(rule: Rule) -> str:
     """'sup' when the lift carries superscripts, 'plain' when it must not."""
@@ -127,7 +119,7 @@ def make_permissible(
     def norm(s: int) -> int:
         return (s - 1) % modulus + 1 if modulus else s
 
-    q_sups: list[int] = [first_sup]
+    q_sups: list[int] = [norm(first_sup)]
     for prev, nxt in zip(v.q, v.q[1:]):
         s = q_sups[-1]
         if prev.part == n_last and prev.sign > 0 and nxt.part == 0 and nxt.sign > 0:
@@ -136,7 +128,7 @@ def make_permissible(
             s -= 1
         q_sups.append(norm(s))
     u_sups = tuple(tuple(q_sups[i] for _ in u) for i, u in enumerate(v.u))
-    return PermissibleWord(v, tuple(norm(s) for s in q_sups), u_sups)
+    return PermissibleWord(v, tuple(q_sups), u_sups)
 
 
 @dataclass(frozen=True)
@@ -175,59 +167,32 @@ def make_band(
     """Apply a rule to a permissible bottom, producing band and cells.
 
     ``top_sup`` picks the lift level when the rule enters the
-    superscripted phase (the inverse of the 2-to-3 transition).
+    superscripted phase (the inverse of the 2-to-3 transition).  The
+    cells take the superscripts of the superscripted side.
     """
     w = bottom.word
     w2 = apply_rule(machine, w, rule)
-    pos = rule if rule.sign > 0 else rule.inv()
-    fam = fac.families[pos.label]
+    inv = machine.rule((rule.label, -rule.sign))
+    pos = rule if rule.sign > 0 else inv
+    # the top is the inverse rule's bottom: lifted as that rule requires,
+    # at the bottom's level unless the band enters the superscripted phase
+    bottom_sup = lift_kind(rule) == "sup"
+    level = None
+    if lift_kind(inv) == "sup":
+        level = bottom.q_sups[0] if bottom_sup else top_sup
+    top = make_permissible(machine, w2, inv, level, modulus=fac.L)
+    sups = (bottom if bottom_sup else top).q_sups
 
-    # instance superscript per position: the superscripted side's level
-    if fam == "sup":
-        inst_q = list(bottom.q_sups)
-    elif fam == "mixed":
-        if rule.sign > 0:
-            inst_q = list(bottom.q_sups)
-        else:
-            if top_sup is None:
-                raise SuperscriptRequired(
-                    f"{format_slabel(rule.signed_label)} needs a lift level for its top"
-                )
-            tmp = make_permissible(machine, w2, pos, top_sup, modulus=fac.L)
-            inst_q = list(tmp.q_sups)
-    else:
-        inst_q = [None] * len(w.q)
-
-    cells: list[GWord] = []
-    for i, x in enumerate(w.q):
-        cells.append(fac.theta_q_relator(pos, x.part, inst_q[i]).word)
+    cells = [fac.theta_q_relator(pos, x.part, sups[i]).word for i, x in enumerate(w.q)]
     hw = machine.hardware
-    for i, x in enumerate(w.q[:-1]):
-        u = w.u[i]
+    for i, u in enumerate(w.u):
         if not u:
             continue
+        x, y = w.q[i], w.q[i + 1]
         sec = hw.right_sector(x)
         assert sec is not None
-        p_left = rule.parts[x.part]
-        left = p_left.b if x.sign > 0 else invert_word(p_left.a)
-        y = w.q[i + 1]
-        p_right = rule.parts[y.part]
-        right = p_right.a if y.sign > 0 else invert_word(p_right.b)
-        for j in _surviving(left, u, right):
-            sup = inst_q[i] if fam != "mixed" else (
-                bottom.u_sups[i][j] if rule.sign > 0 else inst_q[i]
-            )
-            cells.append(fac.theta_a_relator(pos, sec, u[j].name, sup).word)
-
-    # the top lift: level is preserved along the band, erased at the mixed rule
-    if fam == "sup":
-        top = make_permissible(machine, w2, pos, bottom.q_sups[0], modulus=fac.L)
-    elif fam == "mixed" and rule.sign > 0:
-        top = PermissibleWord(w2, (None,) * len(w2.q), tuple((None,) * len(u) for u in w2.u))
-    elif fam == "mixed":
-        top = make_permissible(machine, w2, pos, top_sup, modulus=fac.L)
-    else:
-        top = PermissibleWord(w2, (None,) * len(w2.q), tuple((None,) * len(u) for u in w2.u))
+        for j in _surviving(inserts(rule, x)[1], u, inserts(rule, y)[0]):
+            cells.append(fac.theta_a_relator(pos, sec, u[j].name, sups[i]).word)
     return ThetaBandRecord(rule.signed_label, bottom, top, tuple(cells))
 
 

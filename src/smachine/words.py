@@ -9,7 +9,7 @@ hardware part they belong to; tape letters are bare names.  Signs are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TypeVar
 
 
 class MalformedWord(Exception):
@@ -59,14 +59,19 @@ def invert_word(w: Word) -> Word:
     return tuple(x.inv() for x in reversed(w))
 
 
-def reduce_word(w: Iterable[YLetter]) -> Word:
+SignedPair = TypeVar("SignedPair", bound=tuple)
+
+
+def reduce_word(w: Iterable[SignedPair]) -> tuple[SignedPair, ...]:
     """Freely reduce: cancel adjacent x x^-1 pairs until none remain.
 
-    The stack pass is linear and yields the unique reduced form.
+    Works on any word of (letter, sign) pairs: tape words and generator
+    words alike.  The stack pass is linear and yields the unique reduced
+    form.
     """
-    stack: list[YLetter] = []
+    stack: list[SignedPair] = []
     for x in w:
-        if stack and stack[-1].name == x.name and stack[-1].sign == -x.sign:
+        if stack and stack[-1][0] == x[0] and stack[-1][1] == -x[1]:
             stack.pop()
         else:
             stack.append(x)
@@ -77,12 +82,6 @@ def is_reduced(w: Word) -> bool:
     return all(
         not (a.name == b.name and a.sign == -b.sign) for a, b in zip(w, w[1:])
     )
-
-
-def power(w: Word, k: int) -> Word:
-    if k < 0:
-        return power(invert_word(w), -k)
-    return reduce_word(w * k)
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,3 @@ class AdmissibleWord:
 
 def format_word(w: Word) -> str:
     return " ".join(str(x) for x in w) if w else "1"
-
-
-def admissible(q_letters: Iterable[QLetter], tape: Iterable[Word]) -> AdmissibleWord:
-    return AdmissibleWord(tuple(q_letters), tuple(tape))

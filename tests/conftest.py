@@ -2,8 +2,16 @@ import random
 
 import pytest
 
+from smachine.compose import (
+    add_control_letters,
+    add_history_sectors,
+    circularize_m5,
+    compose_m3,
+    mirror_m4,
+)
+from smachine.lr import build_lr, build_lr_m, build_rl
 from smachine.machine import SMachine
-from smachine.main_machine import build_main_machine
+from smachine.main_machine import build_main_machine, build_trimmed_machine
 from smachine.toy import toy_even_recognizer
 from smachine.words import AdmissibleWord, QLetter, YLetter, reduce_word
 
@@ -11,6 +19,30 @@ from smachine.words import AdmissibleWord, QLetter, YLetter, reduce_word
 @pytest.fixture(scope="session")
 def session_bundle():
     return build_main_machine(toy_even_recognizer(), m=2, L=12)
+
+
+@pytest.fixture(scope="session")
+def shipped(session_bundle):
+    """The 11 shipped machines, from the sweeps up to the trimmed one."""
+    toy = toy_even_recognizer()
+    m2 = add_history_sectors(toy.machine)
+    m2bar = add_control_letters(m2)
+    m3 = compose_m3(m2bar, 2)
+    m4 = mirror_m4(m3)
+    m5 = circularize_m5(m4)
+    return [
+        build_lr(["a"]),
+        build_rl(["a"]),
+        build_lr_m(["a"], 2),
+        toy.machine,
+        m2.machine,
+        m2bar.machine,
+        m3.machine,
+        m4.machine,
+        m5.machine,
+        session_bundle.machine,
+        build_trimmed_machine(session_bundle),
+    ]
 
 
 def random_words_for(machine: SMachine, count: int, seed: int, max_sector: int = 2):

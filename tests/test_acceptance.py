@@ -19,18 +19,10 @@ from smachine.checks import (
     presentation_audit,
     run_suites,
 )
-from smachine.compose import (
-    add_control_letters,
-    add_history_sectors,
-    circularize_m5,
-    compose_m3,
-    mirror_m4,
-    start_configuration_m3,
-)
+from smachine.compose import start_configuration_m3
 from smachine.enumerate import enumerate_computations
-from smachine.lr import build_lr, build_lr_m, build_rl
+from smachine.lr import build_lr
 from smachine.machine import apply_rule, is_applicable, run_history
-from smachine.main_machine import build_trimmed_machine
 from smachine.presentation import compile_group_G, compile_trimmed, export
 from smachine.toy import toy_even_recognizer
 from smachine.trapezia import computation_to_trapezium, disk_diagram_cells, lift_kind, trapezium_area
@@ -41,29 +33,6 @@ def _verdict(n, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {n:2d} [{name}]: {status}" + (f" ({detail})" if detail else ""))
     assert ok, f"criterion {n} ({name}) failed: {detail}"
-
-
-@pytest.fixture(scope="module")
-def shipped(session_bundle):
-    toy = toy_even_recognizer()
-    m2 = add_history_sectors(toy.machine)
-    m2bar = add_control_letters(m2)
-    m3 = compose_m3(m2bar, 2)
-    m4 = mirror_m4(m3)
-    m5 = circularize_m5(m4)
-    return [
-        build_lr(["a"]),
-        build_rl(["a"]),
-        build_lr_m(["a"], 2),
-        toy.machine,
-        m2.machine,
-        m2bar.machine,
-        m3.machine,
-        m4.machine,
-        m5.machine,
-        session_bundle.machine,
-        build_trimmed_machine(session_bundle),
-    ]
 
 
 def test_criterion_1_round_trip(shipped):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from smachine.lr import build_lr
 from smachine.machine import (
     Hardware,
+    NotApplicable,
     NotApplicableAt,
     Rule,
     RulePart,
@@ -77,6 +78,66 @@ def test_base_preserved(lr_word):
     for r in lr.rules:
         if is_applicable(lr, lr_word, r):
             assert apply_rule(lr, lr_word, r).base == lr_word.base
+
+
+def whole_word_apply(machine, w, rule):
+    """Reference W·theta, independent of apply_rule: substitute every part
+    into one flat list, cancel adjacent inverse tape letters until none are
+    left, drop the tape letters at both ends, then regroup."""
+    flat = []
+    for i, x in enumerate(w.q):
+        p = rule.parts[x.part]
+        if p.src != x.name:
+            raise NotApplicable(x)
+        a = [y.inv() for y in reversed(p.b)] if x.sign < 0 else list(p.a)
+        b = [y.inv() for y in reversed(p.a)] if x.sign < 0 else list(p.b)
+        flat += a + [QLetter(x.part, p.dst, x.sign)] + b
+        if i < len(w.u):
+            domain = rule.domains[machine.hardware.right_sector(x)]
+            if any(y.name not in domain for y in w.u[i]):
+                raise NotApplicable(w.u[i])
+            flat += w.u[i]
+    tape = lambda z: isinstance(z, YLetter)
+    i = 0
+    while i < len(flat) - 1:
+        x, y = flat[i], flat[i + 1]
+        if tape(x) and tape(y) and x.name == y.name and x.sign == -y.sign:
+            del flat[i : i + 2]
+            i = 0
+        else:
+            i += 1
+    while tape(flat[0]):
+        flat.pop(0)
+    while tape(flat[-1]):
+        flat.pop()
+    qs, us = [], []
+    for z in flat:
+        if tape(z):
+            us[-1].append(z)
+        else:
+            qs.append(z)
+            us.append([])
+    return AdmissibleWord(tuple(qs), tuple(tuple(u) for u in us[:-1]))
+
+
+def test_apply_rule_matches_whole_word_oracle(shipped):
+    """apply_rule agrees with the whole-word reference on every rule of
+    the 11 shipped machines, including where it does not apply."""
+    applied = 0
+    for idx, machine in enumerate(shipped):
+        for w in random_words_for(machine, 300, seed=2000 + idx):
+            for rule in machine.rules:
+                try:
+                    want = whole_word_apply(machine, w, rule)
+                except NotApplicable:
+                    want = None
+                try:
+                    got = apply_rule(machine, w, rule)
+                except NotApplicable:
+                    got = None
+                assert got == want, f"{machine.name}: {w} by {rule.label}^{rule.sign}"
+                applied += got is not None
+    assert applied > 5000
 
 
 def test_inverted_word_application(lr):

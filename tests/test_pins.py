@@ -1,14 +1,17 @@
-"""Byte pins: the sha256 of printed machines and exported presentations.
+"""Byte pins: the sha256 of printed machines, exported presentations
+and verification reports.
 
 The sweep machines, the stage tower and the compiled presentations are
 derived from one another; these pins make sure a change to how they are
-built leaves every machine file and export byte the same.
+built, or to how rules are applied, leaves every machine file, export
+and report byte the same.
 """
 
 import hashlib
 
 import pytest
 
+from smachine.checks import run_suites
 from smachine.compose import (
     add_control_letters,
     add_history_sectors,
@@ -63,3 +66,11 @@ def test_machine_file_pinned(name, session_bundle):
 def test_plain_export_pinned(name, session_bundle):
     compile_, digest = EXPORT_PINS[name]
     assert sha(export(compile_(session_bundle), "plain")) == digest
+
+
+def test_reports_pinned():
+    """Every suite at reduced size: the bytes of `verify --suite all
+    --depth 6 --budget 2000`."""
+    reports = run_suites("all", m=2, L=12, max_tape=4, depth=6, budget=2000, ks=(0, 1, 2, 3))
+    text = "".join(r.to_json() for r in reports)
+    assert sha(text) == "d174353bddcafb7c4c66860c77b05c917b0056cea445918309e5f13bab1b4760"

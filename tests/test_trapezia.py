@@ -19,6 +19,7 @@ from smachine.trapezia import (
     trapezium_area,
     PermissibleWord,
 )
+from smachine.words import AdmissibleWord, invert_word
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,23 @@ def test_sup_lift_bumps_at_t_junction(bundle):
     assert pw.erase() == pw2.erase()
 
 
+def test_lift_normalizes_tape_superscripts(bundle):
+    """A first level outside 1..L is taken mod L by the tape letters as
+    well as by the state letters: every tape letter carries the level of
+    the state letter on its left."""
+    machine = bundle.machine
+    rule = machine.rule("w1_ins_a")
+    w = run_history(machine, bundle.s1(), ["w1_ins_a"]).end
+    i = [x.part for x in w.q].index(machine.input_sector)
+    frag = AdmissibleWord(w.q[i:], w.u[i:])
+    for first_sup, level in ((13, 1), (0, 12), (25, 1)):
+        pw = make_permissible(machine, frag, rule, first_sup, modulus=bundle.L)
+        assert str(pw).startswith(f"r0_w1^({level}) a^({level}) p1_w1^({level})")
+        assert pw == make_permissible(machine, frag, rule, level, modulus=bundle.L)
+        for s, tape in zip(pw.q_sups, pw.u_sups):
+            assert set(tape) <= {s}
+
+
 def test_trapezium_of_witness(bundle, pres_g):
     k = 0
     hist = bundle.witness_wst_to_wac(k)
@@ -129,14 +147,38 @@ def test_area_additive_under_stacking(bundle):
     comp = run_history(bundle.machine, bundle.w_st, hist)
     trap = computation_to_trapezium(bundle, comp, first_sup=1)
     assert trapezium_area(trap) == sum(b.area() for b in trap.bands)
-    # consumed input letters do not leave commutation cells behind
-    assert trapezium_area(trap) == sum(len(b.bottom.erase().q) + _survivors(b) for b in trap.bands)
+    # one (theta,q)-cell per state letter, one (theta,a)-cell per surviving
+    # bottom tape letter: consumed input letters leave no cell behind
+    consumed = 0
+    for b in trap.bands:
+        bot = b.bottom.erase()
+        survivors = _survivors(bundle.machine.rule(b.rule_label), bot)
+        q_cells = [c for c in b.cells if any(g.kind == "q" for g, _ in c)]
+        assert len(q_cells) == len(bot.q)
+        assert b.area() - len(q_cells) == survivors
+        consumed += bot.y_length() - survivors
+    assert consumed > 0
 
 
-def _survivors(band):
-    bot, top = band.bottom.erase(), band.top.erase()
-    # surviving bottom tape letters = those visible in the top minus inserts
-    return band.area() - len(bot.q)
+def _survivors(rule, w):
+    """Bottom tape letters left after naively cancelling each sector
+    against what the rule puts beside it, tracked by index."""
+    count = 0
+    for x, u, y in zip(w.q, w.u, w.q[1:]):
+        px, py = rule.parts[x.part], rule.parts[y.part]
+        after_x = px.b if x.sign > 0 else invert_word(px.a)
+        before_y = py.a if y.sign > 0 else invert_word(py.b)
+        tagged = [(z, None) for z in after_x] + [(z, j) for j, z in enumerate(u)] + [(z, None) for z in before_y]
+        i = 0
+        while i < len(tagged) - 1:
+            a, c = tagged[i][0], tagged[i + 1][0]
+            if a.name == c.name and a.sign == -c.sign:
+                del tagged[i : i + 2]
+                i = 0
+            else:
+                i += 1
+        count += sum(j is not None for _, j in tagged)
+    return count
 
 
 def test_hub_words_are_disk_words(bundle):
