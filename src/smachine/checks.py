@@ -27,7 +27,7 @@ from .machine import (
 )
 from .main_machine import MIXED_TAG, PLAIN_FAMILY_TAGS, MainMachineBundle
 from .presentation import Presentation, mu, nu
-from .words import AdmissibleWord, QLetter, YLetter
+from .words import AdmissibleWord, QLetter, YLetter, parse_signed
 
 
 class CounterexampleFound(Exception):
@@ -312,9 +312,7 @@ def check_periodic_distinctness(
     a period window repeating a word violate the hypothesis and are
     reported as skipped.
     """
-    from .machine import slabel
-
-    hist: History = tuple(slabel(lbl) if isinstance(lbl, str) else lbl for lbl in period)
+    hist: History = tuple(parse_signed(lbl) if isinstance(lbl, str) else lbl for lbl in period)
     trace = [start]
     cur = start
     reps = 0
@@ -518,18 +516,7 @@ SUITE_NAMES = (
 
 def _wi_lr_starts():
     lr = build_lr(["a"])
-    return [
-        (lr, AdmissibleWord((QLetter(0, "q1", 1), QLetter(1, "p1", 1)), ((),))),
-        (lr, AdmissibleWord((QLetter(0, "q1", 1), QLetter(1, "p1", 1)), ((YLetter("a", 1),),))),
-        (
-            lr,
-            AdmissibleWord(
-                (QLetter(0, "q1", 1), QLetter(1, "p1", 1)),
-                ((YLetter("a", 1), YLetter("a", 1)),),
-            ),
-        ),
-        (lr, AdmissibleWord((QLetter(1, "p2", 1), QLetter(2, "q2", 1)), ((YLetter("a'", 1),),))),
-    ]
+    return lr, [lr.hardware.word(t.split()) for t in ("q1 p1", "q1 a p1", "q1 a a p1", "p2 a' q2")]
 
 
 def _m3_build(m: int) -> M3Build:
@@ -563,9 +550,8 @@ def run_one_suite(name: str, opts: Mapping[str, object]) -> list[CheckReport]:
         return [check_lr_bound(max_tape=int(opts.get("max_tape", 4)))]
     if name == "wi-bound":
         out = []
-        lr_starts = _wi_lr_starts()
-        machine = lr_starts[0][0]
-        out.append(check_wi_bound(machine, [w for _, w in lr_starts], depth=int(depth or 8), filt="all"))
+        lr, starts = _wi_lr_starts()
+        out.append(check_wi_bound(lr, starts, depth=int(depth or 8), filt="all"))
         m3 = _m3_build(m)
         cfg = start_configuration_m3(m3, 0, ["del2", "fin"])
         hs = m3.history[0]

@@ -17,7 +17,7 @@ from .compose import add_control_letters, add_history_sectors, compose_m3
 from .enumerate import enumerate_computations
 from .lr import build_lr, build_lr_m, build_rl
 from .machine import format_slabel, run_history
-from .main_machine import MIXED_TAG, build_main_machine, build_trimmed_machine
+from .main_machine import build_main_machine, build_trimmed_machine, family
 from .presentation import (
     compile_group_G,
     compile_group_M,
@@ -115,7 +115,7 @@ def cmd_enumerate(args) -> int:
     machine = parse_machine(_read(args.machine))
     w = _load_word(machine, args.word)
     # an eligible history may follow theta(23), the mixed-family rule, by its inverse
-    mixed = next((r.label for r in machine.positive_rules if r.tag == MIXED_TAG), None)
+    mixed = next((r.label for r in machine.positive_rules if family(r) == "mixed"), None)
     out = []
     for comp in enumerate_computations(machine, w, args.depth, args.filter, mixed):
         hist = " ".join(format_slabel(s) for s in comp.history) or "-"

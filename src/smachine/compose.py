@@ -121,33 +121,22 @@ def add_history_sectors(m1: SMachine, name: str = "M2") -> M2Build:
             doms[hs.sector] = hs.alphabet
         new_rules.append(Rule(rule.label, tuple(rps), tuple(doms), tag=rule.tag))
 
+    def split(letters: Sequence[str]) -> tuple[str, ...]:
+        return tuple(
+            f"{q}_{side}"
+            for i, q in enumerate(letters)
+            for side in (("r",) if i == 0 else ("l",) if i == n else ("l", "r"))
+        )
+
     machine = SMachine(
         hardware=Hardware(tuple(parts), tuple(alphabets)),
         positive_rules=tuple(new_rules),
-        start_letters=tuple(
-            f"{q}_{side}"
-            for i, q in enumerate(m1.start_letters)
-            for side in (("r",) if i == 0 else ("l",) if i == n else ("l", "r"))
-        ),
-        end_letters=tuple(
-            f"{q}_{side}"
-            for i, q in enumerate(m1.end_letters)
-            for side in (("r",) if i == 0 else ("l",) if i == n else ("l", "r"))
-        ),
+        start_letters=split(m1.start_letters),
+        end_letters=split(m1.end_letters),
         input_sector=sector_of_m1[m1.input_sector],
         name=name,
     )
     return M2Build(machine, machine.input_sector, tuple(hist_sectors), labels)
-
-
-def start_configuration_m2(b: M2Build, k: int, hist: Sequence[str], letter: str = "a") -> AdmissibleWord:
-    """I2(a^k, H): input content plus a left-alphabet copy of H per history sector."""
-    tape: dict[int, Word] = {
-        b.input_sector: tuple(YLetter(letter, 1 if k >= 0 else -1) for _ in range(abs(k)))
-    }
-    for hs in b.history:
-        tape[hs.sector] = tuple(YLetter(hs.left_copy[lbl], 1) for lbl in hist)
-    return b.machine.standard_base_word(b.machine.start_letters, tape)
 
 
 def end_configuration_m2(b: M2Build, hist: Sequence[str]) -> AdmissibleWord:
@@ -163,22 +152,14 @@ def end_configuration_m2(b: M2Build, hist: Sequence[str]) -> AdmissibleWord:
 
 
 @dataclass(frozen=True)
-class ControlledHistorySector:
-    sector: int  # flat sector index in the controlled machine
+class ControlledHistorySector(HistorySector):
+    """A history sector of the controlled machine (``sector`` is its flat
+    index there) with the parts and scratch sectors its sweeps use."""
+
     r_part: int  # the R part on its left (running letters of the right-left sweeps)
     p_part: int  # the P part on its right (running letters of the left-right sweeps)
     rl_scratch: int  # QR sector left of r_part
     lr_scratch: int  # PQ sector right of p_part
-    left_copy: Mapping[str, str]
-    right_copy: Mapping[str, str]
-
-    @property
-    def left_alphabet(self) -> frozenset[str]:
-        return frozenset(self.left_copy.values())
-
-    @property
-    def right_alphabet(self) -> frozenset[str]:
-        return frozenset(self.right_copy.values())
 
 
 @dataclass(frozen=True)
@@ -436,7 +417,9 @@ def compose_m3(m2bar: M2BarBuild, m: int, name: str = "M3") -> M3Build:
     return M3Build(machine, m2bar, m, tuple(stages), tuple(chi_labels), m2bar.part_tags)
 
 
-def start_configuration_m3(b: M3Build, k: int, hist: Sequence[str], letter: str = "a") -> AdmissibleWord:
+def start_configuration_m3(b: M2Build | M3Build, k: int, hist: Sequence[str], letter: str = "a") -> AdmissibleWord:
+    """I(a^k, H): input content plus a left-alphabet copy of H per history
+    sector, on the start letters of an M2 or M3 build."""
     tape: dict[int, Word] = {
         b.input_sector: tuple(YLetter(letter, 1 if k >= 0 else -1) for _ in range(abs(k)))
     }

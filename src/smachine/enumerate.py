@@ -157,14 +157,6 @@ class _Exhausted(Exception):
     pass
 
 
-def _path(parent: dict, w: AdmissibleWord) -> History:
-    out = []
-    while parent[w] is not None:
-        w, sl = parent[w]
-        out.append(sl)
-    return tuple(reversed(out))
-
-
 def search(
     machine: SMachine,
     source: AdmissibleWord,
@@ -180,30 +172,31 @@ def search(
     unset means a reachable set closed without a hit: a definite no.
     With ``bidirectional`` the targets grow a backward frontier too and
     the smaller frontier expands one layer at a time until the two meet.
+    Each side keeps the first ``State`` that reached a word, and a
+    witness is read back from the ``State`` chains, as in the sweeps.
     """
-    # word -> (parent word, rule) or None at a root, per side
-    fwd: dict = {source: None}
-    bwd: dict = dict.fromkeys(targets)
+    fwd = {source: State(source, None, None)}
+    bwd = {w: State(w, None, None) for w in targets}
     if source in bwd:
         return (), False
-    fq, bq = deque(fwd), deque(bwd)
+    fq, bq = deque(fwd.values()), deque(bwd.values())
     spent = 0
 
     def expand(queue: deque, seen: dict, other) -> AdmissibleWord | None:
         """Expand one BFS layer; returns the first new word in ``other``."""
         nonlocal spent
         for _ in range(len(queue)):
-            w = queue.popleft()
-            for r, w2 in successors(machine, w, keep=keep):
+            s = queue.popleft()
+            for r, w2 in successors(machine, s.word, keep=keep):
                 spent += 1
                 if spent > budget:
                     raise _Exhausted
                 if w2 in seen:
                     continue
-                seen[w2] = (w, r.signed_label)
+                seen[w2] = s2 = State(w2, r.signed_label, s)
                 if w2 in other:
                     return w2
-                queue.append(w2)
+                queue.append(s2)
         return None
 
     try:
@@ -211,7 +204,7 @@ def search(
             while fq:
                 hit = expand(fq, fwd, bwd)
                 if hit is not None:
-                    return _path(fwd, hit), False
+                    return fwd[hit].history(), False
             return None, False
         # an emptied frontier has closed its side without meeting the other
         while fq and bq:
@@ -220,7 +213,7 @@ def search(
             else:
                 meet = expand(bq, bwd, fwd)
             if meet is not None:
-                return _path(fwd, meet) + invert_history(_path(bwd, meet)), False
+                return fwd[meet].history() + invert_history(bwd[meet].history()), False
         return None, False
     except _Exhausted:
         return None, True

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .words import AdmissibleWord, MalformedWord, QLetter, Word, YLetter, invert_word, reduce_word
+from .words import (
+    AdmissibleWord, MalformedWord, QLetter, Word, YLetter, invert_word, parse_signed, reduce_word, signed,
+)
 
 
 class NotApplicable(Exception):
@@ -40,21 +42,15 @@ class UnknownRule(Exception):
 SignedLabel = tuple[str, int]
 
 
-def slabel(token: str) -> SignedLabel:
-    if token.endswith("^-1"):
-        return (token[:-3], -1)
-    return (token, 1)
-
-
 def format_slabel(s: SignedLabel) -> str:
-    return s[0] + ("^-1" if s[1] < 0 else "")
+    return signed(*s)
 
 
 History = tuple[SignedLabel, ...]
 
 
 def history(*tokens: str) -> History:
-    return tuple(slabel(t) for t in tokens)
+    return tuple(parse_signed(t) for t in tokens)
 
 
 def invert_history(h: History) -> History:
@@ -160,31 +156,22 @@ class Hardware:
                         f"tape letter {y.name} not in alphabet of sector {sec}"
                     )
 
-    def word(self, tokens: Sequence[str | QLetter | YLetter | Word]) -> AdmissibleWord:
-        """Assemble an admissible word from mixed tokens (validated)."""
+    def word(self, tokens: Sequence[str]) -> AdmissibleWord:
+        """Assemble an admissible word from tokens like ``"q1"`` and
+        ``"a^-1"`` (validated): a name in some part is a state letter,
+        any other name a tape letter."""
         qs: list[QLetter] = []
         us: list[list[YLetter]] = []
         pidx = self._part_index()
         for t in tokens:
-            items: list[QLetter | YLetter]
-            if isinstance(t, QLetter) or isinstance(t, YLetter):
-                items = [t]
-            elif isinstance(t, tuple):
-                items = list(t)
+            name, sign = parse_signed(t)
+            if name in pidx:
+                qs.append(QLetter(pidx[name], name, sign))
+                us.append([])
+            elif not qs:
+                raise MalformedWord("word must start with a state letter")
             else:
-                name, sign = (t[:-3], -1) if t.endswith("^-1") else (t, 1)
-                if name in pidx:
-                    items = [QLetter(pidx[name], name, sign)]
-                else:
-                    items = [YLetter(name, sign)]
-            for it in items:
-                if isinstance(it, QLetter):
-                    qs.append(it)
-                    us.append([])
-                else:
-                    if not qs:
-                        raise MalformedWord("word must start with a state letter")
-                    us[-1].append(it)
+                us[-1].append(YLetter(name, sign))
         if us and us[-1]:
             raise MalformedWord("word must end with a state letter")
         w = AdmissibleWord(tuple(qs), tuple(tuple(u) for u in us[:-1]))
@@ -335,7 +322,7 @@ class SMachine:
 
     def rule(self, token: str | SignedLabel) -> Rule:
         if isinstance(token, str):
-            token = slabel(token)
+            token = parse_signed(token)
         lbl, sg = token
         cache = self.__dict__.get("_by_label")
         if cache is None:
@@ -446,7 +433,7 @@ class Computation:
 
 def run_history(machine: SMachine, w: AdmissibleWord, h: History | Iterable[str]) -> Computation:
     """Run a history; raises NotApplicableAt(k) at the first failure."""
-    hist: History = tuple(slabel(t) if isinstance(t, str) else t for t in h)
+    hist: History = tuple(parse_signed(t) if isinstance(t, str) else t for t in h)
     trace = [w]
     cur = w
     for k, sl in enumerate(hist):

@@ -37,12 +37,19 @@ class BadParameters(Exception):
     pass
 
 
-# Rule families, by tag.  Relation letters of the sup family carry L
+# The rule family of each tag.  Relation letters of the sup family carry L
 # superscripted copies; the mixed transition theta(23) carries them on its
 # source side only; the plain family (the trimmed machine's rules) has none.
 SUP_FAMILY_TAGS = ("tr01", "set1", "tr12", "set2")
 MIXED_TAG = "tr23"
 PLAIN_FAMILY_TAGS = ("set3", "tr34", "set4", "tr45", "set5", "tr50")
+
+
+def family(rule: Rule) -> str:
+    """The family of ``rule`` by its tag: "sup", "mixed" or "plain"."""
+    if rule.tag in SUP_FAMILY_TAGS:
+        return "sup"
+    return "mixed" if rule.tag == MIXED_TAG else "plain"
 
 
 @dataclass(frozen=True)
@@ -52,9 +59,7 @@ class ContentSectorPair:
     sector: int
     mirror_sector: int
     r_part: int
-    mirror_r_part: int
     alphabet_left: frozenset[str]  # letters inserted/erased here
-    mirror_alphabet_left: frozenset[str]
     left_copy: Mapping[str, str] | None = None  # rule label -> letter (history only)
 
 
@@ -159,19 +164,12 @@ def _mirrored_rule(
     is transported to the mirror by swap-invert-prime; ``doms`` lists
     first-half sector domains and is primed onto the mirror sectors.
     """
+    ins = {mirror_part[j]: (mirror_word(b), mirror_word(a)) for j, (a, b) in inserts.items()}
+    ins.update(inserts)
     parts = []
     for i in range(n_parts):
         src, dst = letters[i]
-        a: Word = ()
-        b: Word = ()
-        if i in inserts:
-            a, b = inserts[i]
-        else:
-            for j, mj in mirror_part.items():
-                if mj == i and j in inserts:
-                    oa, ob = inserts[j]
-                    a, b = mirror_word(ob), mirror_word(oa)
-                    break
+        a, b = ins.get(i, ((), ()))
         parts.append(RulePart(src, a, dst, b))
     domains = [frozenset()] * n_sectors
     for s, alpha in doms.items():
@@ -216,7 +214,6 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
 
     input_sector = sec(m3.input_sector)
     mirror_input = mirror_sector_m[input_sector]
-    input_r_part = input_sector  # R part flat index equals its sector index here
     lrm_part = input_sector + 1
     lrm_scratch = input_sector + 1  # the PQ sector right of the sweep part
     mirror_lrm_part = mirror_part_m[lrm_part]
@@ -225,19 +222,15 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
     input_pair = ContentSectorPair(
         sector=input_sector,
         mirror_sector=mirror_input,
-        r_part=input_r_part,
-        mirror_r_part=mirror_part_m[input_r_part],
+        r_part=input_sector,  # R part flat index equals its sector index here
         alphabet_left=frozenset({a}),
-        mirror_alphabet_left=frozenset({mirror_name(a)}),
     )
     history_pairs = tuple(
         ContentSectorPair(
             sector=sec(h.sector),
             mirror_sector=mirror_sector_m[sec(h.sector)],
             r_part=prt(h.r_part),
-            mirror_r_part=mirror_part_m[prt(h.r_part)],
             alphabet_left=h.left_alphabet,
-            mirror_alphabet_left=frozenset(mirror_name(y) for y in h.left_alphabet),
             left_copy=dict(h.left_copy),
         )
         for h in m3.history

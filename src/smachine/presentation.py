@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .machine import Rule, SMachine
-from .main_machine import MIXED_TAG, SUP_FAMILY_TAGS, MainMachineBundle, build_trimmed_machine
-from .words import AdmissibleWord, Word, reduce_word
+from .main_machine import MainMachineBundle, build_trimmed_machine, family
+from .serialize import FormatError
+from .words import AdmissibleWord, Word, parse_signed, reduce_word, signed
 
 
 class SuperscriptMismatch(Exception):
@@ -133,10 +134,6 @@ class RelatorFactory:
     N: int
     L: int
     supped: frozenset[str]  # state letters owning L superscripted copies
-    families: dict[str, str]  # rule label -> "sup" | "mixed" | "plain"
-
-    def family(self, rule: Rule) -> str:
-        return self.families[rule.label]
 
     def q_gen(self, name: str, sup: int | None) -> Generator:
         if (sup is not None) != (name in self.supped):
@@ -162,7 +159,7 @@ class RelatorFactory:
 
     def theta_q_relator(self, rule: Rule, j: int, sup: int | None) -> Relator:
         """U_j theta_{j+1} V_j^-1 theta_j^-1 with the t-part aliasing."""
-        fam = self.family(rule)
+        fam = family(rule)
         if (sup is None) != (fam == "plain"):
             raise SuperscriptMismatch(f"rule {rule.label} is {fam}, sup={sup}")
         p = rule.parts[j]
@@ -181,7 +178,7 @@ class RelatorFactory:
 
     def theta_a_relator(self, rule: Rule, sector: int, letter: str, sup: int | None) -> Relator:
         """Commutation of theta_{sector+1} with a domain letter of that sector."""
-        fam = self.family(rule)
+        fam = family(rule)
         if (sup is None) != (fam == "plain"):
             raise SuperscriptMismatch(f"rule {rule.label} is {fam}, sup={sup}")
         th = self.theta(rule, sector + 1, sup)
@@ -197,22 +194,10 @@ class RelatorFactory:
         return Relator(canonical_rotation(word), "theta-a", rule.label, sector=sector, sup=sup)
 
 
-def _classify(bundle: MainMachineBundle) -> dict[str, str]:
-    fams: dict[str, str] = {}
-    for r in bundle.machine.positive_rules:
-        if r.tag in SUP_FAMILY_TAGS:
-            fams[r.label] = "sup"
-        elif r.tag == MIXED_TAG:
-            fams[r.label] = "mixed"
-        else:
-            fams[r.label] = "plain"
-    return fams
-
-
-def _supped_letters(bundle: MainMachineBundle, fams: dict[str, str]) -> frozenset[str]:
+def _supped_letters(bundle: MainMachineBundle) -> frozenset[str]:
     out: set[str] = set()
     for r in bundle.machine.positive_rules:
-        fam = fams[r.label]
+        fam = family(r)
         if fam == "sup":
             for p in r.parts:
                 out.add(p.src)
@@ -224,8 +209,7 @@ def _supped_letters(bundle: MainMachineBundle, fams: dict[str, str]) -> frozense
 
 
 def factory_for(bundle: MainMachineBundle) -> RelatorFactory:
-    fams = _classify(bundle)
-    return RelatorFactory(N=bundle.N, L=bundle.L, supped=_supped_letters(bundle, fams), families=fams)
+    return RelatorFactory(N=bundle.N, L=bundle.L, supped=_supped_letters(bundle))
 
 
 def _tape_letters(machine: SMachine) -> tuple[str, ...]:
@@ -250,7 +234,7 @@ def _compile(name: str, machine: SMachine, fac: RelatorFactory) -> Presentation:
         gens.update(Generator("a", a, None, s) for s in tape_sups)
     relators: list[Relator] = []
     for rule in machine.positive_rules:
-        sups = (None,) if fac.family(rule) == "plain" else sups_all
+        sups = (None,) if family(rule) == "plain" else sups_all
         gens.update(Generator("th", rule.label, idx, s) for idx in range(1, fac.N + 1) for s in sups)
         for sup in sups:
             for j in range(fac.N):
@@ -314,12 +298,7 @@ def compile_group_G(bundle: MainMachineBundle) -> Presentation:
 def compile_trimmed(bundle: MainMachineBundle) -> tuple[Presentation, Presentation]:
     """Presentations of the trimmed machine group and its one-hub quotient."""
     mbar = build_trimmed_machine(bundle)
-    fac = RelatorFactory(
-        N=bundle.N,
-        L=bundle.L,
-        supped=frozenset(),
-        families={r.label: "plain" for r in mbar.positive_rules},
-    )
+    fac = RelatorFactory(N=bundle.N, L=bundle.L, supped=frozenset())
     p_mbar = _compile("Mbar", mbar, fac)
     return p_mbar, p_mbar.with_relators([_hub_accept(fac, bundle)], name="Gbar")
 
@@ -374,7 +353,7 @@ def nu(word: GWord) -> GWord:
 
 def _fmt_glet(x: GLetter) -> str:
     g, s = x
-    return g.display() + ("^-1" if s < 0 else "")
+    return signed(g.display(), s)
 
 
 def _gen_line(g: Generator) -> str:
@@ -418,7 +397,7 @@ def _parse_gen(kind: str, text: str) -> Generator:
     return Generator(kind, text, None, sup)
 
 
-def parse_presentation(text: str, kinds: dict[str, str] | None = None) -> Presentation:
+def parse_presentation(text: str) -> Presentation:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     it = iter(lines)
     name = next(it).split(None, 1)[1]
@@ -426,7 +405,9 @@ def parse_presentation(text: str, kinds: dict[str, str] | None = None) -> Presen
     N = int(next(it).split()[2])
     t_body = next(it).split(None, 1)[1]
     t_letters = frozenset() if t_body == "-" else frozenset(t_body.split())
-    assert next(it) == "GENERATORS"
+    header = next(it)
+    if header != "GENERATORS":
+        raise FormatError(f"expected 'GENERATORS', got {header!r}")
     gens: dict[str, Generator] = {}
     relators: list[Relator] = []
     state = "gens"
@@ -443,9 +424,7 @@ def parse_presentation(text: str, kinds: dict[str, str] | None = None) -> Presen
             word: list[GLetter] = []
             if body:
                 for tok in body.split("."):
-                    sign = 1
-                    if tok.endswith("^-1"):
-                        sign, tok = -1, tok[:-3]
+                    tok, sign = parse_signed(tok)
                     if tok not in gens:
                         raise UnknownGenerator(tok)
                     word.append((gens[tok], sign))
@@ -475,7 +454,7 @@ def _export_gap(pres: Presentation) -> str:
     for r in pres.relators:
         if not r.word:
             continue
-        rel_strs.append("*".join(by_gen[g] + ("^-1" if s < 0 else "") for g, s in r.word))
+        rel_strs.append("*".join(signed(by_gen[g], s) for g, s in r.word))
     out.append("rels := [")
     for rs in rel_strs:
         out.append(f"  {rs},")

@@ -14,7 +14,7 @@ import json
 from typing import Iterable
 
 from .machine import Hardware, Rule, RulePart, SMachine
-from .words import Word, YLetter
+from .words import Word, parse_signed, y_word
 
 
 class FormatError(Exception):
@@ -144,16 +144,6 @@ def parse_machine(text: str) -> SMachine:
     )
 
 
-def _parse_word(tokens: list[str]) -> Word:
-    out = []
-    for t in tokens:
-        if t.endswith("^-1"):
-            out.append(YLetter(t[:-3], -1))
-        else:
-            out.append(YLetter(t, 1))
-    return tuple(out)
-
-
 def _parse_rule(
     ln: str,
     parts: list[tuple[str, ...]],
@@ -192,12 +182,12 @@ def _parse_rule(
         toks = rhs.split()
         # rhs = a-word, dst letters, b-word; state letters are known by name
         i = 0
-        while i < len(toks) and toks[i].split("^")[0] not in part_names:
+        while i < len(toks) and parse_signed(toks[i])[0] not in part_names:
             i += 1
         j = len(toks)
-        while j > i and toks[j - 1].split("^")[0] not in part_names:
+        while j > i and parse_signed(toks[j - 1])[0] not in part_names:
             j -= 1
-        a, dsts, b = _parse_word(toks[:i]), toks[i:j], _parse_word(toks[j:])
+        a, dsts, b = y_word(*toks[:i]), toks[i:j], y_word(*toks[j:])
         if len(dsts) != len(srcs):
             raise FormatError(f"group {g!r}: {len(srcs)} sources vs {len(dsts)} targets")
         for k, (s, d) in enumerate(zip(srcs, dsts)):

@@ -23,9 +23,9 @@ from .machine import (
     inserts,
     is_eligible,
 )
-from .main_machine import MIXED_TAG, SUP_FAMILY_TAGS, MainMachineBundle
+from .main_machine import MainMachineBundle, family
 from .presentation import GWord, RelatorFactory, factory_for
-from .words import AdmissibleWord, QLetter, Word, YLetter
+from .words import AdmissibleWord, MalformedWord, QLetter, Word, YLetter, signed
 
 
 class SuperscriptRequired(Exception):
@@ -57,10 +57,9 @@ class PermissibleWord:
     u_sups: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self) -> None:
-        assert len(self.q_sups) == len(self.word.q)
-        assert len(self.u_sups) == len(self.word.u)
-        for u, s in zip(self.word.u, self.u_sups):
-            assert len(u) == len(s)
+        shape = tuple(len(u) for u in self.word.u)
+        if len(self.q_sups) != len(self.word.q) or tuple(len(s) for s in self.u_sups) != shape:
+            raise MalformedWord(f"superscripts do not fit the letters of {self.word}")
 
     def erase(self) -> AdmissibleWord:
         return self.word
@@ -73,20 +72,18 @@ class PermissibleWord:
         toks = []
         for i, x in enumerate(self.word.q):
             s = self.q_sups[i]
-            toks.append(str(x) if s is None else f"{x.name}^({s})" + ("^-1" if x.sign < 0 else ""))
+            toks.append(str(x) if s is None else signed(f"{x.name}^({s})", x.sign))
             if i < len(self.word.u):
                 for y, ys in zip(self.word.u[i], self.u_sups[i]):
-                    toks.append(str(y) if ys is None else f"{y.name}^({ys})" + ("^-1" if y.sign < 0 else ""))
+                    toks.append(str(y) if ys is None else signed(f"{y.name}^({ys})", y.sign))
         return " ".join(toks)
 
 
 def lift_kind(rule: Rule) -> str:
-    """'sup' when the lift carries superscripts, 'plain' when it must not."""
-    if rule.tag in SUP_FAMILY_TAGS:
-        return "sup"
-    if rule.tag == MIXED_TAG:
-        return "sup" if rule.sign > 0 else "plain"
-    return "plain"
+    """'sup' when the lift carries superscripts, 'plain' when it must not:
+    the mixed family's rule carries them on its source side only."""
+    fam = family(rule)
+    return "sup" if fam == "sup" or (fam == "mixed" and rule.sign > 0) else "plain"
 
 
 def make_permissible(
@@ -261,7 +258,7 @@ def computation_to_trapezium(
     for sl in comp.history:
         rule = machine.rule(sl)
         top_sup = None
-        if fac.families.get(rule.label) == "mixed" and rule.sign < 0:
+        if family(rule) == "mixed" and rule.sign < 0:
             if reentry:
                 top_sup = reentry.pop(0)
             else:

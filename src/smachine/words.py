@@ -3,7 +3,9 @@
 An admissible word alternates state letters and reduced tape words,
 ``q_1 u_1 q_2 ... u_s q_{s+1}``.  State letters carry the index of the
 hardware part they belong to; tape letters are bare names.  Signs are
-+1/-1.  Equality of words is syntactic on the reduced, trimmed form.
++1/-1; the token ``x^-1`` names the inverse of ``x``, and every module
+reads that syntax with ``parse_signed`` and writes it with ``signed``.
+Equality of words is syntactic on the reduced, trimmed form.
 """
 
 from __future__ import annotations
@@ -16,6 +18,18 @@ class MalformedWord(Exception):
     """Raised when a word violates the admissibility conditions."""
 
 
+def parse_signed(token: str) -> tuple[str, int]:
+    """Read a signed token: ``"x"`` is (x, 1) and ``"x^-1"`` is (x, -1)."""
+    if token.endswith("^-1"):
+        return token[:-3], -1
+    return token, 1
+
+
+def signed(name: str, sign: int) -> str:
+    """Write a signed token, the inverse of :func:`parse_signed`."""
+    return name + "^-1" if sign < 0 else name
+
+
 class QLetter(NamedTuple):
     part: int
     name: str
@@ -25,7 +39,7 @@ class QLetter(NamedTuple):
         return QLetter(self.part, self.name, -self.sign)
 
     def __str__(self) -> str:
-        return self.name + ("^-1" if self.sign < 0 else "")
+        return signed(self.name, self.sign)
 
 
 class YLetter(NamedTuple):
@@ -36,7 +50,7 @@ class YLetter(NamedTuple):
         return YLetter(self.name, -self.sign)
 
     def __str__(self) -> str:
-        return self.name + ("^-1" if self.sign < 0 else "")
+        return signed(self.name, self.sign)
 
 
 Word = tuple[YLetter, ...]
@@ -44,15 +58,7 @@ Word = tuple[YLetter, ...]
 
 def y_word(*items: str | YLetter) -> Word:
     """Build a tape word from tokens like ``"a"`` / ``"a^-1"``."""
-    out = []
-    for it in items:
-        if isinstance(it, YLetter):
-            out.append(it)
-        elif it.endswith("^-1"):
-            out.append(YLetter(it[:-3], -1))
-        else:
-            out.append(YLetter(it, 1))
-    return tuple(out)
+    return tuple(it if isinstance(it, YLetter) else YLetter(*parse_signed(it)) for it in items)
 
 
 def invert_word(w: Word) -> Word:

@@ -48,7 +48,7 @@ def test_criterion_1_round_trip(shipped):
                 if not is_applicable(machine, w, r):
                     continue
                 out = apply_rule(machine, w, r)
-                back = apply_rule(machine, out, r.inv())
+                back = apply_rule(machine, out, machine.rule((r.label, -r.sign)))
                 total_apps += 1
                 if back != w:
                     _verdict(1, "round-trip", False, f"{machine.name}: {w} via {r.label}")

@@ -17,8 +17,8 @@ from smachine.machine import run_history
 PACKAGE_ROOT = str(Path(smachine.__file__).resolve().parent.parent)
 
 
-def run_child(args, **env):
-    """Run ``python -m smachine.cli ARGS`` in a child interpreter.
+def run_python(argv, **env):
+    """Run ``python ARGV`` in a child interpreter.
 
     The child inherits this process's environment, with ``env``
     overriding it and the package's root prepended to ``PYTHONPATH``,
@@ -28,9 +28,12 @@ def run_child(args, **env):
     child_env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, child_env.get("PYTHONPATH")) if p
     )
-    return subprocess.run(
-        [sys.executable, "-m", "smachine.cli", *args], capture_output=True, env=child_env
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=child_env)
+
+
+def run_child(args, **env):
+    """Run ``python -m smachine.cli ARGS`` in a child interpreter."""
+    return run_python(["-m", "smachine.cli", *args], **env)
 
 
 def run_cli(args, tmp_path=None):
@@ -161,3 +164,31 @@ def test_byte_identical_across_hash_seeds(tmp_path):
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_format_checks_survive_python_O(tmp_path):
+    """``python -O`` strips ``assert``: the presentation parser and the
+    lift shape check must not rest on one."""
+    pfile = tmp_path / "mbar.txt"
+    code, _ = run_cli(["compile", "--group", "Mbar", "-o", str(pfile)])
+    assert code == 0
+    proc = run_python(["-O", "-m", "smachine.cli", "export", "--presentation", str(pfile), "--format", "plain"])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == pfile.read_bytes()
+    bad = tmp_path / "bad.txt"
+    bad.write_text(pfile.read_text().replace("GENERATORS", "GENS", 1))
+    proc = run_python(["-O", "-m", "smachine.cli", "export", "--presentation", str(bad)])
+    assert b"FormatError" in proc.stderr
+    misshapen = (
+        "from smachine.lr import build_lr\n"
+        "from smachine.trapezia import PermissibleWord\n"
+        "from smachine.words import MalformedWord\n"
+        "w = build_lr(['a']).hardware.word(['q1', 'a', 'p1', 'q2'])\n"
+        "try:\n"
+        "    PermissibleWord(w, (1,), ())\n"
+        "except MalformedWord:\n"
+        "    print('rejected')\n"
+    )
+    proc = run_python(["-O", "-c", misshapen])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"rejected\n"

@@ -12,7 +12,6 @@ from smachine.compose import (
     end_configuration_m2,
     mirror_m4,
     stage_sweep_history,
-    start_configuration_m2,
     start_configuration_m3,
 )
 from smachine.machine import run_history
@@ -65,7 +64,7 @@ def test_m2_lock_inheritance(toy, m2):
 def test_m2_scan_simulates_m1(toy, m2):
     """Running the lifted history consumes the left copy, writes the right one."""
     k, hist = 2, ["del2", "fin"]
-    w0 = start_configuration_m2(m2, k, hist)
+    w0 = start_configuration_m3(m2, k, hist)
     comp = run_history(m2.machine, w0, hist)
     assert comp.end == end_configuration_m2(m2, hist)
     # the working sectors replay the M1 computation: input empties

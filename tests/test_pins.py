@@ -1,5 +1,5 @@
-"""Byte pins: the sha256 of printed machines, exported presentations
-and verification reports.
+"""Byte pins: the sha256 of printed machines, exported presentations,
+disk verdicts and verification reports.
 
 The sweep machines, the stage tower and the compiled presentations are
 derived from one another; these pins make sure a change to how they are
@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from smachine.checks import run_suites
+from smachine.cli import main
 from smachine.compose import (
     add_control_letters,
     add_history_sectors,
@@ -21,7 +22,14 @@ from smachine.compose import (
 )
 from smachine.lr import build_lr, build_lr_m, build_rl
 from smachine.main_machine import build_trimmed_machine
-from smachine.presentation import compile_group_M, compile_trimmed, export
+from smachine.presentation import (
+    compile_group_G,
+    compile_group_M,
+    compile_trimmed,
+    export,
+    hnn_Gbar,
+    hnn_Gk,
+)
 from smachine.serialize import print_machine
 from smachine.toy import toy_even_recognizer
 
@@ -53,6 +61,22 @@ EXPORT_PINS = {
     "M": (compile_group_M, "8e633d762503e45269b26678eecda6ccc2806454109556b523ccb4a3421727ce"),
     "Mbar": (lambda b: compile_trimmed(b)[0], "8bc12df4e1122cf548982204420615e9d68f1639dd2ef1b0752fcd208a6c7648"),
     "Gbar": (lambda b: compile_trimmed(b)[1], "d53bc2558cd4a8e8a723b2df4f65e598d7c434a6e82d324d83b5610feaa4f7fe"),
+    "G": (compile_group_G, "7b26e7951a800a418a8e7693961e878f964db1d6248ededb371046263c382ef7"),
+    "G_0": (lambda b: hnn_Gk(compile_group_G(b), b, 0), "ef3756c71b286988f8387f539d6875533bd8b237578b95d0aa6dec7602a486ea"),
+    "Gbar-hnn": (lambda b: hnn_Gbar(compile_group_G(b), b), "6ec9bb0befa6054b1688d2aa75faa9f40c1fda1d110493f9e2960e57fcd578e1"),
+}
+
+GAP_PINS = {
+    "G": (compile_group_G, "b0c1a52ef4c6e465ebff447028088e7276ca807a2a2fc47b934f0ed311051e3b"),
+    "Gbar": (lambda b: compile_trimmed(b)[1], "31d2cb4008931f08e6fed6306bf6380d23630d915e3a8163684646d01d9fa42a"),
+}
+
+# `smachine disk ... --budget 3000`: the witness paths of the disk-word
+# searches show up in the cell counts
+DISK_PINS = {
+    "k0": (["--k", "0"], "47ccf33412ded519b44ade306ad7224ecf1c4fa750e0a9b4a32eebd581f9e604"),
+    "k1": (["--k", "1"], "be18aaacce27941a56ce356f7d8b50446c6347bac1f57d7dd76d9f4ae7f88224"),
+    "hub-start": (["--hub", "start"], "f57e81af609b9f272d33dbed6274473c92fd0a1bbbc7eeb8d57b223b9779d8f0"),
 }
 
 
@@ -66,6 +90,19 @@ def test_machine_file_pinned(name, session_bundle):
 def test_plain_export_pinned(name, session_bundle):
     compile_, digest = EXPORT_PINS[name]
     assert sha(export(compile_(session_bundle), "plain")) == digest
+
+
+@pytest.mark.parametrize("name", list(GAP_PINS))
+def test_gap_export_pinned(name, session_bundle):
+    compile_, digest = GAP_PINS[name]
+    assert sha(export(compile_(session_bundle), "gap-style")) == digest
+
+
+@pytest.mark.parametrize("name", list(DISK_PINS))
+def test_disk_output_pinned(name, capsys):
+    args, digest = DISK_PINS[name]
+    assert main(["disk", *args, "--budget", "3000"]) == 0
+    assert sha(capsys.readouterr().out) == digest
 
 
 def test_reports_pinned():

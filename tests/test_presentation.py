@@ -2,7 +2,7 @@
 
 import pytest
 
-from smachine.main_machine import build_main_machine, build_trimmed_machine
+from smachine.main_machine import build_main_machine, build_trimmed_machine, family
 from smachine.presentation import (
     Generator,
     QLetterPresent,
@@ -42,10 +42,9 @@ def pres_g(bundle, pres_m):
 def test_relator_count_closed_form(bundle, pres_m):
     """N (theta,q)-relators per rule instance plus one per domain letter."""
     L, N = bundle.L, bundle.N
-    fams = factory_for(bundle).families
     expected = 0
     for rule in bundle.machine.positive_rules:
-        instances = 1 if fams[rule.label] == "plain" else L
+        instances = 1 if family(rule) == "plain" else L
         dom_letters = sum(len(d) for d in rule.domains)
         expected += instances * (N + dom_letters)
     assert len(pres_m.relators) == expected
@@ -53,9 +52,8 @@ def test_relator_count_closed_form(bundle, pres_m):
 
 def test_theta_generator_count(bundle, pres_m):
     L, N = bundle.L, bundle.N
-    fams = factory_for(bundle).families
     expected = sum(
-        N * (1 if fams[r.label] == "plain" else L)
+        N * (1 if family(r) == "plain" else L)
         for r in bundle.machine.positive_rules
     )
     got = sum(1 for g in pres_m.generators if g.kind == "th")
