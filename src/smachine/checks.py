@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .compose import M3Build, start_configuration_m3
+from .compose import M3Build, add_control_letters, add_history_sectors, compose_m3, start_configuration_m3
 from .enumerate import PRUNE, enumerate_computations, reach_levels, search
 from .lr import build_lr
 from .machine import (
@@ -25,8 +25,9 @@ from .machine import (
     format_slabel,
     run_history,
 )
-from .main_machine import MIXED_TAG, PLAIN_FAMILY_TAGS, MainMachineBundle
-from .presentation import Presentation, mu, nu
+from .main_machine import MIXED_TAG, PLAIN_FAMILY_TAGS, MainMachineBundle, build_main_machine
+from .presentation import Presentation, compile_group_G, compile_trimmed, mu, nu
+from .toy import toy_even_recognizer
 from .words import AdmissibleWord, QLetter, YLetter, parse_signed
 
 
@@ -93,14 +94,14 @@ def _repro(start: AdmissibleWord, history: History) -> dict:
 # level sweeps over reduced computations (all paths covered)
 
 
-def check_lr_bound(max_tape: int = 4, alphabet: Sequence[str] = ("a",)) -> CheckReport:
+def check_lr_bound(max_tape: int = 4) -> CheckReport:
     """Sweep-machine length bound: t <= |W0| + |Wt| - 2.
 
     Exhaustive over reduced standard-base computations whose words stay
     within the tape budget; any such computation longer than the largest
     possible bound is reported outright.
     """
-    lr = build_lr(list(alphabet))
+    lr = build_lr(["a"])
     hw = lr.hardware
     letters = sorted(hw.sector_alphabets[0])
     region_words = []
@@ -142,7 +143,7 @@ def check_lr_bound(max_tape: int = 4, alphabet: Sequence[str] = ("a",)) -> Check
                 return CheckReport(
                     suite="lr-bound",
                     status="fail",
-                    params={"max_tape": max_tape, "alphabet": list(alphabet)},
+                    params={"max_tape": max_tape, "alphabet": ["a"]},
                     counts={"start_words": len(region_words), "states": states_total},
                     stats={"violation_at": t},
                     counterexample=_repro(s.start, s.history()),
@@ -150,7 +151,7 @@ def check_lr_bound(max_tape: int = 4, alphabet: Sequence[str] = ("a",)) -> Check
     return CheckReport(
         suite="lr-bound",
         status="pass",
-        params={"max_tape": max_tape, "alphabet": list(alphabet), "depth": depth},
+        params={"max_tape": max_tape, "alphabet": ["a"], "depth": depth},
         counts={"start_words": len(region_words), "states": states_total},
         stats={"min_slack": min_slack, "bound_cap": max_bound},
     )
@@ -191,15 +192,15 @@ def check_wi_bound(
     machine: SMachine,
     starts: Sequence[AdmissibleWord],
     depth: int = 8,
-    filt: str = "all",
 ) -> CheckReport:
-    """Two-letter-base length bound with periodic-history discounts."""
+    """Two-letter-base length bound with periodic-history discounts, over
+    all computations (not only reduced ones)."""
     checked = 0
     min_slack = None
     for w0 in starts:
         if len(w0.q) != 2:
             raise ValueError("wi bound applies to 2-letter-base words")
-        for comp in enumerate_computations(machine, w0, depth, filt):
+        for comp in enumerate_computations(machine, w0, depth, "all"):
             checked += 1
             peak = max(w.length() for w in comp.trace)
             bound = (
@@ -215,7 +216,7 @@ def check_wi_bound(
                 return CheckReport(
                     suite="wi-bound",
                     status="fail",
-                    params={"machine": machine.name, "depth": depth, "filter": filt},
+                    params={"machine": machine.name, "depth": depth, "filter": "all"},
                     counts={"computations": checked},
                     stats={},
                     counterexample=_repro(comp.start, comp.history),
@@ -223,14 +224,14 @@ def check_wi_bound(
     return CheckReport(
         suite="wi-bound",
         status="pass",
-        params={"machine": machine.name, "depth": depth, "filter": filt, "starts": len(starts)},
+        params={"machine": machine.name, "depth": depth, "filter": "all", "starts": len(starts)},
         counts={"computations": checked},
         stats={"min_slack": min_slack},
     )
 
 
 def check_chi_occurrences(
-    m3: M3Build, starts: Sequence[AdmissibleWord], depth: int = 12
+    m3: M3Build, starts: Sequence[AdmissibleWord], depth: int = 10
 ) -> CheckReport:
     """At most one occurrence of each stage-transition rule, either sign.
 
@@ -519,56 +520,45 @@ def _wi_lr_starts():
     return lr, [lr.hardware.word(t.split()) for t in ("q1 p1", "q1 a p1", "q1 a a p1", "p2 a' q2")]
 
 
-def _m3_build(m: int) -> M3Build:
-    from .toy import toy_even_recognizer
-
-    toy = toy_even_recognizer()
-    return compose_m3_cached(toy, m)
-
-
 @functools.lru_cache(maxsize=None)
 def compose_m3_cached(toy, m: int) -> M3Build:
-    from .compose import add_control_letters, add_history_sectors, compose_m3
-
     return compose_m3(add_control_letters(add_history_sectors(toy.machine)), m)
 
 
 @functools.lru_cache(maxsize=None)
 def bundle_cached(m: int, L: int) -> MainMachineBundle:
-    from .main_machine import build_main_machine
-    from .toy import toy_even_recognizer
-
     return build_main_machine(toy_even_recognizer(), m=m, L=L)
 
 
 def run_one_suite(name: str, opts: Mapping[str, object]) -> list[CheckReport]:
     m = int(opts.get("m", 2))
     L = int(opts.get("L", 12))
-    depth = opts.get("depth")
+    # a check runs at its own default depth unless one was given
+    depth_kw = {} if opts.get("depth") is None else {"depth": int(opts["depth"])}
     budget = int(opts.get("budget", 20_000))
     if name == "lr-bound":
         return [check_lr_bound(max_tape=int(opts.get("max_tape", 4)))]
     if name == "wi-bound":
         out = []
         lr, starts = _wi_lr_starts()
-        out.append(check_wi_bound(lr, starts, depth=int(depth or 8), filt="all"))
-        m3 = _m3_build(m)
+        out.append(check_wi_bound(lr, starts, **depth_kw))
+        m3 = compose_m3_cached(toy_even_recognizer(), m)
         cfg = start_configuration_m3(m3, 0, ["del2", "fin"])
         hs = m3.history[0]
         i = hs.r_part
         frag = AdmissibleWord((cfg.q[i], cfg.q[i + 1]), (cfg.u[i],))
-        out.append(check_wi_bound(m3.machine, [frag], depth=int(depth or 8), filt="all"))
+        out.append(check_wi_bound(m3.machine, [frag], **depth_kw))
         return out
     if name == "chi-occurrences":
-        m3 = _m3_build(m)
+        m3 = compose_m3_cached(toy_even_recognizer(), m)
         starts = [
             start_configuration_m3(m3, 0, ["fin"]),
             start_configuration_m3(m3, 2, ["del2", "fin"]),
         ]
-        return [check_chi_occurrences(m3, starts, depth=int(depth or 10))]
+        return [check_chi_occurrences(m3, starts, **depth_kw)]
     if name == "no-return":
         bundle = bundle_cached(m, L)
-        return [check_norep(bundle, k, depth=int(depth or 8)) for k in (0, 2)]
+        return [check_norep(bundle, k, **depth_kw) for k in (0, 2)]
     if name == "periodic":
         lr = build_lr(["a"])
         w = lr.hardware.word(["q1", "a", "a", "a", "p1", "q2"])
@@ -583,8 +573,6 @@ def run_one_suite(name: str, opts: Mapping[str, object]) -> list[CheckReport]:
         ks = tuple(opts.get("ks", (0, 1, 2, 3)))  # type: ignore[arg-type]
         return [accepted_language_experiment(bundle, ks=ks, budget=budget)]
     if name == "presentation-audit":
-        from .presentation import compile_group_G, compile_trimmed
-
         bundle = bundle_cached(m, L)
         out = [presentation_audit(compile_group_G(bundle), bundle)]
         _, gbar = compile_trimmed(bundle)

@@ -26,8 +26,9 @@ from .presentation import (
     hnn_Gbar,
     hnn_Gk,
     parse_presentation,
+    UnknownGenerator,
 )
-from .serialize import manifest, parse_machine, print_machine
+from .serialize import FormatError, manifest, parse_machine, print_machine
 from .toy import toy_even_recognizer
 from .trapezia import is_disk_word, make_permissible, power_word, PermissibleWord
 from .words import AdmissibleWord
@@ -58,6 +59,16 @@ def _read(path: str) -> str:
         return Path(path).read_text()
     except OSError as e:
         sys.stderr.write(f"i/o error: {e}\n")
+        sys.exit(EXIT_IO)
+
+
+def _parse(path: str, parse):
+    """``parse`` of the file at ``path``; a malformed file is an I/O error."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except (FormatError, UnknownGenerator) as e:
+        sys.stderr.write(f"format error: {e}\n")
         sys.exit(EXIT_IO)
 
 
@@ -101,7 +112,7 @@ def _load_word(machine, text: str) -> AdmissibleWord:
 
 
 def cmd_simulate(args) -> int:
-    machine = parse_machine(_read(args.machine))
+    machine = _parse(args.machine, parse_machine)
     w = _load_word(machine, args.word)
     comp = run_history(machine, w, args.history.split())
     lines = [str(comp.trace[0])]
@@ -112,7 +123,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    machine = parse_machine(_read(args.machine))
+    machine = _parse(args.machine, parse_machine)
     w = _load_word(machine, args.word)
     # an eligible history may follow theta(23), the mixed-family rule, by its inverse
     mixed = next((r.label for r in machine.positive_rules if family(r) == "mixed"), None)
@@ -147,7 +158,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_export(args) -> int:
-    pres = parse_presentation(_read(args.presentation))
+    pres = _parse(args.presentation, parse_presentation)
     _write(args.output, export_presentation(pres, args.format))
     return EXIT_OK
 

@@ -57,7 +57,7 @@ class M2Build:
     rule_labels: tuple[str, ...]  # base machine positive labels, in order
 
 
-def add_history_sectors(m1: SMachine, name: str = "M2") -> M2Build:
+def add_history_sectors(m1: SMachine) -> M2Build:
     """Split every interior part boundary of ``m1`` by a history sector.
 
     Part Q_i becomes Q_{i,l} Q_{i,r} (the outermost halves are dropped);
@@ -76,13 +76,10 @@ def add_history_sectors(m1: SMachine, name: str = "M2") -> M2Build:
         raise NoInputSector("need at least three parts so a history sector exists")
 
     parts: list[tuple[str, ...]] = []
-    flat_of_m1_part: dict[tuple[int, str], int] = {}  # (m1 part, "l"/"r") -> flat
     for i in range(hw.n_parts):
         if i > 0:
-            flat_of_m1_part[(i, "l")] = len(parts)
             parts.append(tuple(f"{q}_l" for q in hw.parts[i]))
         if i < n:
-            flat_of_m1_part[(i, "r")] = len(parts)
             parts.append(tuple(f"{q}_r" for q in hw.parts[i]))
 
     labels = tuple(r.label for r in sorted(m1.positive_rules, key=lambda r: r.label))
@@ -107,12 +104,12 @@ def add_history_sectors(m1: SMachine, name: str = "M2") -> M2Build:
         doms: list[frozenset[str]] = [frozenset()] * len(alphabets)
         for i in range(n + 1):
             p = rule.parts[i]
+            # the history sector inside part i, if it has one
+            hs = hist_sectors[i - 1] if 1 <= i <= len(hist_sectors) else None
             if i > 0:
-                hs = hist_sectors[i - 1] if i - 1 < len(hist_sectors) else None
                 b_l: Word = (YLetter(hs.left_copy[rule.label], -1),) if hs else ()
                 rps.append(RulePart(f"{p.src}_l", p.a, f"{p.dst}_l", b_l))
             if i < n:
-                hs = hist_sectors[i - 1] if 1 <= i <= len(hist_sectors) else None
                 a_r: Word = (YLetter(hs.right_copy[rule.label], 1),) if hs else ()
                 rps.append(RulePart(f"{p.src}_r", a_r, f"{p.dst}_r", p.b))
         for i in range(n):
@@ -134,7 +131,7 @@ def add_history_sectors(m1: SMachine, name: str = "M2") -> M2Build:
         start_letters=split(m1.start_letters),
         end_letters=split(m1.end_letters),
         input_sector=sector_of_m1[m1.input_sector],
-        name=name,
+        name="M2",
     )
     return M2Build(machine, machine.input_sector, tuple(hist_sectors), labels)
 
@@ -172,7 +169,7 @@ class M2BarBuild:
     rule_labels: tuple[str, ...]
 
 
-def add_control_letters(b: M2Build, name: str = "M2bar") -> M2BarBuild:
+def add_control_letters(b: M2Build) -> M2BarBuild:
     """Replace every part Q_i by the triple P_i Q_i R_i.
 
     The new sectors P_iQ_i and Q_iR_i are locked by every rule; the old
@@ -245,7 +242,7 @@ def add_control_letters(b: M2Build, name: str = "M2bar") -> M2BarBuild:
         start_letters=lift(m2.start_letters),
         end_letters=lift(m2.end_letters),
         input_sector=3 * m2.input_sector + 2,
-        name=name,
+        name="M2bar",
     )
     return M2BarBuild(machine, b, machine.input_sector, tuple(hist), tuple(tags), b.rule_labels)
 
@@ -297,7 +294,7 @@ def _stage_kind(sigma: int) -> str:
     return {1: "rl", 2: "fwd", 3: "lr", 0: "bwd"}[r]
 
 
-def compose_m3(m2bar: M2BarBuild, m: int, name: str = "M3") -> M3Build:
+def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
     """Concatenate 4m+1 stage machines over the controlled hardware.
 
     Odd stages sweep the history sectors (right-left on the R letters,
@@ -412,7 +409,7 @@ def compose_m3(m2bar: M2BarBuild, m: int, name: str = "M3") -> M3Build:
         start_letters=stages[0].start_letters,
         end_letters=stages[-1].end_letters,
         input_sector=m2bar.input_sector,
-        name=name,
+        name="M3",
     )
     return M3Build(machine, m2bar, m, tuple(stages), tuple(chi_labels), m2bar.part_tags)
 
@@ -467,6 +464,39 @@ def mirror_word(w: Word) -> Word:
     return tuple(YLetter(mirror_name(y.name), -y.sign) for y in reversed(w))
 
 
+def mirrored_rule(
+    label: str,
+    tag: str,
+    letters: Mapping[int, tuple[str, str]],
+    inserts: Mapping[int, tuple[Word, Word]],
+    doms: Mapping[int, frozenset[str]],
+    mirror_part: Mapping[int, int],
+    mirror_sector: Mapping[int, int],
+    n_sectors: int,
+) -> Rule:
+    """Build a rule acting symmetrically on both halves.
+
+    ``letters`` gives (src, dst) for every part (mirror parts carry their
+    own letters); ``inserts`` gives (a, b) for first-half parts and is
+    transported to the mirror by swap-invert-prime; ``doms`` lists
+    first-half sector domains and is primed onto the mirror sectors.
+    Unlisted sectors are locked.
+    """
+    ins = {mirror_part[j]: (mirror_word(b), mirror_word(a)) for j, (a, b) in inserts.items()}
+    ins.update(inserts)
+    parts = []
+    for i in range(len(letters)):
+        src, dst = letters[i]
+        a, b = ins.get(i, ((), ()))
+        parts.append(RulePart(src, a, dst, b))
+    domains = [frozenset()] * n_sectors
+    for s, alpha in doms.items():
+        domains[s] = alpha
+        if s in mirror_sector:
+            domains[mirror_sector[s]] = frozenset(mirror_name(y) for y in alpha)
+    return Rule(label, tuple(parts), tuple(domains), tag=tag)
+
+
 @dataclass(frozen=True)
 class M4Build:
     machine: SMachine
@@ -477,7 +507,7 @@ class M4Build:
     part_tags: tuple[str, ...]
 
 
-def mirror_m4(m3: M3Build, name: str = "M4") -> M4Build:
+def mirror_m4(m3: M3Build) -> M4Build:
     """Double the machine with a mirror copy; every rule acts on both halves.
 
     Mirror state letters stand for the inverses of the primed copies, so
@@ -502,22 +532,22 @@ def mirror_m4(m3: M3Build, name: str = "M4") -> M4Build:
 
     rules = []
     for rule in base.positive_rules:
-        rps = list(rule.parts)
-        for k in range(K):
-            p = rule.parts[K - 1 - k]
-            rps.append(
-                RulePart(
-                    mirror_name(p.src),
-                    mirror_word(p.b),
-                    mirror_name(p.dst),
-                    mirror_word(p.a),
-                )
+        letters = {}
+        for j, p in enumerate(rule.parts):
+            letters[j] = (p.src, p.dst)
+            letters[mirror_part[j]] = (mirror_name(p.src), mirror_name(p.dst))
+        rules.append(
+            mirrored_rule(
+                rule.label,
+                rule.tag,
+                letters,
+                {j: (p.a, p.b) for j, p in enumerate(rule.parts)},
+                dict(enumerate(rule.domains)),
+                mirror_part,
+                mirror_sector,
+                len(alphabets),
             )
-        doms = list(rule.domains) + [frozenset()]
-        mdoms = [frozenset()] * (K - 1)
-        for j in range(K - 1):
-            mdoms[mirror_sector[j] - K] = frozenset(mirror_name(y) for y in rule.domains[j])
-        rules.append(Rule(rule.label, tuple(rps), tuple(doms + mdoms), tag=rule.tag))
+        )
 
     def dub(letters: tuple[str, ...]) -> tuple[str, ...]:
         return letters + tuple(mirror_name(x) for x in reversed(letters))
@@ -528,7 +558,7 @@ def mirror_m4(m3: M3Build, name: str = "M4") -> M4Build:
         start_letters=dub(base.start_letters),
         end_letters=dub(base.end_letters),
         input_sector=base.input_sector,
-        name=name,
+        name="M4",
     )
     tags = list(m3.part_tags) + [m3.part_tags[K - 1 - k] + "m" for k in range(K)]
     return M4Build(machine, m3, mirror_part, mirror_sector, junction, tuple(tags))
@@ -539,9 +569,11 @@ class M5Build:
     machine: SMachine
     m4: M4Build
     part_tags: tuple[str, ...]
+    mirror_part: Mapping[int, int]  # M4's maps, shifted by one past t
+    mirror_sector: Mapping[int, int]
 
 
-def circularize_m5(m4: M4Build, name: str = "M5") -> M5Build:
+def circularize_m5(m4: M4Build) -> M5Build:
     """Prepend the one-letter part {t} and close the base into a circle.
 
     Both sectors touching t are locked by every rule.
@@ -561,6 +593,12 @@ def circularize_m5(m4: M4Build, name: str = "M5") -> M5Build:
         start_letters=("t",) + base.start_letters,
         end_letters=("t",) + base.end_letters,
         input_sector=(base.input_sector + 1) if base.input_sector is not None else None,
-        name=name,
+        name="M5",
     )
-    return M5Build(machine, m4, ("t",) + m4.part_tags)
+    return M5Build(
+        machine,
+        m4,
+        ("t",) + m4.part_tags,
+        {j + 1: k + 1 for j, k in m4.mirror_part.items()},
+        {j + 1: k + 1 for j, k in m4.mirror_sector.items()},
+    )

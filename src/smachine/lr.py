@@ -86,7 +86,7 @@ def _read_right_to_left(machine: SMachine) -> SMachine:
     )
 
 
-def build_lr(alphabet: Sequence[str], name: str = "LR") -> SMachine:
+def build_lr(alphabet: Sequence[str]) -> SMachine:
     """Left-then-right sweep machine over ``alphabet``.
 
     Positive rules per letter a: z1_a (p1 -> a^-1 p1 a'), the turn z12
@@ -94,25 +94,25 @@ def build_lr(alphabet: Sequence[str], name: str = "LR") -> SMachine:
     """
     return _renamed(
         build_lr_m(alphabet, 1),
-        name,
+        "LR",
         "lr",
         lambda lbl: "z12" if lbl == "zt1" else lbl.replace("zm", "z", 1),
     )
 
 
-def build_rl(alphabet: Sequence[str], name: str = "RL") -> SMachine:
+def build_rl(alphabet: Sequence[str]) -> SMachine:
     """Mirror of LR: content in the right sector, run right then left."""
     states = {"q1": "q2", "q2": "q1", "p1": "r1", "p2": "r2"}
     return _renamed(
         _read_right_to_left(build_lr(alphabet)),
-        name,
+        "RL",
         "rl",
         lambda lbl: "x" + lbl[1:],
         states.__getitem__,
     )
 
 
-def build_lr_m(alphabet: Sequence[str], m: int, name: str = "LRm") -> SMachine:
+def build_lr_m(alphabet: Sequence[str], m: int) -> SMachine:
     """Back-and-forth sweep repeated m times; p carries phase indices 1..2m.
 
     Odd phases move left (consume the left sector), even phases move
@@ -166,5 +166,5 @@ def build_lr_m(alphabet: Sequence[str], m: int, name: str = "LRm") -> SMachine:
         start_letters=("q1", "p1", "q2"),
         end_letters=("q1", f"p{2*m}", "q2"),
         input_sector=0,
-        name=name,
+        name="LRm",
     )

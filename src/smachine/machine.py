@@ -10,6 +10,7 @@ state letter and freely reduces each tape word at its two ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .words import (
@@ -104,19 +105,9 @@ class Hardware:
     def n_sectors(self) -> int:
         return len(self.sector_alphabets)
 
-    def part_of(self, name: str) -> int:
-        return self._part_index()[name]
-
+    @cached_property
     def _part_index(self) -> dict[str, int]:
-        # frozen dataclass: cache on the instance dict via object.__setattr__
-        cache = self.__dict__.get("_pidx")
-        if cache is None:
-            cache = {n: i for i, p in enumerate(self.parts) for n in p}
-            object.__setattr__(self, "_pidx", cache)
-        return cache
-
-    def q(self, name: str, sign: int = 1) -> QLetter:
-        return QLetter(self.part_of(name), name, sign)
+        return {n: i for i, p in enumerate(self.parts) for n in p}
 
     def right_sector(self, x: QLetter) -> int | None:
         """Sector index to the right of a signed state letter, None at a word end."""
@@ -162,7 +153,7 @@ class Hardware:
         any other name a tape letter."""
         qs: list[QLetter] = []
         us: list[list[YLetter]] = []
-        pidx = self._part_index()
+        pidx = self._part_index
         for t in tokens:
             name, sign = parse_signed(t)
             if name in pidx:
@@ -234,8 +225,10 @@ def invert_rule(rule: Rule) -> Rule:
 class SMachine:
     """Hardware plus a rule set closed under inversion.
 
-    Only positive rules are stored; ``rules`` iterates the closure in the
-    deterministic order (label lexicographic, positive before negative).
+    Only positive rules are stored; ``rules`` is the closure in the one
+    deterministic order (label lexicographic, each positive rule before
+    its inverse).  ``candidate_rules`` and ``rule`` read indexes built
+    once from it.
     """
 
     hardware: Hardware
@@ -285,51 +278,30 @@ class SMachine:
                     if lp.b or (rp is not None and rp.a):
                         raise ValueError(f"rule {r.label}: locked sector {i} flanked by nonempty a/b")
 
-    @property
+    @cached_property
     def rules(self) -> tuple[Rule, ...]:
-        cache = self.__dict__.get("_rules")
-        if cache is None:
-            pos = sorted(self.positive_rules, key=lambda r: r.label)
-            cache = tuple([r for r in pos] + [r.inv() for r in pos])
-            object.__setattr__(self, "_rules", cache)
-        return cache
+        return tuple(r for p in sorted(self.positive_rules, key=lambda r: r.label) for r in (p, p.inv()))
 
-    @property
-    def rules_in_order(self) -> tuple[Rule, ...]:
-        """Deterministic enumeration order: by label, positive first."""
-        cache = self.__dict__.get("_rules_ord")
-        if cache is None:
-            cache = tuple(
-                sorted(self.rules, key=lambda r: (r.label, -r.sign))
-            )
-            object.__setattr__(self, "_rules_ord", cache)
-        return cache
+    @cached_property
+    def _by_source(self) -> dict[tuple[int, str], tuple[Rule, ...]]:
+        index: dict[tuple[int, str], list[Rule]] = {}
+        for r in self.rules:
+            for i, p in enumerate(r.parts):
+                index.setdefault((i, p.src), []).append(r)
+        return {key: tuple(rs) for key, rs in index.items()}
+
+    @cached_property
+    def _by_label(self) -> dict[SignedLabel, Rule]:
+        return {r.signed_label: r for r in self.rules}
 
     def candidate_rules(self, x: QLetter) -> tuple[Rule, ...]:
         """Rules whose source letter at x's part matches x; sound prefilter."""
-        cache = self.__dict__.get("_cands")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_cands", cache)
-        key = (x.part, x.name)
-        hit = cache.get(key)
-        if hit is None:
-            hit = tuple(
-                r for r in self.rules_in_order if r.parts[x.part].src == x.name
-            )
-            cache[key] = hit
-        return hit
+        return self._by_source.get((x.part, x.name), ())
 
     def rule(self, token: str | SignedLabel) -> Rule:
-        if isinstance(token, str):
-            token = parse_signed(token)
-        lbl, sg = token
-        cache = self.__dict__.get("_by_label")
-        if cache is None:
-            cache = {(r.label, r.sign): r for r in self.rules}
-            object.__setattr__(self, "_by_label", cache)
+        lbl, sg = parse_signed(token) if isinstance(token, str) else token
         try:
-            return cache[(lbl, sg)]
+            return self._by_label[(lbl, sg)]
         except KeyError:
             raise UnknownRule(f"no rule {format_slabel((lbl, sg))} in machine {self.name}")
 

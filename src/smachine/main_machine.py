@@ -25,10 +25,10 @@ from .compose import (
     compose_m3,
     mirror_m4,
     mirror_name,
-    mirror_word,
+    mirrored_rule,
     stage_sweep_history,
 )
-from .machine import Hardware, History, Rule, RulePart, SMachine
+from .machine import Hardware, History, Rule, SMachine
 from .toy import ToyRecognizer
 from .words import AdmissibleWord, Word, YLetter
 
@@ -76,8 +76,6 @@ class MainMachineBundle:
     history_pairs: tuple[ContentSectorPair, ...]
     lrm_part: int
     lrm_scratch: int
-    mirror_lrm_part: int
-    mirror_lrm_scratch: int
     m5: M5Build
     theta23_label: str = "tr_23"
 
@@ -146,40 +144,6 @@ class MainMachineBundle:
         return self.witness_wst_to_wkk(k) + self.witness_wkk_to_wac(k)
 
 
-def _mirrored_rule(
-    label: str,
-    tag: str,
-    n_parts: int,
-    n_sectors: int,
-    mirror_part: Mapping[int, int],
-    mirror_sector: Mapping[int, int],
-    letters: Mapping[int, tuple[str, str]],
-    inserts: Mapping[int, tuple[Word, Word]],
-    doms: Mapping[int, frozenset[str]],
-) -> Rule:
-    """Build a rule acting symmetrically on both halves.
-
-    ``letters`` gives (src, dst) for every part (mirror parts carry their
-    own phase letters); ``inserts`` gives (a, b) for first-half parts and
-    is transported to the mirror by swap-invert-prime; ``doms`` lists
-    first-half sector domains and is primed onto the mirror sectors.
-    """
-    ins = {mirror_part[j]: (mirror_word(b), mirror_word(a)) for j, (a, b) in inserts.items()}
-    ins.update(inserts)
-    parts = []
-    for i in range(n_parts):
-        src, dst = letters[i]
-        a, b = ins.get(i, ((), ()))
-        parts.append(RulePart(src, a, dst, b))
-    domains = [frozenset()] * n_sectors
-    for s, alpha in doms.items():
-        domains[s] = alpha
-        ms = mirror_sector.get(s)
-        if ms is not None:
-            domains[ms] = frozenset(mirror_name(y) for y in alpha)
-    return Rule(label, tuple(parts), tuple(domains), tag=tag)
-
-
 def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachineBundle:
     """Assemble the main machine over a pluggable recognizer.
 
@@ -192,44 +156,31 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
     m2 = add_history_sectors(toy.machine)
     m2bar = add_control_letters(m2)
     m3 = compose_m3(m2bar, m)
-    m4 = mirror_m4(m3)
-    m5 = circularize_m5(m4)
+    m5 = circularize_m5(mirror_m4(m3))
 
     base = m5.machine
-    K = m3.machine.hardware.n_parts
     N = base.hardware.n_parts
     tags = m5.part_tags
     a = toy.input_letter
     a_c = f"{a}_c"
 
-    # index maps, all shifted by one for the prepended t part
-    def sec(j: int) -> int:
-        return j + 1
-
-    def prt(j: int) -> int:
-        return j + 1
-
-    mirror_part_m = {prt(j): prt(m4.mirror_part[j]) for j in range(K)}
-    mirror_sector_m = {sec(j): sec(m4.mirror_sector[j]) for j in range(K - 1)}
-
-    input_sector = sec(m3.input_sector)
-    mirror_input = mirror_sector_m[input_sector]
+    input_sector = base.input_sector
     lrm_part = input_sector + 1
     lrm_scratch = input_sector + 1  # the PQ sector right of the sweep part
-    mirror_lrm_part = mirror_part_m[lrm_part]
-    mirror_lrm_scratch = mirror_sector_m[lrm_scratch]
+    mirror_lrm_part = m5.mirror_part[lrm_part]
+    mirror_lrm_scratch = m5.mirror_sector[lrm_scratch]
 
     input_pair = ContentSectorPair(
         sector=input_sector,
-        mirror_sector=mirror_input,
+        mirror_sector=m5.mirror_sector[input_sector],
         r_part=input_sector,  # R part flat index equals its sector index here
         alphabet_left=frozenset({a}),
     )
     history_pairs = tuple(
-        ContentSectorPair(
-            sector=sec(h.sector),
-            mirror_sector=mirror_sector_m[sec(h.sector)],
-            r_part=prt(h.r_part),
+        ContentSectorPair(  # M3's sectors and parts, shifted by one past t
+            sector=h.sector + 1,
+            mirror_sector=m5.mirror_sector[h.sector + 1],
+            r_part=h.r_part + 1,
             alphabet_left=h.left_alphabet,
             left_copy=dict(h.left_copy),
         )
@@ -250,8 +201,6 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
     alphabets[mirror_lrm_scratch] = alphabets[mirror_lrm_scratch] | {mirror_name(a_c)}
     hardware = Hardware(tuple(parts), tuple(alphabets), circular=True)
 
-    n_sec = hardware.n_sectors
-
     def phase_letters(frm: str, to: str | None = None) -> dict[int, tuple[str, str]]:
         """(src, dst) per part within a phase (or between two phases)."""
         to = to or frm
@@ -267,9 +216,11 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
         return letters
 
     def mk(label, tag, letters, inserts, doms) -> Rule:
-        return _mirrored_rule(
-            label, tag, N, n_sec, mirror_part_m, mirror_sector_m, letters, inserts, doms
-        )
+        return mirrored_rule(label, tag, letters, inserts, doms, m5.mirror_part, m5.mirror_sector, hardware.n_sectors)
+
+    def history_inserts(lbl: str, sign: int) -> dict[int, tuple[Word, Word]]:
+        """The history letter of ``lbl`` (sign 1) or its inverse, right of every R letter."""
+        return {hp.r_part: ((), (YLetter(hp.left_copy[lbl], sign),)) for hp in history_pairs}
 
     rules: list[Rule] = []
 
@@ -300,16 +251,13 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
     # set 2: the 2m-phase sweep of the input sector and its mirror
     for i in range(1, 2 * m + 1):
         letters = fix_lrm(phase_letters("w2"), f"z{i}", f"z{i}")
-        if i % 2 == 1:
-            ins = {lrm_part: ((YLetter(a, -1),), (YLetter(a_c, 1),))}
-        else:
-            ins = {lrm_part: ((YLetter(a, 1),), (YLetter(a_c, -1),))}
+        s = -1 if i % 2 == 1 else 1  # odd phases consume a, even ones put it back
         rules.append(
             mk(
                 f"w2_zm{i}_{a}",
                 "set2",
                 letters,
-                ins,
+                {lrm_part: ((YLetter(a, s),), (YLetter(a_c, -s),))},
                 {input_sector: frozenset({a}), lrm_scratch: frozenset({a_c})},
             )
         )
@@ -344,20 +292,15 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
     for hp in history_pairs:
         content_doms[hp.sector] = hp.alphabet_left
     for lbl in m2.rule_labels:
-        ins = {}
-        for hp in history_pairs:
-            assert hp.left_copy is not None
-            ins[hp.r_part] = ((), (YLetter(hp.left_copy[lbl], 1),))
-        rules.append(mk(f"w3_ins_{lbl}", "set3", phase_letters("w3"), ins, dict(content_doms)))
+        rules.append(mk(f"w3_ins_{lbl}", "set3", phase_letters("w3"), history_inserts(lbl, 1), content_doms))
 
-    stage1_start = {i: base.start_letters[i] for i in range(N)}
     rules.append(
         mk(
             "tr_34",
             "tr34",
-            {i: (f"{tags[i]}_w3", stage1_start[i]) for i in range(N)},
+            {i: (f"{tags[i]}_w3", base.start_letters[i]) for i in range(N)},
             {},
-            dict(content_doms),
+            content_doms,
         )
     )
 
@@ -365,31 +308,26 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
     for rule in base.positive_rules:
         rules.append(dataclasses.replace(rule, tag="set4"))
 
-    stage_end = {i: base.end_letters[i] for i in range(N)}
     rules.append(
         mk(
             "tr_45",
             "tr45",
-            {i: (stage_end[i], f"{tags[i]}_w5") for i in range(N)},
+            {i: (base.end_letters[i], f"{tags[i]}_w5") for i in range(N)},
             {},
-            dict(content_doms),
+            content_doms,
         )
     )
 
     # set 5: erase content sectors letter by letter, from the R-letter side
     for lbl in m2.rule_labels:
-        ins = {}
-        for hp in history_pairs:
-            assert hp.left_copy is not None
-            ins[hp.r_part] = ((), (YLetter(hp.left_copy[lbl], -1),))
-        rules.append(mk(f"w5_er_{lbl}", "set5", phase_letters("w5"), ins, dict(content_doms)))
+        rules.append(mk(f"w5_er_{lbl}", "set5", phase_letters("w5"), history_inserts(lbl, -1), content_doms))
     rules.append(
         mk(
             f"w5_er_inp_{a}",
             "set5",
             phase_letters("w5"),
             {input_pair.r_part: ((), (YLetter(a, -1),))},
-            dict(content_doms),
+            content_doms,
         )
     )
 
@@ -415,8 +353,6 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
         history_pairs=history_pairs,
         lrm_part=lrm_part,
         lrm_scratch=lrm_scratch,
-        mirror_lrm_part=mirror_lrm_part,
-        mirror_lrm_scratch=mirror_lrm_scratch,
         m5=m5,
     )
 

@@ -15,6 +15,7 @@ rotation.  Compiling twice yields identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .machine import Rule, SMachine
@@ -95,16 +96,13 @@ class Presentation:
                 if g not in self.generators:
                     raise UnknownGenerator(f"{g.display()} in relator but not declared")
 
+    @cached_property
     def relator_set(self) -> frozenset[GWord]:
-        cache = self.__dict__.get("_rset")
-        if cache is None:
-            cache = frozenset(r.word for r in self.relators)
-            object.__setattr__(self, "_rset", cache)
-        return cache
+        return frozenset(r.word for r in self.relators)
 
     def has_relator(self, word: GWord) -> bool:
         """Membership up to rotation, inversion, and free/cyclic reduction."""
-        rs = self.relator_set()
+        rs = self.relator_set
         return canonical_rotation(word) in rs or canonical_rotation(g_inv(word)) in rs
 
     def with_relators(self, extra: Iterable[Relator], name: str | None = None) -> "Presentation":
@@ -398,14 +396,24 @@ def _parse_gen(kind: str, text: str) -> Generator:
 
 
 def parse_presentation(text: str) -> Presentation:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    it = iter(lines)
-    name = next(it).split(None, 1)[1]
-    L = int(next(it).split()[2])
-    N = int(next(it).split()[2])
-    t_body = next(it).split(None, 1)[1]
+    it = iter([ln for ln in text.splitlines() if ln.strip()])
+
+    def field(key: str, value_type: type = str):
+        """The value on the next line, which must read ``key value``."""
+        ln = next(it, "end of file")
+        if not ln.startswith(key + " "):
+            raise FormatError(f"expected {key!r} and a value, got {ln!r}")
+        try:
+            return value_type(ln[len(key) + 1 :])
+        except ValueError:
+            raise FormatError(f"{key} needs an integer value, got {ln!r}") from None
+
+    name = field("PRESENTATION")
+    L = field("param L", int)
+    N = field("param N", int)
+    t_body = field("tletters")
     t_letters = frozenset() if t_body == "-" else frozenset(t_body.split())
-    header = next(it)
+    header = next(it, "end of file")
     if header != "GENERATORS":
         raise FormatError(f"expected 'GENERATORS', got {header!r}")
     gens: dict[str, Generator] = {}

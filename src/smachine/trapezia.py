@@ -10,7 +10,6 @@ relator of the compiled presentation, which the harness verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .enumerate import search
 from .machine import (
@@ -235,14 +234,13 @@ def computation_to_trapezium(
     bundle: MainMachineBundle,
     comp: Computation,
     first_sup: int | None = None,
-    reentry_sups: Sequence[int] = (),
 ) -> Trapezium:
     """Realize an eligible computation as a stack of theta-bands.
 
     ``first_sup`` lifts the bottom when the first rule is in the
-    superscripted family; each inverse 2-to-3 transition consumes one
-    level from ``reentry_sups`` (defaulting to the previous level plus
-    one, which keeps adjacent mirror bands distinct).
+    superscripted family; each inverse 2-to-3 transition re-enters it at
+    the previous level plus one, which keeps adjacent mirror bands
+    distinct.
     """
     machine = bundle.machine
     fac = factory_for(bundle)
@@ -253,16 +251,12 @@ def computation_to_trapezium(
     first_rule = machine.rule(comp.history[0])
     bottom = make_permissible(machine, comp.start, first_rule, first_sup, modulus=bundle.L)
     bands: list[ThetaBandRecord] = []
-    reentry = list(reentry_sups)
     level = first_sup
     for sl in comp.history:
         rule = machine.rule(sl)
         top_sup = None
         if family(rule) == "mixed" and rule.sign < 0:
-            if reentry:
-                top_sup = reentry.pop(0)
-            else:
-                top_sup = (level % bundle.L) + 1 if level is not None else 1
+            top_sup = (level % bundle.L) + 1 if level is not None else 1
             level = top_sup
         band = make_band(machine, fac, bottom, rule, top_sup=top_sup)
         if bands and bands[-1].rule_label == (sl[0], -sl[1]):

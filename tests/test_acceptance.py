@@ -83,12 +83,12 @@ def test_criterion_3_wi_bound():
         AdmissibleWord((QLetter(0, "q1", 1), QLetter(1, "p1", 1)), ((YLetter("a", 1), YLetter("a", 1)),)),
         AdmissibleWord((QLetter(1, "p2", 1), QLetter(2, "q2", 1)), ((YLetter("a'", 1),),)),
     ]
-    rep1 = check_wi_bound(lr, starts, depth=8, filt="all")
+    rep1 = check_wi_bound(lr, starts, depth=8)
     m3 = compose_m3_cached(toy_even_recognizer(), 2)
     cfg = start_configuration_m3(m3, 0, ["del2", "fin"])
     i = m3.history[0].r_part
     frag = AdmissibleWord((cfg.q[i], cfg.q[i + 1]), (cfg.u[i],))
-    rep2 = check_wi_bound(m3.machine, [frag], depth=8, filt="all")
+    rep2 = check_wi_bound(m3.machine, [frag], depth=8)
     elapsed = time.time() - t0
     ok = rep1.status == "pass" and rep2.status == "pass" and elapsed < 600
     _verdict(

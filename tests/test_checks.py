@@ -45,7 +45,7 @@ def test_lr_bound_small_matches_exhaustive():
 def test_wi_bound_lr():
     lr = build_lr(["a"])
     start = AdmissibleWord((QLetter(0, "q1", 1), QLetter(1, "p1", 1)), ((YLetter("a", 1),),))
-    rep = check_wi_bound(lr, [start], depth=5, filt="all")
+    rep = check_wi_bound(lr, [start], depth=5)
     assert rep.status == "pass"
     assert rep.counts["computations"] > 100
 

@@ -178,7 +178,8 @@ def test_format_checks_survive_python_O(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text(pfile.read_text().replace("GENERATORS", "GENS", 1))
     proc = run_python(["-O", "-m", "smachine.cli", "export", "--presentation", str(bad)])
-    assert b"FormatError" in proc.stderr
+    assert proc.returncode == 3
+    assert proc.stderr == b"format error: expected 'GENERATORS', got 'GENS'\n"
     misshapen = (
         "from smachine.lr import build_lr\n"
         "from smachine.trapezia import PermissibleWord\n"
@@ -192,3 +193,48 @@ def test_format_checks_survive_python_O(tmp_path):
     proc = run_python(["-O", "-c", misshapen])
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == b"rejected\n"
+
+
+@pytest.fixture(scope="module")
+def gbar_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("gbar") / "gbar.txt"
+    code, _ = run_cli(["compile", "--group", "Gbar", "--m", "1", "--L", "8", "--format", "plain", "-o", str(path)])
+    assert code == 0
+    return path.read_text()
+
+
+def run_on_bad_file(capsys, tmp_path, text, args):
+    """Run the CLI on ``text`` saved as a file; return (exit code, stderr)."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    capsys.readouterr()
+    code, _ = run_cli([*args, str(bad)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t.replace("param L 8\n", "param X\n", 1),
+        lambda t: "".join(t.splitlines(keepends=True)[:3]),
+        lambda t: t.replace("param N ", "param L ", 1),
+    ],
+    ids=["bad-key", "cut-after-3-lines", "N-relabelled-L"],
+)
+def test_malformed_presentation_is_a_format_error(capsys, tmp_path, gbar_file, edit):
+    """Header lines are read by key: a wrong key, a short line or an
+    early end of file is one ``format error`` line and the I/O exit."""
+    code, err = run_on_bad_file(capsys, tmp_path, edit(gbar_file), ["export", "--presentation"])
+    assert code == 3
+    assert err.startswith("format error: ") and err.count("\n") == 1, err
+
+
+def test_malformed_machine_is_a_format_error(capsys, tmp_path):
+    mfile = tmp_path / "lr.txt"
+    assert run_cli(["build", "--lr", "a", "-o", str(mfile)])[0] == 0
+    text = mfile.read_text().replace(" tag=", " tga=", 1)
+    code, err = run_on_bad_file(
+        capsys, tmp_path, text, ["simulate", "--word", "q1 p1 q2", "--history", "z12", "--machine"]
+    )
+    assert code == 3
+    assert err.startswith("format error: missing tag") and err.count("\n") == 1, err

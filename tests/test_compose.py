@@ -11,6 +11,8 @@ from smachine.compose import (
     compose_m3,
     end_configuration_m2,
     mirror_m4,
+    mirror_name,
+    mirror_word,
     stage_sweep_history,
     start_configuration_m3,
 )
@@ -221,3 +223,33 @@ def test_m5_run(m3):
     w0 = m5.machine.standard_base_word(m5.machine.start_letters, tape)
     comp = run_history(m5.machine, w0, stage_sweep_history(m3, hist))
     assert tuple(x.name for x in comp.end.q) == m5.machine.end_letters
+
+
+def _assert_mirror_transport(machine, mirror_part, mirror_sector):
+    """Every mirror part inserts (mirror(b), mirror(a)) of its first-half
+    part, and every mirror sector's domain is the primed first-half one."""
+    for rule in machine.positive_rules:
+        for j, mj in mirror_part.items():
+            p, q = rule.parts[j], rule.parts[mj]
+            assert (q.a, q.b) == (mirror_word(p.b), mirror_word(p.a)), (rule.label, j)
+        for s, ms in mirror_sector.items():
+            assert rule.domains[ms] == frozenset(mirror_name(y) for y in rule.domains[s]), (rule.label, s)
+
+
+def test_mirror_transport_of_m4_and_main(m3, session_bundle):
+    m4 = mirror_m4(m3)
+    _assert_mirror_transport(m4.machine, m4.mirror_part, m4.mirror_sector)
+    # the main machine's maps are M4's shifted by one past the t part
+    m4 = session_bundle.m5.m4
+    _assert_mirror_transport(
+        session_bundle.machine,
+        {j + 1: mj + 1 for j, mj in m4.mirror_part.items()},
+        {s + 1: ms + 1 for s, ms in m4.mirror_sector.items()},
+    )
+
+
+def test_m5_maps_are_m4s_shifted_past_t(m3):
+    m4 = mirror_m4(m3)
+    m5 = circularize_m5(m4)
+    assert m5.mirror_part == {j + 1: mj + 1 for j, mj in m4.mirror_part.items()}
+    assert m5.mirror_sector == {s + 1: ms + 1 for s, ms in m4.mirror_sector.items()}

@@ -298,3 +298,27 @@ def test_reach_levels_first_start_wins():
         (s,) = [s for s in level2 if s.word == meet and s.last == ("z1_a", 1)]
         assert s.start == starts[0]
         assert run_history(lr, s.start, s.history()).end == meet
+
+
+def _closure_in_order(machine):
+    """The rule closure by label, each positive rule before its inverse."""
+    pos = sorted(machine.positive_rules, key=lambda r: r.label)
+    return tuple(r for p in pos for r in (p, p.inv()))
+
+
+def test_candidate_rules_in_label_then_sign_order(shipped):
+    """``successors`` tries the candidates of a state letter in this
+    order, and the first path into a state wins, so the order is part of
+    every sweep's output."""
+    for machine in shipped:
+        closure = _closure_in_order(machine)
+        for i, part in enumerate(machine.hardware.parts):
+            for name in part:
+                want = tuple(r for r in closure if r.parts[i].src == name)
+                for sign in (1, -1):
+                    assert machine.candidate_rules(QLetter(i, name, sign)) == want, (machine.name, name)
+
+
+def test_rules_in_label_then_sign_order(shipped):
+    for machine in shipped:
+        assert machine.rules == _closure_in_order(machine), machine.name
