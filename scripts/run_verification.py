@@ -27,7 +27,7 @@ def main() -> int:
     ap.add_argument("--m", type=int, default=2)
     ap.add_argument("--L", type=int, default=12)
     ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--budget", type=int, default=20_000)
+    ap.add_argument("--budget", type=int, default=None)
     args = ap.parse_args()
 
     out = Path(args.out)

@@ -54,10 +54,6 @@ class CheckReport:
     depth_exhausted: bool = False
     notes: tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -533,21 +529,24 @@ def bundle_cached(m: int, L: int) -> MainMachineBundle:
 def run_one_suite(name: str, opts: Mapping[str, object]) -> list[CheckReport]:
     m = int(opts.get("m", 2))
     L = int(opts.get("L", 12))
-    # a check runs at its own default depth unless one was given
-    depth_kw = {} if opts.get("depth") is None else {"depth": int(opts["depth"])}
-    budget = int(opts.get("budget", 20_000))
+
+    def given(*keys: str) -> dict[str, object]:
+        """The options among ``keys`` that were set: a check runs at its
+        own defaults for the rest."""
+        return {k: opts[k] for k in keys if opts.get(k) is not None}
+
     if name == "lr-bound":
-        return [check_lr_bound(max_tape=int(opts.get("max_tape", 4)))]
+        return [check_lr_bound(**given("max_tape"))]
     if name == "wi-bound":
         out = []
         lr, starts = _wi_lr_starts()
-        out.append(check_wi_bound(lr, starts, **depth_kw))
+        out.append(check_wi_bound(lr, starts, **given("depth")))
         m3 = compose_m3_cached(toy_even_recognizer(), m)
         cfg = start_configuration_m3(m3, 0, ["del2", "fin"])
         hs = m3.history[0]
         i = hs.r_part
         frag = AdmissibleWord((cfg.q[i], cfg.q[i + 1]), (cfg.u[i],))
-        out.append(check_wi_bound(m3.machine, [frag], **depth_kw))
+        out.append(check_wi_bound(m3.machine, [frag], **given("depth")))
         return out
     if name == "chi-occurrences":
         m3 = compose_m3_cached(toy_even_recognizer(), m)
@@ -555,10 +554,10 @@ def run_one_suite(name: str, opts: Mapping[str, object]) -> list[CheckReport]:
             start_configuration_m3(m3, 0, ["fin"]),
             start_configuration_m3(m3, 2, ["del2", "fin"]),
         ]
-        return [check_chi_occurrences(m3, starts, **depth_kw)]
+        return [check_chi_occurrences(m3, starts, **given("depth"))]
     if name == "no-return":
         bundle = bundle_cached(m, L)
-        return [check_norep(bundle, k, **depth_kw) for k in (0, 2)]
+        return [check_norep(bundle, k, **given("depth")) for k in (0, 2)]
     if name == "periodic":
         lr = build_lr(["a"])
         w = lr.hardware.word(["q1", "a", "a", "a", "p1", "q2"])
@@ -570,8 +569,7 @@ def run_one_suite(name: str, opts: Mapping[str, object]) -> list[CheckReport]:
         return out
     if name == "accepted-language":
         bundle = bundle_cached(m, L)
-        ks = tuple(opts.get("ks", (0, 1, 2, 3)))  # type: ignore[arg-type]
-        return [accepted_language_experiment(bundle, ks=ks, budget=budget)]
+        return [accepted_language_experiment(bundle, **given("ks", "budget"))]
     if name == "presentation-audit":
         bundle = bundle_cached(m, L)
         out = [presentation_audit(compile_group_G(bundle), bundle)]

@@ -11,12 +11,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import checks
 from .compose import add_control_letters, add_history_sectors, compose_m3
 from .enumerate import enumerate_computations
 from .lr import build_lr, build_lr_m, build_rl
-from .machine import format_slabel, run_history
+from .machine import NotApplicableAt, UnknownRule, format_slabel, run_history
 from .main_machine import build_main_machine, build_trimmed_machine, family
 from .presentation import (
     compile_group_G,
@@ -26,12 +27,11 @@ from .presentation import (
     hnn_Gbar,
     hnn_Gk,
     parse_presentation,
-    UnknownGenerator,
 )
 from .serialize import FormatError, manifest, parse_machine, print_machine
 from .toy import toy_even_recognizer
-from .trapezia import is_disk_word, make_permissible, power_word, PermissibleWord
-from .words import AdmissibleWord
+from .trapezia import disk_diagram_cells, is_disk_word, make_permissible, power_word, PermissibleWord
+from .words import AdmissibleWord, MalformedWord
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
 
@@ -54,6 +54,11 @@ def _write(path: str | None, text: str) -> None:
         sys.exit(EXIT_IO)
 
 
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"error: {message}\n")
+    sys.exit(EXIT_USAGE)
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -67,7 +72,7 @@ def _parse(path: str, parse):
     text = _read(path)
     try:
         return parse(text)
-    except (FormatError, UnknownGenerator) as e:
+    except FormatError as e:
         sys.stderr.write(f"format error: {e}\n")
         sys.exit(EXIT_IO)
 
@@ -95,12 +100,11 @@ def cmd_build(args) -> int:
         toy = toy_even_recognizer()
         machine = compose_m3(add_control_letters(add_history_sectors(toy.machine)), args.m).machine
         params = {"m": args.m, "toy": toy.name}
-    elif args.toy_even and not args.main:
+    elif args.toy_even:
         machine = toy_even_recognizer().machine
         params = {}
     else:
-        sys.stderr.write("error: pick one of --main/--trimmed/--lr/--rl/--lr-m/--m3/--toy-even\n")
-        return EXIT_USAGE
+        _usage_error("pick one of --main/--trimmed/--lr/--rl/--lr-m/--m3/--toy-even")
     _write(args.output, print_machine(machine))
     if args.manifest:
         _write(args.manifest, manifest(machine, **params))
@@ -108,13 +112,19 @@ def cmd_build(args) -> int:
 
 
 def _load_word(machine, text: str) -> AdmissibleWord:
-    return machine.hardware.word(text.split())
+    try:
+        return machine.hardware.word(text.split())
+    except MalformedWord as e:
+        _usage_error(f"--word: {e}")
 
 
 def cmd_simulate(args) -> int:
     machine = _parse(args.machine, parse_machine)
     w = _load_word(machine, args.word)
-    comp = run_history(machine, w, args.history.split())
+    try:
+        comp = run_history(machine, w, args.history.split())
+    except (UnknownRule, NotApplicableAt) as e:
+        _usage_error(f"--history: {e}")
     lines = [str(comp.trace[0])]
     for sl, word in zip(comp.history, comp.trace[1:]):
         lines.append(f"  --{format_slabel(sl)}--> {word}")
@@ -151,8 +161,7 @@ def cmd_compile(args) -> int:
     elif name == "Gbar-hnn":
         pres = hnn_Gbar(compile_group_G(bundle), bundle)
     else:
-        sys.stderr.write(f"error: unknown group {name!r}\n")
-        return EXIT_USAGE
+        _usage_error(f"unknown group {name!r}")
     _write(args.output, export_presentation(pres, args.format))
     return EXIT_OK
 
@@ -163,20 +172,31 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _replay_params(text: str) -> dict[str, int]:
+    """The ``m`` and ``L`` that a manifest records."""
+    try:
+        doc = json.loads(text)
+        return {k: int(doc[k]) for k in ("m", "L") if k in doc}
+    except (ValueError, TypeError) as e:
+        raise FormatError(f"manifest: {e}") from None
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(k) for k in text.split(","))
+
+
 def cmd_verify(args) -> int:
-    m, L = args.m, args.L
+    params = {"m": args.m, "L": args.L}
     if args.manifest:
-        doc = json.loads(_read(args.manifest))
-        m = int(doc.get("m", m))
-        L = int(doc.get("L", L))
+        params.update(_parse(args.manifest, _replay_params))
+    # an option left unset runs its check at the check's own default
     reports = checks.run_suites(
         args.suite,
-        m=m,
-        L=L,
+        **params,
         max_tape=args.max_tape,
         depth=args.depth,
         budget=args.budget,
-        ks=tuple(int(k) for k in args.ks.split(",")) if args.ks else (0, 1, 2, 3),
+        ks=args.ks,
         jobs=args.jobs,
     )
     text = "".join(r.to_json() for r in reports)
@@ -207,8 +227,6 @@ def cmd_disk(args) -> int:
         "witness_length": len(verdict.witness) if verdict.witness is not None else None,
         "budget_exhausted": verdict.budget_exhausted,
     }
-    from .trapezia import disk_diagram_cells
-
     if verdict.verdict == "yes" and verdict.witness:
         src = w if verdict.direction == "accepting" else bundle.s1()
         comp = run_history(bundle.machine, src, verdict.witness)
@@ -310,10 +328,10 @@ def make_parser() -> _Parser:
         default="all",
         help="lr-bound | wi-bound | chi-occurrences | no-return | periodic | accepted-language | presentation-audit | all",
     )
-    v.add_argument("--max-tape", type=int, default=4)
+    v.add_argument("--max-tape", type=int, default=None)
     v.add_argument("--depth", type=int, default=None)
-    v.add_argument("--budget", type=int, default=20_000)
-    v.add_argument("--ks", default=None, help="comma-separated inputs for the language experiment")
+    v.add_argument("--budget", type=int, default=None)
+    v.add_argument("--ks", type=_ints, default=None, help="comma-separated inputs for the language experiment")
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--manifest", default=None, help="replay parameters from a recorded manifest")
     v.set_defaults(func=cmd_verify)

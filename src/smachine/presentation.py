@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 from .machine import Rule, SMachine
 from .main_machine import MainMachineBundle, build_trimmed_machine, family
-from .serialize import FormatError
+from .serialize import Lines, format_names, names
 from .words import AdmissibleWord, Word, parse_signed, reduce_word, signed
 
 
@@ -374,7 +374,7 @@ def _export_plain(pres: Presentation) -> str:
     out = [f"PRESENTATION {pres.name}"]
     out.append(f"param L {pres.L}")
     out.append(f"param N {pres.N}")
-    out.append("tletters " + (" ".join(sorted(pres.t_letters)) or "-"))
+    out.append(f"tletters {format_names(sorted(pres.t_letters))}")
     out.append("GENERATORS")
     for g in sorted(pres.generators, key=_sort_key):
         out.append(_gen_line(g))
@@ -396,48 +396,23 @@ def _parse_gen(kind: str, text: str) -> Generator:
 
 
 def parse_presentation(text: str) -> Presentation:
-    it = iter([ln for ln in text.splitlines() if ln.strip()])
-
-    def field(key: str, value_type: type = str):
-        """The value on the next line, which must read ``key value``."""
-        ln = next(it, "end of file")
-        if not ln.startswith(key + " "):
-            raise FormatError(f"expected {key!r} and a value, got {ln!r}")
-        try:
-            return value_type(ln[len(key) + 1 :])
-        except ValueError:
-            raise FormatError(f"{key} needs an integer value, got {ln!r}") from None
-
-    name = field("PRESENTATION")
-    L = field("param L", int)
-    N = field("param N", int)
-    t_body = field("tletters")
-    t_letters = frozenset() if t_body == "-" else frozenset(t_body.split())
-    header = next(it, "end of file")
-    if header != "GENERATORS":
-        raise FormatError(f"expected 'GENERATORS', got {header!r}")
-    gens: dict[str, Generator] = {}
-    relators: list[Relator] = []
-    state = "gens"
-    for ln in it:
-        if ln == "RELATORS":
-            state = "rels"
-            continue
-        if state == "gens":
+    with Lines(text) as lines:
+        name = lines.header("PRESENTATION")
+        L = lines.header("param L", int)
+        N = lines.header("param N", int)
+        t_letters = frozenset(lines.header("tletters", names))
+        lines.header("GENERATORS")
+        gens: dict[str, Generator] = {}
+        for ln in lines.section("RELATORS"):
             kind, disp = ln.split(None, 1)
             g = _parse_gen(kind, disp)
             gens[g.display()] = g
-        else:
-            tag, _, body = ln.partition(" : ")
-            word: list[GLetter] = []
-            if body:
-                for tok in body.split("."):
-                    tok, sign = parse_signed(tok)
-                    if tok not in gens:
-                        raise UnknownGenerator(tok)
-                    word.append((gens[tok], sign))
-            relators.append(Relator(tuple(word), tag))
-    return Presentation(name, L, N, frozenset(gens.values()), tuple(relators), t_letters)
+        relators: list[Relator] = []
+        for ln in lines.section():
+            tag, _, body = ln.partition(" :")
+            toks = map(parse_signed, body[1:].split(".")) if body else ()
+            relators.append(Relator(tuple([(gens[tok], sign) for tok, sign in toks]), tag))
+        return Presentation(name, L, N, frozenset(gens.values()), tuple(relators), t_letters)
 
 
 def _gap_name(g: Generator) -> str:

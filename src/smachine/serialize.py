@@ -1,4 +1,5 @@
-"""Line-oriented machine files and the reproducibility manifest.
+"""Line-oriented machine files, the reproducibility manifest, and the
+line reader that machine files and presentation exports share.
 
 Sections HARDWARE, DISTINGUISHED, RULES.  Rule lines use the merged
 bracket shorthand for locked sectors: consecutive parts whose connecting
@@ -11,22 +12,71 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable
+import re
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .machine import Hardware, Rule, RulePart, SMachine
-from .words import Word, parse_signed, y_word
+from .words import Word, y_word
 
 
 class FormatError(Exception):
     pass
 
 
+T = TypeVar("T")
+
+
+class Lines:
+    """The lines of a machine file or a presentation export, in order.
+
+    Blank lines and ``#`` comment lines are skipped.  Used as a context
+    manager it is the one place where a file that does not parse becomes
+    a :class:`FormatError`: a ``ValueError``, ``IndexError`` or
+    ``KeyError`` raised while a line is read quotes that line, and one
+    raised after the last section (by a validator of the parsed content)
+    keeps its own message.
+    """
+
+    def __init__(self, text: str) -> None:
+        self._lines = iter([ln for ln in map(str.rstrip, text.splitlines()) if ln and ln.lstrip()[0] != "#"])
+        self._line: str | None = None
+
+    def __enter__(self) -> "Lines":
+        return self
+
+    def __exit__(self, kind, err, tb) -> None:
+        if isinstance(err, (ValueError, IndexError, KeyError)):
+            why = f"unknown name {err}" if isinstance(err, KeyError) else str(err)
+            raise FormatError(why if self._line is None else f"cannot read {self._line!r}: {why}") from None
+
+    def header(self, key: str, type: Callable[[str], T] = str) -> T:
+        """The value on the next line, which must read ``key value`` or ``key``."""
+        ln = self._line = next(self._lines, "end of file")
+        if ln != key and not ln.startswith(key + " "):
+            raise FormatError(f"expected {key!r}, got {ln!r}")
+        return type(ln[len(key) + 1 :])
+
+    def section(self, end: str | None = None) -> Iterator[str]:
+        """The lines up to the header ``end``, or up to the end of the file."""
+        for ln in self._lines:
+            if ln == end:
+                break
+            self._line = ln
+            yield ln
+        self._line = None
+
+
+def names(body: str) -> tuple[str, ...]:
+    """A list of names as both formats write it: space-separated, ``-`` if empty."""
+    return () if body == "-" else tuple(body.split())
+
+
+def format_names(ls: Iterable[str]) -> str:
+    return " ".join(ls) or "-"
+
+
 def _fmt_word(w: Word) -> str:
     return " ".join(str(y) for y in w)
-
-
-def _fmt_letters(ls: Iterable[str]) -> str:
-    return " ".join(ls)
 
 
 def print_machine(m: SMachine) -> str:
@@ -36,13 +86,12 @@ def print_machine(m: SMachine) -> str:
     out.append(f"circular {'true' if hw.circular else 'false'}")
     out.append(f"input-sector {m.input_sector if m.input_sector is not None else '-'}")
     for i, p in enumerate(hw.parts):
-        out.append(f"part {i} : {_fmt_letters(p)}")
+        out.append(f"part {i} : {format_names(p)}")
     for i, alpha in enumerate(hw.sector_alphabets):
-        body = _fmt_letters(sorted(alpha)) if alpha else "-"
-        out.append(f"sector {i} : {body}")
+        out.append(f"sector {i} : {format_names(sorted(alpha))}")
     out.append("DISTINGUISHED")
-    out.append(f"start : {_fmt_letters(m.start_letters) if m.start_letters else '-'}")
-    out.append(f"end : {_fmt_letters(m.end_letters) if m.end_letters else '-'}")
+    out.append(f"start : {format_names(m.start_letters)}")
+    out.append(f"end : {format_names(m.end_letters)}")
     out.append("RULES")
     for r in m.positive_rules:
         out.append(_print_rule(hw, r))
@@ -73,142 +122,66 @@ def _print_rule(hw: Hardware, r: Rule) -> str:
 
 
 def parse_machine(text: str) -> SMachine:
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.lstrip().startswith("#")]
-    it = iter(lines)
-
-    def need(prefix: str) -> str:
-        try:
-            ln = next(it)
-        except StopIteration:
-            raise FormatError(f"expected {prefix!r}, got end of file")
-        if not ln.startswith(prefix):
-            raise FormatError(f"expected {prefix!r}, got {ln!r}")
-        return ln
-
-    name = need("MACHINE ").split(None, 1)[1]
-    if name == "-":
-        name = ""
-    need("HARDWARE")
-    circ = need("circular ").split()[1] == "true"
-    tok = need("input-sector ").split()[1]
-    input_sector = None if tok == "-" else int(tok)
-
-    parts: list[tuple[str, ...]] = []
-    sectors: list[frozenset[str]] = []
-    start: tuple[str, ...] = ()
-    end: tuple[str, ...] = ()
-    rules: list[Rule] = []
-    state = "hardware"
-    part_names: set[str] = set()
-    for ln in it:
-        if ln == "DISTINGUISHED":
-            state = "distinguished"
-            continue
-        if ln == "RULES":
-            state = "rules"
-            continue
-        if state == "hardware":
+    with Lines(text) as lines:
+        name = lines.header("MACHINE")
+        lines.header("HARDWARE")
+        circular = lines.header("circular") == "true"
+        tok = lines.header("input-sector")
+        input_sector = None if tok == "-" else int(tok)
+        listed: dict[str, list[tuple[str, ...]]] = {"part": [], "sector": []}
+        for ln in lines.section("DISTINGUISHED"):
             kind, idx, _, body = ln.split(None, 3)
-            items = body.split()
-            if kind == "part":
-                if int(idx) != len(parts):
-                    raise FormatError(f"parts out of order at {ln!r}")
-                parts.append(tuple(items))
-                part_names.update(items)
-            elif kind == "sector":
-                if int(idx) != len(sectors):
-                    raise FormatError(f"sectors out of order at {ln!r}")
-                sectors.append(frozenset() if items == ["-"] else frozenset(items))
-            else:
-                raise FormatError(f"unexpected line {ln!r}")
-        elif state == "distinguished":
-            key, _, body = ln.split(None, 2)
-            items = () if body == "-" else tuple(body.split())
-            if key == "start":
-                start = items
-            elif key == "end":
-                end = items
-            else:
-                raise FormatError(f"unexpected line {ln!r}")
-        else:
-            rules.append(_parse_rule(ln, parts, part_names, len(sectors), circ))
-    hw = Hardware(tuple(parts), tuple(sectors), circular=circ)
-    return SMachine(
-        hardware=hw,
-        positive_rules=tuple(rules),
-        start_letters=start,
-        end_letters=end,
-        input_sector=input_sector,
-        name=name,
-    )
+            if int(idx) != len(listed[kind]):
+                raise FormatError(f"{kind}s out of order at {ln!r}")
+            listed[kind].append(names(body))
+        parts, sectors = listed["part"], [frozenset(s) for s in listed["sector"]]
+        start = lines.header("start :", names)
+        end = lines.header("end :", names)
+        lines.header("RULES")
+        part_names = {q for p in parts for q in p}
+        rules = [_parse_rule(ln, part_names, len(sectors)) for ln in lines.section()]
+        return SMachine(
+            hardware=Hardware(tuple(parts), tuple(sectors), circular=circular),
+            positive_rules=tuple(rules),
+            start_letters=start,
+            end_letters=end,
+            input_sector=input_sector,
+            name="" if name == "-" else name,
+        )
 
 
-def _parse_rule(
-    ln: str,
-    parts: list[tuple[str, ...]],
-    part_names: set[str],
-    n_sectors: int,
-    circular: bool,
-) -> Rule:
-    if not ln.startswith("rule "):
-        raise FormatError(f"expected rule line, got {ln!r}")
-    head, _, dom_part = ln.partition(" | ")
-    head = head[len("rule "):]
-    label, rest = head.split(None, 1)
-    if not rest.startswith("tag="):
-        raise FormatError(f"missing tag in {ln!r}")
-    tag, _, body = rest[len("tag="):].partition(" : ")
-    tag = "" if tag == "-" else tag
+_RULE_LINE = re.compile(r"rule (\S+) tag=(\S+) : ([^|]*?)(?: \| (.*))?")
 
-    groups: list[str] = []
-    depth = 0
-    cur = ""
-    for ch in body:
-        if ch == "[":
-            depth += 1
-            cur = ""
-        elif ch == "]":
-            depth -= 1
-            groups.append(cur)
-        elif depth:
-            cur += ch
+
+def _parse_rule(ln: str, part_names: set[str], n_sectors: int) -> Rule:
+    m = _RULE_LINE.fullmatch(ln)
+    if m is None:
+        raise FormatError(f"missing tag in {ln!r}: a rule line reads 'rule LABEL tag=TAG : [...]'")
+    label, tag, body, dom_part = m.groups()
     rule_parts: list[RulePart] = []
     locked_inside: set[int] = set()
-    pos = 0
-    for g in groups:
-        lhs, _, rhs = g.partition("->")
-        srcs = lhs.split()
-        toks = rhs.split()
-        # rhs = a-word, dst letters, b-word; state letters are known by name
-        i = 0
-        while i < len(toks) and parse_signed(toks[i])[0] not in part_names:
-            i += 1
-        j = len(toks)
-        while j > i and parse_signed(toks[j - 1])[0] not in part_names:
-            j -= 1
-        a, dsts, b = y_word(*toks[:i]), toks[i:j], y_word(*toks[j:])
-        if len(dsts) != len(srcs):
-            raise FormatError(f"group {g!r}: {len(srcs)} sources vs {len(dsts)} targets")
+    for g in re.findall(r"\[([^\]]*)\]", body):
+        srcs, toks = (side.split() for side in g.split("->"))
+        # toks = a-word, one target per source, b-word; state letters are known by name
+        i = next((k for k, t in enumerate(toks) if t in part_names), len(toks))
+        n = len(srcs)
+        a, dsts, b = y_word(*toks[:i]), toks[i : i + n], y_word(*toks[i + n :])
+        if len(dsts) != n:
+            raise FormatError(f"group {g!r}: {n} sources vs {len(dsts)} targets")
+        locked_inside.update(range(len(rule_parts), len(rule_parts) + n - 1))
         for k, (s, d) in enumerate(zip(srcs, dsts)):
-            pa = a if k == 0 else ()
-            pb = b if k == len(srcs) - 1 else ()
-            rule_parts.append(RulePart(s, pa, d, pb))
-            if k > 0:
-                locked_inside.add(pos + k - 1)
-        pos += len(srcs)
+            rule_parts.append(RulePart(s, a if k == 0 else (), d, b if k == n - 1 else ()))
     domains = [frozenset()] * n_sectors
     if dom_part:
         for chunk in dom_part.split(" ; "):
-            chunk = chunk.strip()
-            if not chunk.startswith("dom "):
+            dom, sec_s, eq, letters = chunk.split()
+            if (dom, eq) != ("dom", "="):
                 raise FormatError(f"bad domain chunk {chunk!r}")
-            sec_s, _, letters = chunk[len("dom "):].partition(" = ")
             sec = int(sec_s)
             if sec in locked_inside:
                 raise FormatError(f"sector {sec} is merged-locked but has a domain")
             domains[sec] = frozenset(letters.split(","))
-    return Rule(label, tuple(rule_parts), tuple(domains), tag=tag)
+    return Rule(label, tuple(rule_parts), tuple(domains), tag="" if tag == "-" else tag)
 
 
 def machine_hash(m: SMachine) -> str:

@@ -24,7 +24,7 @@ from .machine import (
 )
 from .main_machine import MainMachineBundle, family
 from .presentation import GWord, RelatorFactory, factory_for
-from .words import AdmissibleWord, MalformedWord, QLetter, Word, YLetter, signed
+from .words import AdmissibleWord, MalformedWord, QLetter, Word, reduce_word, signed
 
 
 class SuperscriptRequired(Exception):
@@ -141,16 +141,13 @@ class ThetaBandRecord:
 
 
 def _surviving(left: Word, u: Word, right: Word) -> tuple[int, ...]:
-    """Indices of letters of ``u`` surviving reduction of left·u·right."""
-    stack: list[tuple[YLetter, int | None]] = []
-    for item in [(y, None) for y in left] + [(y, i) for i, y in enumerate(u)] + [
-        (y, None) for y in right
-    ]:
-        if stack and stack[-1][0].name == item[0].name and stack[-1][0].sign == -item[0].sign:
-            stack.pop()
-        else:
-            stack.append(item)
-    return tuple(i for _, i in stack if i is not None)
+    """Indices of letters of ``u`` surviving reduction of left·u·right.
+
+    Each letter is tagged (name, sign, index in ``u`` or None), which
+    ``reduce_word`` carries along as it compares name and sign only.
+    """
+    tagged = [(*y, None) for y in left] + [(*y, i) for i, y in enumerate(u)] + [(*y, None) for y in right]
+    return tuple(i for _, _, i in reduce_word(tagged) if i is not None)
 
 
 def make_band(

@@ -229,6 +229,85 @@ def test_malformed_presentation_is_a_format_error(capsys, tmp_path, gbar_file, e
     assert err.startswith("format error: ") and err.count("\n") == 1, err
 
 
+@pytest.fixture(scope="module")
+def lr_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("lr") / "lr.txt"
+    assert run_cli(["build", "--lr", "a", "-o", str(path)])[0] == 0
+    return path.read_text()
+
+
+SIMULATE = ["simulate", "--word", "q1 p1 q2", "--history", "z12", "--machine"]
+EXPORT = ["export", "--presentation"]
+WRONG_PART = ("[q1 p1 -> q1 p2]", "[q2 p1 -> q2 p2]")
+
+
+def add_generator(line):
+    return lambda t: t.replace("GENERATORS\n", f"GENERATORS\n{line}\n", 1)
+
+
+@pytest.mark.parametrize(
+    "source, edit, args",
+    [
+        ("lr_file", lambda t: t.replace("part 1 : p1 p2\n", "part 1 :\n"), SIMULATE),
+        ("lr_file", lambda t: t.replace("part 1 : ", "part x : "), SIMULATE),
+        ("lr_file", lambda t: t.replace(*WRONG_PART), SIMULATE),
+        ("gbar_file", add_generator("q"), EXPORT),
+        ("gbar_file", add_generator("a a^(x)"), EXPORT),
+        ("gbar_file", add_generator("th foo_tX"), EXPORT),
+        ("gbar_file", lambda t: t + "hub : no_such_letter\n", EXPORT),
+    ],
+    ids=[
+        "part-without-letters",
+        "part-index-not-int",
+        "rule-letter-in-other-part",
+        "bare-generator",
+        "superscript-not-int",
+        "theta-index-not-int",
+        "undeclared-generator",
+    ],
+)
+def test_malformed_body_line_is_one_format_error(request, capsys, tmp_path, source, edit, args):
+    """Past the headers, a line that does not parse or content that the
+    machine rejects is one ``format error`` line and the I/O exit."""
+    text = request.getfixturevalue(source)
+    assert edit(text) != text
+    code, err = run_on_bad_file(capsys, tmp_path, edit(text), args)
+    assert code == 3
+    assert err.startswith("format error: ") and err.count("\n") == 1, err
+
+
+def test_rejected_machine_reports_the_validator(capsys, tmp_path, lr_file):
+    code, err = run_on_bad_file(capsys, tmp_path, lr_file.replace(*WRONG_PART), SIMULATE)
+    assert (code, err) == (3, "format error: rule z12 part 0: q2->q2 not in part\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--word", "q1 b p1 q2", "--history", "z12"],
+        ["enumerate", "--word", "q1 b p1 q2"],
+        ["simulate", "--word", "q1 a p1 q2", "--history", "nope"],
+        ["simulate", "--word", "q1 a p1 q2", "--history", "z12"],
+    ],
+    ids=["simulate-bad-word", "enumerate-bad-word", "unknown-rule", "rule-not-applicable"],
+)
+def test_bad_argument_is_a_usage_error(capsys, tmp_path, lr_file, args):
+    mfile = tmp_path / "lr.txt"
+    mfile.write_text(lr_file)
+    capsys.readouterr()
+    code, out = run_cli([*args, "--machine", str(mfile)])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text", ["not json\n", '{"m": "x"}\n'], ids=["not-json", "m-not-an-integer"])
+def test_bad_manifest_is_a_format_error(capsys, tmp_path, text):
+    code, err = run_on_bad_file(capsys, tmp_path, text, ["verify", "--suite", "periodic", "--manifest"])
+    assert code == 3
+    assert err.startswith("format error: ") and err.count("\n") == 1, err
+
+
 def test_malformed_machine_is_a_format_error(capsys, tmp_path):
     mfile = tmp_path / "lr.txt"
     assert run_cli(["build", "--lr", "a", "-o", str(mfile)])[0] == 0

@@ -71,3 +71,10 @@ def test_manifest_fields():
     assert doc["machine"] == "LR" and doc["m"] == 2 and doc["L"] == 12
     assert doc["hash"] == machine_hash(lr)
     assert doc["c4"] is None
+
+
+def test_blank_and_comment_lines_are_skipped():
+    lr = build_lr(["a"])
+    lines = print_machine(lr).splitlines()
+    text = "# an LR machine\n\n" + "\n  # indented comment\n\n".join(lines) + "\n\n"
+    assert parse_machine(text) == lr
