@@ -14,11 +14,11 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import checks
-from .compose import add_control_letters, add_history_sectors, compose_m3
+from .compose import StageMismatch, add_control_letters, add_history_sectors, compose_m3
 from .enumerate import enumerate_computations
-from .lr import build_lr, build_lr_m, build_rl
+from .lr import InvalidM, build_lr, build_lr_m, build_rl
 from .machine import NotApplicableAt, UnknownRule, format_slabel, run_history
-from .main_machine import build_main_machine, build_trimmed_machine, family
+from .main_machine import BadParameters, build_main_machine, build_trimmed_machine, family
 from .presentation import (
     compile_group_G,
     compile_group_M,
@@ -93,9 +93,10 @@ def cmd_build(args) -> int:
         machine = build_rl(args.rl.split(","))
         params = {"alphabet": args.rl.split(",")}
     elif args.lr_m:
-        alpha, _, m_s = args.lr_m.partition(":")
-        machine = build_lr_m(alpha.split(","), int(m_s or args.m))
-        params = {"alphabet": alpha.split(","), "m": int(m_s or args.m)}
+        alpha, m = args.lr_m
+        m = args.m if m is None else m
+        machine = build_lr_m(alpha, m)
+        params = {"alphabet": alpha, "m": m}
     elif args.m3:
         toy = toy_even_recognizer()
         machine = compose_m3(add_control_letters(add_history_sectors(toy.machine)), args.m).machine
@@ -147,7 +148,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_compile(args) -> int:
     bundle = _bundle(args)
-    name = args.group
+    name, k = args.group
     if name == "M":
         pres = compile_group_M(bundle)
     elif name == "G":
@@ -156,12 +157,10 @@ def cmd_compile(args) -> int:
         pres = compile_trimmed(bundle)[0]
     elif name == "Gbar":
         pres = compile_trimmed(bundle)[1]
-    elif name.startswith("Gk:"):
-        pres = hnn_Gk(compile_group_G(bundle), bundle, int(name[3:]))
-    elif name == "Gbar-hnn":
-        pres = hnn_Gbar(compile_group_G(bundle), bundle)
+    elif name == "Gk":
+        pres = hnn_Gk(compile_group_G(bundle), bundle, k)
     else:
-        _usage_error(f"unknown group {name!r}")
+        pres = hnn_Gbar(compile_group_G(bundle), bundle)
     _write(args.output, export_presentation(pres, args.format))
     return EXIT_OK
 
@@ -185,13 +184,38 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(k) for k in text.split(","))
 
 
+def _nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def _letters_m(text: str) -> tuple[list[str], int | None]:
+    """``LETTERS[:M]``: the alphabet, and m when it is given."""
+    letters, _, m = text.partition(":")
+    return letters.split(","), int(m) if m else None
+
+
+GROUPS = ("M", "G", "Mbar", "Gbar", "Gbar-hnn")
+
+
+def _group(text: str) -> tuple[str, int | None]:
+    """A name from ``GROUPS``, or ``Gk:<k>`` read as ("Gk", k)."""
+    if text.startswith("Gk:"):
+        return "Gk", int(text[3:])
+    if text not in GROUPS:
+        raise argparse.ArgumentTypeError(f"unknown group {text!r}")
+    return text, None
+
+
 def cmd_verify(args) -> int:
     params = {"m": args.m, "L": args.L}
     if args.manifest:
         params.update(_parse(args.manifest, _replay_params))
     # an option left unset runs its check at the check's own default
     reports = checks.run_suites(
-        args.suite,
+        ",".join(args.suite),
         **params,
         max_tape=args.max_tape,
         depth=args.depth,
@@ -243,19 +267,25 @@ def cmd_disk(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    raw = _read(args.reports)
+def _reports(text: str) -> list[dict]:
+    """The reports in a ``verify`` output: JSON objects one after another."""
     decoder = json.JSONDecoder()
     docs = []
-    idx = 0
-    while idx < len(raw):
-        while idx < len(raw) and raw[idx].isspace():
-            idx += 1
-        if idx >= len(raw):
-            break
-        doc, end = decoder.raw_decode(raw, idx)
+    rest = text.lstrip()
+    while rest:
+        try:
+            doc, end = decoder.raw_decode(rest)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"reports: report {len(docs) + 1}: {e}") from None
+        if not isinstance(doc, dict) or not {"suite", "status"} <= doc.keys():
+            raise FormatError(f"reports: report {len(docs) + 1} is not a report object")
         docs.append(doc)
-        idx = end
+        rest = rest[end:].lstrip()
+    return docs
+
+
+def cmd_report(args) -> int:
+    docs = _parse(args.reports, _reports)
     lines = [f"{'suite':24} {'status':8} notes"]
     worst = EXIT_OK
     for d in docs:
@@ -289,7 +319,7 @@ def make_parser() -> _Parser:
     b.add_argument("--toy-even", action="store_true")
     b.add_argument("--lr", metavar="LETTERS")
     b.add_argument("--rl", metavar="LETTERS")
-    b.add_argument("--lr-m", metavar="LETTERS:M")
+    b.add_argument("--lr-m", metavar="LETTERS:M", type=_letters_m)
     b.add_argument("--m3", action="store_true")
     b.add_argument("--manifest")
     b.set_defaults(func=cmd_build)
@@ -304,14 +334,14 @@ def make_parser() -> _Parser:
     e = sub.add_parser("enumerate", help="stream computations from a word")
     e.add_argument("--machine", required=True)
     e.add_argument("--word", required=True)
-    e.add_argument("--depth", type=int, default=3)
+    e.add_argument("--depth", type=_nonnegative, default=3)
     e.add_argument("--filter", choices=("reduced", "eligible", "all"), default="reduced")
     e.add_argument("-o", "--output", default=None)
     e.set_defaults(func=cmd_enumerate)
 
     c = sub.add_parser("compile", help="emit a group presentation")
     common(c)
-    c.add_argument("--group", required=True, help="M | G | Mbar | Gbar | Gk:<k> | Gbar-hnn")
+    c.add_argument("--group", required=True, type=_group, help=" | ".join((*GROUPS, "Gk:<k>")))
     c.add_argument("--format", choices=("plain", "gap-style"), default="plain")
     c.set_defaults(func=cmd_compile)
 
@@ -326,11 +356,12 @@ def make_parser() -> _Parser:
     v.add_argument(
         "--suite",
         default="all",
-        help="lr-bound | wi-bound | chi-occurrences | no-return | periodic | accepted-language | presentation-audit | all",
+        type=checks.suite_names,
+        help=" | ".join((*checks.SUITE_NAMES, "all")),
     )
-    v.add_argument("--max-tape", type=int, default=None)
-    v.add_argument("--depth", type=int, default=None)
-    v.add_argument("--budget", type=int, default=None)
+    v.add_argument("--max-tape", type=_nonnegative, default=None)
+    v.add_argument("--depth", type=_nonnegative, default=None)
+    v.add_argument("--budget", type=_nonnegative, default=None)
     v.add_argument("--ks", type=_ints, default=None, help="comma-separated inputs for the language experiment")
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--manifest", default=None, help="replay parameters from a recorded manifest")
@@ -338,9 +369,9 @@ def make_parser() -> _Parser:
 
     d = sub.add_parser("disk", help="disk-word verdicts and cell counts")
     common(d)
-    d.add_argument("--k", type=int, default=0)
+    d.add_argument("--k", type=_nonnegative, default=0)
     d.add_argument("--hub", choices=("start", "accept"), default=None)
-    d.add_argument("--budget", type=int, default=10_000)
+    d.add_argument("--budget", type=_nonnegative, default=10_000)
     d.set_defaults(func=cmd_disk)
 
     r = sub.add_parser("report", help="render harness reports as a table")
@@ -352,7 +383,10 @@ def make_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (BadParameters, StageMismatch, InvalidM) as e:  # parameters a builder rejects
+        _usage_error(str(e))
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ copies, ``_m`` for mirror copies.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -52,7 +53,6 @@ class HistorySector:
 @dataclass(frozen=True)
 class M2Build:
     machine: SMachine
-    input_sector: int
     history: tuple[HistorySector, ...]
     rule_labels: tuple[str, ...]  # base machine positive labels, in order
 
@@ -133,7 +133,7 @@ def add_history_sectors(m1: SMachine) -> M2Build:
         input_sector=sector_of_m1[m1.input_sector],
         name="M2",
     )
-    return M2Build(machine, machine.input_sector, tuple(hist_sectors), labels)
+    return M2Build(machine, tuple(hist_sectors), labels)
 
 
 def end_configuration_m2(b: M2Build, hist: Sequence[str]) -> AdmissibleWord:
@@ -151,22 +151,39 @@ def end_configuration_m2(b: M2Build, hist: Sequence[str]) -> AdmissibleWord:
 @dataclass(frozen=True)
 class ControlledHistorySector(HistorySector):
     """A history sector of the controlled machine (``sector`` is its flat
-    index there) with the parts and scratch sectors its sweeps use."""
+    index there) with the parts and scratch sectors its sweeps use.
 
-    r_part: int  # the R part on its left (running letters of the right-left sweeps)
-    p_part: int  # the P part on its right (running letters of the left-right sweeps)
-    rl_scratch: int  # QR sector left of r_part
-    lr_scratch: int  # PQ sector right of p_part
+    In the P_j Q_j R_j layout a history sector lies between R_j and
+    P_{j+1}, and sector i lies between parts i and i+1, so they follow
+    from ``sector``: ``r_part`` on its left and ``p_part`` on its right
+    hold the running letters of the right-left and left-right sweeps;
+    ``rl_scratch`` is the QR sector left of ``r_part`` and ``lr_scratch``
+    the PQ sector right of ``p_part``.
+    """
+
+    @property
+    def r_part(self) -> int:
+        return self.sector
+
+    @property
+    def p_part(self) -> int:
+        return self.sector + 1
+
+    @property
+    def rl_scratch(self) -> int:
+        return self.sector - 1
+
+    @property
+    def lr_scratch(self) -> int:
+        return self.sector + 1
 
 
 @dataclass(frozen=True)
 class M2BarBuild:
     machine: SMachine
     m2: M2Build
-    input_sector: int
     history: tuple[ControlledHistorySector, ...]
     part_tags: tuple[str, ...]
-    rule_labels: tuple[str, ...]
 
 
 def add_control_letters(b: M2Build) -> M2BarBuild:
@@ -195,27 +212,10 @@ def add_control_letters(b: M2Build) -> M2BarBuild:
         if j < s1 - 1:
             alphabets.append(hw.sector_alphabets[j])
     # RL/LR scratch alphabets around each history sector
-    hist: list[ControlledHistorySector] = []
-    for hs in b.history:
-        j = hs.sector  # m2 sector index = left part index in m2
-        new_sector = 3 * j + 2
-        r_part = 3 * j + 2
-        p_part = 3 * (j + 1)
-        rl_scratch = 3 * j + 1
-        lr_scratch = 3 * (j + 1)  # P_{j+1}Q_{j+1} sector
-        hist.append(
-            ControlledHistorySector(
-                sector=new_sector,
-                r_part=r_part,
-                p_part=p_part,
-                rl_scratch=rl_scratch,
-                lr_scratch=lr_scratch,
-                left_copy=hs.left_copy,
-                right_copy=hs.right_copy,
-            )
-        )
-        alphabets[rl_scratch] = hs.right_alphabet
-        alphabets[lr_scratch] = hs.left_alphabet
+    hist = tuple(ControlledHistorySector(3 * hs.sector + 2, hs.left_copy, hs.right_copy) for hs in b.history)
+    for h in hist:
+        alphabets[h.rl_scratch] = h.right_alphabet
+        alphabets[h.lr_scratch] = h.left_alphabet
 
     rules: list[Rule] = []
     for rule in m2.positive_rules:
@@ -244,7 +244,7 @@ def add_control_letters(b: M2Build) -> M2BarBuild:
         input_sector=3 * m2.input_sector + 2,
         name="M2bar",
     )
-    return M2BarBuild(machine, b, machine.input_sector, tuple(hist), tuple(tags), b.rule_labels)
+    return M2BarBuild(machine, b, hist, tuple(tags))
 
 
 # --------------------------------------------------------------------------
@@ -257,7 +257,6 @@ class Stage:
     kind: str  # "rl" | "fwd" | "lr" | "bwd"
     start_letters: tuple[str, ...]
     end_letters: tuple[str, ...]
-    rule_labels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -267,15 +266,10 @@ class M3Build:
     m: int
     stages: tuple[Stage, ...]
     chi_labels: tuple[str, ...]
-    part_tags: tuple[str, ...]
 
     @property
     def history(self) -> tuple[ControlledHistorySector, ...]:
         return self.m2bar.history
-
-    @property
-    def input_sector(self) -> int:
-        return self.m2bar.input_sector
 
 
 class _Sweep(NamedTuple):
@@ -311,7 +305,8 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
     if not hist:
         raise StageMismatch("controlled machine has no history sectors")
     n_stages = 4 * m + 1
-    input_dom = hw.sector_alphabets[m2bar.input_sector]
+    input_sector = base.input_sector
+    input_dom = hw.sector_alphabets[input_sector]
     left = {h.sector: h.left_alphabet for h in hist}
     right = {h.sector: h.right_alphabet for h in hist}
     sweeps = {
@@ -321,7 +316,7 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
             base.start_letters,
             {h.r_part: h for h in hist},
             left,
-            {**{h.rl_scratch: h.right_alphabet for h in hist}, m2bar.input_sector: input_dom},
+            {**{h.rl_scratch: h.right_alphabet for h in hist}, input_sector: input_dom},
         ),
         "lr": _Sweep(
             "l",
@@ -363,13 +358,12 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
         sparts = stage_parts(sigma)
         for i, ps in enumerate(sparts):
             parts[i].extend(ps)
-        first_rule = len(rules)
         if kind in sweeps:
             # a running step moves one history letter from the content
             # sector to the scratch sector (first pass) or back (second)
             sweep = sweeps[kind]
             for j, s in ((0, sweep.sign), (1, -sweep.sign)):
-                for lbl in m2bar.rule_labels:
+                for lbl in m2bar.m2.rule_labels:
                     rps = []
                     for i, p in enumerate(sparts):
                         h = sweep.running.get(i)
@@ -389,14 +383,14 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
                 rps = tuple(RulePart(f"{p.src}_s{sigma}", p.a, f"{p.dst}_s{sigma}", p.b) for p in src_rule.parts)
                 rules.append(Rule(f"s{sigma}_{rule.label}{suffix}", rps, rule.domains, tag="m3"))
         start, end = stage_ends(sigma, sparts)
-        stages.append(Stage(sigma, kind, start, end, tuple(r.label for r in rules[first_rule:])))
+        stages.append(Stage(sigma, kind, start, end))
 
     chi_labels: list[str] = []
     for sigma in range(1, n_stages):
         frm, to = stages[sigma - 1], stages[sigma]
         rps = tuple(RulePart(x, (), y, ()) for x, y in zip(frm.end_letters, to.start_letters))
         if _stage_kind(sigma) in ("rl", "bwd"):  # chi(1,2)- and chi(4,5)-type
-            dom = {**left, m2bar.input_sector: input_dom}
+            dom = {**left, input_sector: input_dom}
         else:  # chi(2,3)- and chi(3,4)-type: right alphabets only
             dom = right
         lbl = f"chi_{sigma}_{sigma+1}"
@@ -408,17 +402,17 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
         positive_rules=tuple(rules),
         start_letters=stages[0].start_letters,
         end_letters=stages[-1].end_letters,
-        input_sector=m2bar.input_sector,
+        input_sector=input_sector,
         name="M3",
     )
-    return M3Build(machine, m2bar, m, tuple(stages), tuple(chi_labels), m2bar.part_tags)
+    return M3Build(machine, m2bar, m, tuple(stages), tuple(chi_labels))
 
 
 def start_configuration_m3(b: M2Build | M3Build, k: int, hist: Sequence[str], letter: str = "a") -> AdmissibleWord:
     """I(a^k, H): input content plus a left-alphabet copy of H per history
     sector, on the start letters of an M2 or M3 build."""
     tape: dict[int, Word] = {
-        b.input_sector: tuple(YLetter(letter, 1 if k >= 0 else -1) for _ in range(abs(k)))
+        b.machine.input_sector: tuple(YLetter(letter, 1 if k >= 0 else -1) for _ in range(abs(k)))
     }
     for hs in b.history:
         tape[hs.sector] = tuple(YLetter(hs.left_copy[lbl], 1) for lbl in hist)
@@ -503,7 +497,6 @@ class M4Build:
     m3: M3Build
     mirror_part: Mapping[int, int]
     mirror_sector: Mapping[int, int]
-    junction_sector: int
     part_tags: tuple[str, ...]
 
 
@@ -522,8 +515,7 @@ def mirror_m4(m3: M3Build) -> M4Build:
     ]
     mirror_part = {j: 2 * K - 1 - j for j in range(K)}
     alphabets = list(hw.sector_alphabets)
-    junction = len(alphabets)
-    alphabets.append(frozenset())
+    alphabets.append(frozenset())  # the junction sector
     mirror_sector = {}
     for k in range(K - 1):
         src = K - 2 - k
@@ -560,8 +552,9 @@ def mirror_m4(m3: M3Build) -> M4Build:
         input_sector=base.input_sector,
         name="M4",
     )
-    tags = list(m3.part_tags) + [m3.part_tags[K - 1 - k] + "m" for k in range(K)]
-    return M4Build(machine, m3, mirror_part, mirror_sector, junction, tuple(tags))
+    tags = m3.m2bar.part_tags
+    tags += tuple(tags[K - 1 - k] + "m" for k in range(K))
+    return M4Build(machine, m3, mirror_part, mirror_sector, tags)
 
 
 @dataclass(frozen=True)
@@ -571,6 +564,7 @@ class M5Build:
     part_tags: tuple[str, ...]
     mirror_part: Mapping[int, int]  # M4's maps, shifted by one past t
     mirror_sector: Mapping[int, int]
+    history: tuple[ControlledHistorySector, ...]  # M3's, shifted by one past t
 
 
 def circularize_m5(m4: M4Build) -> M5Build:
@@ -601,4 +595,5 @@ def circularize_m5(m4: M4Build) -> M5Build:
         ("t",) + m4.part_tags,
         {j + 1: k + 1 for j, k in m4.mirror_part.items()},
         {j + 1: k + 1 for j, k in m4.mirror_sector.items()},
+        tuple(dataclasses.replace(h, sector=h.sector + 1) for h in m4.m3.history),
     )

@@ -43,6 +43,8 @@ class BadParameters(Exception):
 SUP_FAMILY_TAGS = ("tr01", "set1", "tr12", "set2")
 MIXED_TAG = "tr23"
 PLAIN_FAMILY_TAGS = ("set3", "tr34", "set4", "tr45", "set5", "tr50")
+# The label of theta(23), the one rule an eligible history may follow by its inverse.
+THETA_23 = "tr_23"
 
 
 def family(rule: Rule) -> str:
@@ -53,31 +55,22 @@ def family(rule: Rule) -> str:
 
 
 @dataclass(frozen=True)
-class ContentSectorPair:
-    """A content-holding sector and its mirror, with flanking R parts."""
-
-    sector: int
-    mirror_sector: int
-    r_part: int
-    alphabet_left: frozenset[str]  # letters inserted/erased here
-    left_copy: Mapping[str, str] | None = None  # rule label -> letter (history only)
-
-
-@dataclass(frozen=True)
 class MainMachineBundle:
     machine: SMachine
     toy: ToyRecognizer
     m: int
     L: int
-    N: int
-    part_tags: tuple[str, ...]
-    t_part: int
-    input_pair: ContentSectorPair
-    history_pairs: tuple[ContentSectorPair, ...]
     lrm_part: int
     lrm_scratch: int
     m5: M5Build
-    theta23_label: str = "tr_23"
+
+    @property
+    def N(self) -> int:
+        return self.machine.hardware.n_parts
+
+    @property
+    def part_tags(self) -> tuple[str, ...]:
+        return self.m5.part_tags
 
     # -- distinguished words -------------------------------------------
 
@@ -100,11 +93,12 @@ class MainMachineBundle:
     def w_word(self, k: int, k2: int) -> AdmissibleWord:
         """W(k,k') = w1 a^k w2 (a')^{-k'} w3 over the third-phase letters."""
         a = self.toy.input_letter
+        sector = self.machine.input_sector
         tape = {
-            self.input_pair.sector: tuple(
+            sector: tuple(
                 YLetter(a, 1 if k >= 0 else -1) for _ in range(abs(k))
             ),
-            self.input_pair.mirror_sector: tuple(
+            self.m5.mirror_sector[sector]: tuple(
                 YLetter(mirror_name(a), -1 if k2 >= 0 else 1) for _ in range(abs(k2))
             ),
         }
@@ -123,7 +117,7 @@ class MainMachineBundle:
             hist += [(f"w2_zm{i}_{a}", 1)] * k
             if i < 2 * self.m:
                 hist.append((f"w2_zt{i}", 1))
-        hist.append(("tr_23", 1))
+        hist.append((THETA_23, 1))
         return tuple(hist)
 
     def witness_wkk_to_wac(self, k: int) -> History:
@@ -154,9 +148,7 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
     if m < 1 or L < 8:
         raise BadParameters(f"need m >= 1 and L >= 8, got m={m}, L={L}")
     m2 = add_history_sectors(toy.machine)
-    m2bar = add_control_letters(m2)
-    m3 = compose_m3(m2bar, m)
-    m5 = circularize_m5(mirror_m4(m3))
+    m5 = circularize_m5(mirror_m4(compose_m3(add_control_letters(m2), m)))
 
     base = m5.machine
     N = base.hardware.n_parts
@@ -169,23 +161,6 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
     lrm_scratch = input_sector + 1  # the PQ sector right of the sweep part
     mirror_lrm_part = m5.mirror_part[lrm_part]
     mirror_lrm_scratch = m5.mirror_sector[lrm_scratch]
-
-    input_pair = ContentSectorPair(
-        sector=input_sector,
-        mirror_sector=m5.mirror_sector[input_sector],
-        r_part=input_sector,  # R part flat index equals its sector index here
-        alphabet_left=frozenset({a}),
-    )
-    history_pairs = tuple(
-        ContentSectorPair(  # M3's sectors and parts, shifted by one past t
-            sector=h.sector + 1,
-            mirror_sector=m5.mirror_sector[h.sector + 1],
-            r_part=h.r_part + 1,
-            alphabet_left=h.left_alphabet,
-            left_copy=dict(h.left_copy),
-        )
-        for h in m3.history
-    )
 
     # hardware: extend the circular base with phase letters and sweep copies
     phases = ("st", "w1", "w2", "w3", "w5", "ac")
@@ -220,7 +195,7 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
 
     def history_inserts(lbl: str, sign: int) -> dict[int, tuple[Word, Word]]:
         """The history letter of ``lbl`` (sign 1) or its inverse, right of every R letter."""
-        return {hp.r_part: ((), (YLetter(hp.left_copy[lbl], sign),)) for hp in history_pairs}
+        return {h.r_part: ((), (YLetter(h.left_copy[lbl], sign),)) for h in m5.history}
 
     rules: list[Rule] = []
 
@@ -279,7 +254,7 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
 
     rules.append(
         mk(
-            "tr_23",
+            THETA_23,
             MIXED_TAG,
             fix_lrm(phase_letters("w2", "w3"), f"z{2*m}", "w3"),
             {},
@@ -289,8 +264,8 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
 
     # set 3: insert a history letter in every history sector, next to the R letter
     content_doms = {input_sector: frozenset({a})}
-    for hp in history_pairs:
-        content_doms[hp.sector] = hp.alphabet_left
+    for h in m5.history:
+        content_doms[h.sector] = h.left_alphabet
     for lbl in m2.rule_labels:
         rules.append(mk(f"w3_ins_{lbl}", "set3", phase_letters("w3"), history_inserts(lbl, 1), content_doms))
 
@@ -326,7 +301,7 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
             f"w5_er_inp_{a}",
             "set5",
             phase_letters("w5"),
-            {input_pair.r_part: ((), (YLetter(a, -1),))},
+            {input_sector: ((), (YLetter(a, -1),))},  # the R part left of the input sector
             content_doms,
         )
     )
@@ -346,11 +321,6 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
         toy=toy,
         m=m,
         L=L,
-        N=N,
-        part_tags=tags,
-        t_part=0,
-        input_pair=input_pair,
-        history_pairs=history_pairs,
         lrm_part=lrm_part,
         lrm_scratch=lrm_scratch,
         m5=m5,

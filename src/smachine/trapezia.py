@@ -22,7 +22,7 @@ from .machine import (
     inserts,
     is_eligible,
 )
-from .main_machine import MainMachineBundle, family
+from .main_machine import THETA_23, MainMachineBundle, family
 from .presentation import GWord, RelatorFactory, factory_for
 from .words import AdmissibleWord, MalformedWord, QLetter, Word, reduce_word, signed
 
@@ -89,8 +89,8 @@ def make_permissible(
     machine: SMachine,
     v: AdmissibleWord,
     rule: Rule,
-    first_sup: int | None = None,
-    modulus: int = 0,
+    first_sup: int | None,
+    modulus: int,
 ) -> PermissibleWord:
     """The unique permissible lift of a rule-admissible word.
 
@@ -113,7 +113,7 @@ def make_permissible(
     n_last = machine.hardware.n_parts - 1
 
     def norm(s: int) -> int:
-        return (s - 1) % modulus + 1 if modulus else s
+        return (s - 1) % modulus + 1
 
     q_sups: list[int] = [norm(first_sup)]
     for prev, nxt in zip(v.q, v.q[1:]):
@@ -243,7 +243,7 @@ def computation_to_trapezium(
     fac = factory_for(bundle)
     if not comp.history:
         raise EmptyHistory("a trapezium needs at least one band")
-    if not is_eligible(comp.history, allowed=bundle.theta23_label):
+    if not is_eligible(comp.history, allowed=THETA_23):
         raise IneligibleHistory(" ".join(format_slabel(s) for s in comp.history))
     first_rule = machine.rule(comp.history[0])
     bottom = make_permissible(machine, comp.start, first_rule, first_sup, modulus=bundle.L)

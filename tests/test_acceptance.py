@@ -15,7 +15,6 @@ from smachine.checks import (
     check_lr_bound,
     check_norep,
     check_wi_bound,
-    compose_m3_cached,
     presentation_audit,
     run_suites,
 )
@@ -24,7 +23,6 @@ from smachine.enumerate import enumerate_computations
 from smachine.lr import build_lr
 from smachine.machine import apply_rule, is_applicable, run_history
 from smachine.presentation import compile_group_G, compile_trimmed, export
-from smachine.toy import toy_even_recognizer
 from smachine.trapezia import computation_to_trapezium, disk_diagram_cells, lift_kind, trapezium_area
 from smachine.words import AdmissibleWord, QLetter, YLetter
 
@@ -74,7 +72,7 @@ def test_criterion_2_lr_bound():
     )
 
 
-def test_criterion_3_wi_bound():
+def test_criterion_3_wi_bound(session_bundle):
     """Depth 8 on the sweep machine and a tower fragment, zero violations, < 10 min."""
     t0 = time.time()
     lr = build_lr(["a"])
@@ -84,7 +82,7 @@ def test_criterion_3_wi_bound():
         AdmissibleWord((QLetter(1, "p2", 1), QLetter(2, "q2", 1)), ((YLetter("a'", 1),),)),
     ]
     rep1 = check_wi_bound(lr, starts, depth=8)
-    m3 = compose_m3_cached(toy_even_recognizer(), 2)
+    m3 = session_bundle.m5.m4.m3
     cfg = start_configuration_m3(m3, 0, ["del2", "fin"])
     i = m3.history[0].r_part
     frag = AdmissibleWord((cfg.q[i], cfg.q[i + 1]), (cfg.u[i],))
@@ -99,9 +97,9 @@ def test_criterion_3_wi_bound():
     )
 
 
-def test_criterion_4_chi_occurrences():
+def test_criterion_4_chi_occurrences(session_bundle):
     """Reduced standard-base tower computations: <= 1 of each transition."""
-    m3 = compose_m3_cached(toy_even_recognizer(), 2)
+    m3 = session_bundle.m5.m4.m3
     starts = [
         start_configuration_m3(m3, 0, ["fin"]),
         start_configuration_m3(m3, 2, ["del2", "fin"]),
@@ -150,7 +148,7 @@ def test_criterion_7_presentation_audits(session_bundle):
     n_t_sup = sum(
         1
         for r in pres.relators
-        if r.tag == "theta-q" and r.part == session_bundle.t_part and r.sup is not None
+        if r.tag == "theta-q" and r.part == 0 and r.sup is not None
     )
     ok = (
         rep.status == "pass"

@@ -14,7 +14,6 @@ from smachine.checks import (
     check_norep,
     check_periodic_distinctness,
     check_wi_bound,
-    compose_m3_cached,
     presentation_audit,
     run_suites,
 )
@@ -23,7 +22,6 @@ from smachine.enumerate import search
 from smachine.lr import build_lr
 from smachine.machine import Rule, RulePart, UnknownRule, history, run_history
 from smachine.presentation import Relator, compile_group_G, factory_for
-from smachine.toy import toy_even_recognizer
 from smachine.words import AdmissibleWord, QLetter, YLetter
 
 
@@ -57,8 +55,7 @@ def test_wi_bound_rejects_bad_base():
 
 
 def test_chi_occurrences_with_witness(session_bundle):
-    toy = toy_even_recognizer()
-    m3 = compose_m3_cached(toy, 2)
+    m3 = session_bundle.m5.m4.m3
     rep = check_chi_occurrences(m3, [start_configuration_m3(m3, 0, ["fin"])], depth=7)
     assert rep.status == "pass"
     # non-vacuous: some transition was crossed within the sweep
@@ -69,8 +66,7 @@ def test_chi_positive_control(session_bundle):
     """The straight-line stage sweep crosses each transition exactly once."""
     from smachine.compose import stage_sweep_history
 
-    toy = toy_even_recognizer()
-    m3 = compose_m3_cached(toy, 2)
+    m3 = session_bundle.m5.m4.m3
     full = stage_sweep_history(m3, ["fin"])
     comp = run_history(m3.machine, start_configuration_m3(m3, 0, ["fin"]), full)
     for lbl in m3.chi_labels:
@@ -164,10 +160,10 @@ def test_lr_bound_fails_on_seeded_identity_rule(monkeypatch):
     assert start.length() + comp.end.length() - 2 < len(comp)
 
 
-def test_chi_occurrences_fails_on_repeated_rule():
+def test_chi_occurrences_fails_on_repeated_rule(session_bundle):
     """Naming a rule the sweep repeats as a transition is caught at the
     first level where it occurs twice."""
-    m3 = compose_m3_cached(toy_even_recognizer(), 2)
+    m3 = session_bundle.m5.m4.m3
     seeded = dataclasses.replace(m3, chi_labels=m3.chi_labels + ("s1_r2_fin",))
     rep = check_chi_occurrences(seeded, [start_configuration_m3(m3, 0, ["fin"])], depth=6)
     assert rep.to_dict() == CHI_SEEDED
@@ -197,16 +193,6 @@ def test_meet_in_the_middle_ends_when_a_frontier_empties():
     assert search(lr, live, [dead], 1000) == (None, True)
 
 
-def test_compose_m3_cached_keys_on_the_toy():
-    """Equal toys share one build; a toy over another letter gets its own."""
-    a = compose_m3_cached(toy_even_recognizer("a"), 2)
-    assert compose_m3_cached(toy_even_recognizer("a"), 2) is a
-    b = compose_m3_cached(toy_even_recognizer("b"), 2)
-    assert b is not a
-    assert b.machine != a.machine
-    assert "b" in b.machine.hardware.sector_alphabets[b.machine.input_sector]
-
-
 def test_run_suites_registry_and_json(session_bundle):
     reports = run_suites("periodic")
     assert all(r.suite == "periodic-distinctness" for r in reports)
@@ -225,16 +211,6 @@ def test_accepted_language_small(session_bundle):
     assert [row["verdict"] for row in table] == ["yes", "yes"]
     # positive verdicts ship replayable witnesses
     assert all(row["witness_length"] for row in table)
-
-
-def test_raise_on_fail_kinds(session_bundle):
-    from smachine.checks import AuditFailure, CheckReport
-
-    rep = CheckReport(suite="presentation-audit", status="fail")
-    with pytest.raises(AuditFailure):
-        rep.raise_on_fail()
-    ok = CheckReport(suite="lr-bound", status="pass")
-    assert ok.raise_on_fail() is ok
 
 
 # Whole reports of the two seeded sweeps above: they pin the first

@@ -317,3 +317,71 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
     )
     assert code == 3
     assert err.startswith("format error: missing tag") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["enumerate", "--word", "q1 a p1 q2", "--depth", "-1"],
+        ["compile", "--group", "Gk:x"],
+        ["build", "--lr-m", "a:x"],
+        ["build", "--lr-m", "a:0"],
+        ["build", "--m3", "--m", "0"],
+        ["verify", "--suite", "nope"],
+        ["verify", "--suite", "wi-bound", "--depth", "-1"],
+        ["verify", "--suite", "lr-bound", "--max-tape", "-1"],
+        ["build", "--main", "--L", "0"],
+        ["compile", "--group", "G", "--L", "0"],
+        ["verify", "--suite", "no-return", "--L", "0"],
+        ["disk", "--L", "0"],
+        ["disk", "--k", "-1"],
+    ],
+    ids=[
+        "negative-depth",
+        "group-k-not-int",
+        "lr-m-not-int",
+        "lr-m-zero",
+        "m3-m-zero",
+        "unknown-suite",
+        "verify-negative-depth",
+        "verify-negative-max-tape",
+        "build-L-too-small",
+        "compile-L-too-small",
+        "verify-L-too-small",
+        "disk-L-too-small",
+        "disk-negative-k",
+    ],
+)
+def test_bad_parameter_is_a_usage_error(capsys, tmp_path, lr_file, args):
+    """A parameter that argparse or a builder rejects exits 1 with a
+    closing ``error:`` line, after argparse's usage line if it printed one."""
+    if args[0] == "enumerate":
+        mfile = tmp_path / "lr.txt"
+        mfile.write_text(lr_file)
+        args = [*args, "--machine", str(mfile)]
+    capsys.readouterr()
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: "), err
+
+
+@pytest.fixture(scope="module")
+def reports_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("reports") / "reports.json"
+    assert run_cli(["verify", "--suite", "periodic", "-o", str(path)])[0] == 0
+    return path.read_text()
+
+
+@pytest.mark.parametrize(
+    "source, edit",
+    [("lr_file", lambda t: t), ("reports_text", lambda t: t[: len(t) // 2])],
+    ids=["machine-file", "truncated-reports"],
+)
+def test_unreadable_reports_are_a_format_error(request, capsys, tmp_path, source, edit):
+    """``report`` reads its file as concatenated JSON objects: anything else
+    is one ``format error`` line and the I/O exit."""
+    code, err = run_on_bad_file(capsys, tmp_path, edit(request.getfixturevalue(source)), ["report", "--reports"])
+    assert code == 3
+    assert err.startswith("format error: reports: ") and err.count("\n") == 1, err

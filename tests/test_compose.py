@@ -55,9 +55,9 @@ def test_m2_part_count(toy, m2):
 def test_m2_lock_inheritance(toy, m2):
     # fin locks the input sector of M1; its image must lock the image sector
     fin2 = m2.machine.rule("fin")
-    assert fin2.locks(m2.input_sector)
+    assert fin2.locks(m2.machine.input_sector)
     del2 = m2.machine.rule("del2")
-    assert not del2.locks(m2.input_sector)
+    assert not del2.locks(m2.machine.input_sector)
     # history sectors are never locked by the lifted rules
     for hs in m2.history:
         assert not fin2.locks(hs.sector) and not del2.locks(hs.sector)
@@ -70,7 +70,7 @@ def test_m2_scan_simulates_m1(toy, m2):
     comp = run_history(m2.machine, w0, hist)
     assert comp.end == end_configuration_m2(m2, hist)
     # the working sectors replay the M1 computation: input empties
-    assert comp.end.u[m2.input_sector] == ()
+    assert comp.end.u[m2.machine.input_sector] == ()
     # the history sector ends holding the right-alphabet copy of H
     hs = m2.history[0]
     assert comp.trace[-1].u[hs.sector] == tuple(
@@ -96,7 +96,7 @@ def test_m2bar_base_triples(m2, m2bar):
 
 def test_m2bar_input_sector_moved(m2bar):
     # input sector R_{i-1}P_i sits at flat index 3j+2
-    assert m2bar.input_sector == 3 * m2bar.m2.input_sector + 2
+    assert m2bar.machine.input_sector == 3 * m2bar.m2.machine.input_sector + 2
 
 
 def test_m2bar_pq_qr_always_locked(m2bar):
@@ -119,12 +119,12 @@ def test_m2bar_locked_count_increases_by_2s1(m2, m2bar):
 def test_m2bar_scan_still_works(m2bar):
     k, hist = 2, ["del2", "fin"]
     b = m2bar
-    tape = {b.input_sector: tuple(YLetter("a", 1) for _ in range(k))}
+    tape = {b.machine.input_sector: tuple(YLetter("a", 1) for _ in range(k))}
     for hs in b.history:
         tape[hs.sector] = tuple(YLetter(hs.left_copy[lbl], 1) for lbl in hist)
     w0 = b.machine.standard_base_word(b.machine.start_letters, tape)
     comp = run_history(b.machine, w0, hist)
-    assert comp.end.u[b.input_sector] == ()
+    assert comp.end.u[b.machine.input_sector] == ()
 
 
 def test_m3_stage_count(m3):
@@ -133,12 +133,21 @@ def test_m3_stage_count(m3):
 
 
 def test_m3_state_letters_disjoint_per_stage(m3):
-    seen = set()
-    for st in m3.stages:
-        for x in st.start_letters + st.end_letters:
-            pass
-    names = [x for p in m3.machine.hardware.parts for x in p]
-    assert len(names) == len(set(names))
+    """Every state letter belongs to exactly one stage: the letters of a
+    stage's ends and of its rules (labelled s{sigma}_...) meet no other
+    stage's, and only the chi rules pass from one stage to the next."""
+    letters = {st.index: set(st.start_letters + st.end_letters) for st in m3.stages}
+    for rule in m3.machine.positive_rules:
+        if rule.label not in m3.chi_labels:
+            sigma = int(rule.label[1:].split("_", 1)[0])
+            letters[sigma] |= {x for p in rule.parts for x in (p.src, p.dst)}
+    owned = sorted(x for stage in letters.values() for x in stage)
+    assert owned == sorted(x for p in m3.machine.hardware.parts for x in p)
+    for lbl in m3.chi_labels:
+        _, frm, to = lbl.split("_")
+        parts = m3.machine.rule(lbl).parts
+        assert {p.src for p in parts} <= letters[int(frm)]
+        assert {p.dst for p in parts} <= letters[int(to)]
 
 
 def test_m3_full_run(m3):
@@ -151,7 +160,7 @@ def test_m3_full_run(m3):
     # ends at the machine's end letters
     assert tuple(x.name for x in end.q) == m3.machine.end_letters
     # input restored, history content back in the left alphabets
-    assert end.u[m3.input_sector] == tuple(YLetter("a", 1) for _ in range(k))
+    assert end.u[m3.machine.input_sector] == tuple(YLetter("a", 1) for _ in range(k))
     hs = m3.history[0]
     assert end.u[hs.sector] == tuple(YLetter(hs.left_copy[lbl], 1) for lbl in hist)
 
@@ -163,7 +172,7 @@ def test_m3_input_consumed_mid_run(m3):
     comp = run_history(m3.machine, w0, full)
     # right after chi_2_3 the input must be empty (the domain forces it)
     idx = [i for i, sl in enumerate(comp.history) if sl[0] == "chi_2_3"][0]
-    assert comp.trace[idx + 1].u[m3.input_sector] == ()
+    assert comp.trace[idx + 1].u[m3.machine.input_sector] == ()
 
 
 def test_m3_rejects_bad_m(m2bar):
@@ -174,8 +183,9 @@ def test_m3_rejects_bad_m(m2bar):
 def test_m4_base_doubles(m3):
     m4 = mirror_m4(m3)
     assert m4.machine.hardware.n_parts == 2 * m3.machine.hardware.n_parts
+    junction = m3.machine.hardware.n_sectors  # the first sector past M3's
     for rule in m4.machine.positive_rules:
-        assert rule.locks(m4.junction_sector)
+        assert rule.locks(junction)
 
 
 def test_m4_mirror_run_matches(m3):
@@ -199,6 +209,21 @@ def test_m4_mirror_run_matches(m3):
     assert end.u[: K - 1] == m3_end.u[: K - 1]
 
 
+def test_history_sector_positions_follow_from_the_sector(m2bar, m3):
+    """A history sector lies between R_j and P_j+1: its R part, P part and
+    scratch sectors are read off its index, in M2bar and in M5 alike."""
+    m5 = circularize_m5(mirror_m4(m3))
+    for build in (m2bar, m5):
+        hw = build.machine.hardware
+        for h in build.history:
+            assert all(x.startswith("cr") for x in hw.parts[h.r_part])
+            assert all(x.startswith("cp") for x in hw.parts[h.p_part])
+            assert hw.sector_alphabets[h.sector] == h.alphabet
+            assert hw.sector_alphabets[h.rl_scratch] == h.right_alphabet
+            assert hw.sector_alphabets[h.lr_scratch] == h.left_alphabet
+    assert [(h.sector, h.left_copy) for h in m5.history] == [(h.sector + 1, h.left_copy) for h in m3.history]
+
+
 def test_m5_circular_and_t_locked(m3):
     m5 = circularize_m5(mirror_m4(m3))
     hw = m5.machine.hardware
@@ -212,8 +237,8 @@ def test_m5_run(m3):
     m5 = circularize_m5(mirror_m4(m3))
     m4 = m5.m4
     k, hist = 2, ["del2", "fin"]
-    tape = {m3.input_sector + 1: tuple(YLetter("a", 1) for _ in range(k))}
-    mirror_in = m4.mirror_sector[m3.input_sector] + 1
+    tape = {m3.machine.input_sector + 1: tuple(YLetter("a", 1) for _ in range(k))}
+    mirror_in = m4.mirror_sector[m3.machine.input_sector] + 1
     tape[mirror_in] = tuple(YLetter("a_m", -1) for _ in range(k))
     for hs in m3.history:
         tape[hs.sector + 1] = tuple(YLetter(hs.left_copy[lbl], 1) for lbl in hist)

@@ -248,12 +248,9 @@ def test_enumerate_exactly_once(lr):
 
 
 def _sweep_machines(bundle):
-    from smachine.checks import compose_m3_cached
-    from smachine.toy import toy_even_recognizer
-
     return {
         "LR": build_lr(["a", "b"]),
-        "M3": compose_m3_cached(toy_even_recognizer(), 2).machine,
+        "M3": bundle.m5.m4.m3.machine,
         "main": bundle.machine,
     }
 

@@ -54,8 +54,8 @@ def test_w_ac_shape(bundle):
 
 def test_w_word_shape(bundle):
     w = bundle.w_word(3, 2)
-    assert w.u[bundle.input_pair.sector] == tuple(YLetter("a", 1) for _ in range(3))
-    assert w.u[bundle.input_pair.mirror_sector] == tuple(
+    assert w.u[bundle.machine.input_sector] == tuple(YLetter("a", 1) for _ in range(3))
+    assert w.u[bundle.m5.mirror_sector[bundle.machine.input_sector]] == tuple(
         YLetter("a_m", -1) for _ in range(2)
     )
     assert w.base == bundle.w_st.base  # standard base of the machine
@@ -63,7 +63,7 @@ def test_w_word_shape(bundle):
     others = sum(
         len(u)
         for i, u in enumerate(w.u)
-        if i not in (bundle.input_pair.sector, bundle.input_pair.mirror_sector)
+        if i not in (bundle.machine.input_sector, bundle.m5.mirror_sector[bundle.machine.input_sector])
     )
     assert others == 0
 
@@ -126,19 +126,19 @@ def test_insert_rule_mirror_symmetry(bundle):
     """One insertion adds a on the left half and a_m^-1 on the mirror."""
     w1 = apply_rule(bundle.machine, bundle.w_st, bundle.machine.rule("tr_st1"))
     w2 = apply_rule(bundle.machine, w1, bundle.machine.rule("w1_ins_a"))
-    assert w2.u[bundle.input_pair.sector] == (YLetter("a", 1),)
-    assert w2.u[bundle.input_pair.mirror_sector] == (YLetter("a_m", -1),)
+    assert w2.u[bundle.machine.input_sector] == (YLetter("a", 1),)
+    assert w2.u[bundle.m5.mirror_sector[bundle.machine.input_sector]] == (YLetter("a_m", -1),)
 
 
 def test_erase_rules_pair_both_halves(bundle):
     # from W(1,1), one input-erasure step empties both input sectors
     w = bundle.machine.standard_base_word([f"{g}_w5" for g in bundle.part_tags], {
-        bundle.input_pair.sector: (YLetter("a", 1),),
-        bundle.input_pair.mirror_sector: (YLetter("a_m", -1),),
+        bundle.machine.input_sector: (YLetter("a", 1),),
+        bundle.m5.mirror_sector[bundle.machine.input_sector]: (YLetter("a_m", -1),),
     })
     out = apply_rule(bundle.machine, w, bundle.machine.rule("w5_er_inp_a"))
-    assert out.u[bundle.input_pair.sector] == ()
-    assert out.u[bundle.input_pair.mirror_sector] == ()
+    assert out.u[bundle.machine.input_sector] == ()
+    assert out.u[bundle.m5.mirror_sector[bundle.machine.input_sector]] == ()
 
 
 def test_trimmed_machine(bundle):

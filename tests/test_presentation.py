@@ -64,7 +64,7 @@ def test_plain_rule_relator_shape(bundle, pres_m):
     """A fourth-set rule: U_j theta_{j+1} = theta_j V_j and a theta = theta a."""
     fac = factory_for(bundle)
     rule = bundle.machine.rule("w3_ins_del2")
-    rel = fac.theta_q_relator(rule, bundle.history_pairs[0].r_part, None)
+    rel = fac.theta_q_relator(rule, bundle.m5.history[0].r_part, None)
     kinds = sorted(g.kind for g, _ in rel.word)
     assert kinds == ["a", "q", "q", "th", "th"]  # the insert letter rides in V
     rel0 = fac.theta_q_relator(rule, 2, None)
@@ -74,7 +74,7 @@ def test_plain_rule_relator_shape(bundle, pres_m):
 def test_theta_a_commutation_shape(bundle):
     fac = factory_for(bundle)
     rule = bundle.machine.rule("w3_ins_del2")
-    sector = bundle.input_pair.sector
+    sector = bundle.machine.input_sector
     rel = fac.theta_a_relator(rule, sector, "a", None)
     assert len(rel.word) == 4
     names = {g.kind for g, _ in rel.word}
@@ -89,7 +89,7 @@ def test_mixed_rule_erases_superscripts(bundle):
     rel = fac.theta_q_relator(rule, bundle.lrm_part, 3)
     sups = {g.sup for g, _ in rel.word if g.kind == "q"}
     assert sups == {3, None}
-    arel = fac.theta_a_relator(rule, bundle.input_pair.sector, "a", 3)
+    arel = fac.theta_a_relator(rule, bundle.machine.input_sector, "a", 3)
     asups = {g.sup for g, _ in arel.word if g.kind == "a"}
     assert asups == {3, None}
 
