@@ -103,7 +103,7 @@ def check_lr_bound(max_tape: int = 4) -> CheckReport:
         if t == 0:
             continue
         for s in states:
-            slack = s.start.length() + s.word.length() - 2 - t
+            slack = s.start.length() + s.end.length() - 2 - t
             if min_slack is None or slack < min_slack:
                 min_slack = slack
             if slack < 0:
@@ -113,7 +113,7 @@ def check_lr_bound(max_tape: int = 4) -> CheckReport:
                     params={"max_tape": max_tape, "alphabet": ["a"]},
                     counts={"start_words": len(region_words), "states": states_total},
                     stats={"violation_at": t},
-                    counterexample=_repro(s.start, s.history()),
+                    counterexample=_repro(s.start, s.history),
                 )
     return CheckReport(
         suite="lr-bound",
@@ -169,14 +169,10 @@ def check_wi_bound(
             raise ValueError("wi bound applies to 2-letter-base words")
         for comp in enumerate_computations(machine, w0, depth, "all"):
             checked += 1
-            peak = max(w.length() for w in comp.trace)
-            bound = (
-                comp.start.length()
-                + comp.end.length()
-                + 2 * len(comp)
-                - _best_periodic_gain(comp.history)
-            )
-            slack = bound - peak
+            steps = comp.steps()
+            hist = tuple(s.last for s in steps[1:])
+            bound = w0.length() + comp.end.length() + 2 * len(hist) - _best_periodic_gain(hist)
+            slack = bound - max(s.end.length() for s in steps)
             if min_slack is None or slack < min_slack:
                 min_slack = slack
             if slack < 0:
@@ -186,7 +182,7 @@ def check_wi_bound(
                     params={"machine": machine.name, "depth": depth, "filter": "all"},
                     counts={"computations": checked},
                     stats={},
-                    counterexample=_repro(comp.start, comp.history),
+                    counterexample=_repro(w0, hist),
                 )
     return CheckReport(
         suite="wi-bound",
@@ -228,7 +224,7 @@ def check_chi_occurrences(
                 params={"depth": depth},
                 counts={"states": states_total},
                 stats={"chi_rule": bad.last[0]},
-                counterexample=_repro(bad.start, bad.history()),
+                counterexample=_repro(bad.start, bad.history),
             )
         max_seen = max(max_seen, top)
         states_total += len(states)
@@ -248,7 +244,7 @@ def check_norep(bundle: MainMachineBundle, k: int, depth: int = 8) -> CheckRepor
     states_total = 0
     levels = reach_levels(bundle.machine, [target], depth, keep=lambda r: r.tag in allowed)
     for t, states in levels:
-        back = next((s for s in states if t and s.word == target), None)
+        back = next((s for s in states if t and s.end == target), None)
         if back is not None:
             return CheckReport(
                 suite="no-return",
@@ -256,7 +252,7 @@ def check_norep(bundle: MainMachineBundle, k: int, depth: int = 8) -> CheckRepor
                 params={"k": k, "depth": depth},
                 counts={"states": states_total},
                 stats={"return_at": t},
-                counterexample=_repro(target, back.history()),
+                counterexample=_repro(target, back.history),
             )
         states_total += len(states)
     return CheckReport(

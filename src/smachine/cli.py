@@ -16,7 +16,7 @@ from typing import NoReturn
 from . import checks
 from .compose import StageMismatch, add_control_letters, add_history_sectors, compose_m3
 from .enumerate import enumerate_computations
-from .lr import InvalidM, build_lr, build_lr_m, build_rl
+from .lr import InvalidAlphabet, InvalidM, build_lr, build_lr_m, build_rl
 from .machine import NotApplicableAt, UnknownRule, format_slabel, run_history
 from .main_machine import BadParameters, build_main_machine, build_trimmed_machine, family
 from .presentation import (
@@ -126,9 +126,8 @@ def cmd_simulate(args) -> int:
         comp = run_history(machine, w, args.history.split())
     except (UnknownRule, NotApplicableAt) as e:
         _usage_error(f"--history: {e}")
-    lines = [str(comp.trace[0])]
-    for sl, word in zip(comp.history, comp.trace[1:]):
-        lines.append(f"  --{format_slabel(sl)}--> {word}")
+    start, *steps = comp.steps()
+    lines = [str(start.end)] + [f"  --{format_slabel(s.last)}--> {s.end}" for s in steps]
     _write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -385,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BadParameters, StageMismatch, InvalidM) as e:  # parameters a builder rejects
+    except (BadParameters, StageMismatch, InvalidM, InvalidAlphabet) as e:  # parameters a builder rejects
         _usage_error(str(e))
 
 

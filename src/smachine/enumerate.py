@@ -15,12 +15,15 @@ level-synchronous sweep over (word, last rule, extra) states that covers
 ``search`` is the word-graph BFS behind the accepted-language
 experiment and the disk words: a budgeted search for a path to a target
 word, one-directional or meet-in-the-middle.
+
+The three build ``Computation`` step chains, each step pointing at the
+one it extends, and read their witnesses back from them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 from .machine import (
     Computation,
@@ -71,18 +74,17 @@ def enumerate_computations(
         raise ValueError("depth must be >= 0")
     if filt not in ("reduced", "eligible", "all"):
         raise ValueError(f"unknown filter {filt!r}")
-    level: list[tuple[History, tuple[AdmissibleWord, ...]]] = [((), (start,))]
-    yield Computation(start, (), (start,))
+    level = [Computation(start)]
+    yield level[0]
     for _ in range(depth):
-        nxt: list[tuple[History, tuple[AdmissibleWord, ...]]] = []
-        for hist, trace in level:
-            last = hist[-1] if hist else None
+        nxt: list[Computation] = []
+        for c in level:
+            last = c.last
             if filt == "all" or (filt == "eligible" and last == (eligible_label, 1)):
                 last = None
-            for r, w2 in successors(machine, trace[-1], last):
-                item = (hist + (r.signed_label,), trace + (w2,))
-                nxt.append(item)
-                yield Computation(start, item[0], item[1])
+            for r, w2 in successors(machine, c.end, last):
+                nxt.append(Computation(w2, r.signed_label, c))
+                yield nxt[-1]
         if not nxt:
             return
         level = nxt
@@ -92,38 +94,14 @@ def enumerate_computations(
 PRUNE = object()
 
 
-class State(NamedTuple):
-    """One reachable state of a level sweep, with provenance for witnesses."""
-
-    word: AdmissibleWord
-    last: SignedLabel | None
-    parent: "State | None"
-    extra: object = None
-
-    @property
-    def start(self) -> AdmissibleWord:
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node.word
-
-    def history(self) -> History:
-        out = []
-        node = self
-        while node.parent is not None:
-            out.append(node.last)
-            node = node.parent
-        return tuple(reversed(out))
-
-
 def reach_levels(
     machine: SMachine,
     starts: Iterable[AdmissibleWord],
     depth: int,
     keep: Keep | None = None,
-    extend: Callable[[State, Rule, AdmissibleWord], object] | None = None,
+    extend: Callable[[Computation, Rule, AdmissibleWord], object] | None = None,
     extra: object = None,
-) -> Iterator[tuple[int, list[State]]]:
+) -> Iterator[tuple[int, list[Computation]]]:
     """Level-synchronous reachability over reduced paths.
 
     Yields (t, states), t = 0..depth, stopping early at an empty level.
@@ -134,19 +112,19 @@ def reach_levels(
     in (start, rule) order wins, so all paths are covered without
     per-path enumeration.
     """
-    level = list({(w, None, extra): State(w, None, None, extra) for w in starts}.values())
+    level = list({(w, None, extra): Computation(w, extra=extra) for w in starts}.values())
     yield 0, level
     for t in range(1, depth + 1):
-        nxt: dict[tuple, State] = {}
+        nxt: dict[tuple, Computation] = {}
         for s in level:
-            for r, w2 in successors(machine, s.word, s.last, keep):
+            for r, w2 in successors(machine, s.end, s.last, keep):
                 x = extend(s, r, w2) if extend is not None else None
                 if x is PRUNE:
                     continue
                 sl = r.signed_label
                 key = (w2, sl, x)
                 if key not in nxt:
-                    nxt[key] = State(w2, sl, s, x)
+                    nxt[key] = Computation(w2, sl, s, x)
         if not nxt:
             return
         level = list(nxt.values())
@@ -172,11 +150,11 @@ def search(
     unset means a reachable set closed without a hit: a definite no.
     With ``bidirectional`` the targets grow a backward frontier too and
     the smaller frontier expands one layer at a time until the two meet.
-    Each side keeps the first ``State`` that reached a word, and a
-    witness is read back from the ``State`` chains, as in the sweeps.
+    Each side keeps the first step that reached a word, and a witness
+    is read back from the two chains, as in the sweeps.
     """
-    fwd = {source: State(source, None, None)}
-    bwd = {w: State(w, None, None) for w in targets}
+    fwd = {source: Computation(source)}
+    bwd = {w: Computation(w) for w in targets}
     if source in bwd:
         return (), False
     fq, bq = deque(fwd.values()), deque(bwd.values())
@@ -187,13 +165,13 @@ def search(
         nonlocal spent
         for _ in range(len(queue)):
             s = queue.popleft()
-            for r, w2 in successors(machine, s.word, keep=keep):
+            for r, w2 in successors(machine, s.end, keep=keep):
                 spent += 1
                 if spent > budget:
                     raise _Exhausted
                 if w2 in seen:
                     continue
-                seen[w2] = s2 = State(w2, r.signed_label, s)
+                seen[w2] = s2 = Computation(w2, r.signed_label, s)
                 if w2 in other:
                     return w2
                 queue.append(s2)
@@ -204,7 +182,7 @@ def search(
             while fq:
                 hit = expand(fq, fwd, bwd)
                 if hit is not None:
-                    return fwd[hit].history(), False
+                    return fwd[hit].history, False
             return None, False
         # an emptied frontier has closed its side without meeting the other
         while fq and bq:
@@ -213,7 +191,7 @@ def search(
             else:
                 meet = expand(bq, bwd, fwd)
             if meet is not None:
-                return fwd[meet].history() + invert_history(bwd[meet].history()), False
+                return fwd[meet].history + invert_history(bwd[meet].history), False
         return None, False
     except _Exhausted:
         return None, True

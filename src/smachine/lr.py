@@ -17,8 +17,9 @@ from .machine import Hardware, Rule, RulePart, SMachine
 from .words import YLetter
 
 
-class EmptyAlphabet(Exception):
-    pass
+class InvalidAlphabet(Exception):
+    """Letters that are empty, repeated or another letter's primed copy,
+    or none at all."""
 
 
 class InvalidM(Exception):
@@ -121,10 +122,12 @@ def build_lr_m(alphabet: Sequence[str], m: int) -> SMachine:
     """
     if m < 1:
         raise InvalidM(f"m must be >= 1, got {m}")
-    if not alphabet:
-        raise EmptyAlphabet("running-letter machine needs a nonempty alphabet")
     ys = tuple(alphabet)
     ysp = tuple(primed(a) for a in ys)
+    if not ys or "" in ys or len({*ys, *ysp}) < 2 * len(ys):
+        raise InvalidAlphabet(
+            f"alphabet {','.join(ys)!r}: need distinct nonempty letters, none another's primed copy"
+        )
     both = frozenset(ys) | frozenset(ysp)
     p_letters = tuple(f"p{i}" for i in range(1, 2 * m + 1))
     hw = Hardware(

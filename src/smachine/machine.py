@@ -383,39 +383,53 @@ def apply_rule(machine: SMachine, w: AdmissibleWord, rule: Rule) -> AdmissibleWo
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Computation:
-    """trace[k+1] = trace[k]·theta_{k+1}; trace[0] = start."""
+    """One step of a computation: ``end`` is ``parent.end·last``, and the
+    start has neither.  A computation is the chain of its steps, which
+    ``steps()`` walks once; ``extra`` is a level sweep's per-path value.
+    Records compare by identity."""
 
-    start: AdmissibleWord
-    history: History
-    trace: tuple[AdmissibleWord, ...]
+    end: AdmissibleWord
+    last: SignedLabel | None = None
+    parent: Computation | None = None
+    extra: object = None
 
-    def __post_init__(self) -> None:
-        if len(self.trace) != len(self.history) + 1 or self.trace[0] != self.start:
-            raise ValueError("trace does not fit history")
+    def steps(self) -> list[Computation]:
+        """The records from the start to this one."""
+        node, out = self, []
+        while node is not None:
+            out.append(node)
+            node = node.parent
+        return out[::-1]
 
     @property
-    def end(self) -> AdmissibleWord:
-        return self.trace[-1]
+    def start(self) -> AdmissibleWord:
+        return self.steps()[0].end
+
+    @property
+    def history(self) -> History:
+        return tuple(s.last for s in self.steps()[1:])
+
+    @property
+    def trace(self) -> tuple[AdmissibleWord, ...]:
+        """trace[k+1] = trace[k]·theta_{k+1}; trace[0] = start."""
+        return tuple(s.end for s in self.steps())
 
     def __len__(self) -> int:
-        return len(self.history)
+        return len(self.steps()) - 1
 
 
 def run_history(machine: SMachine, w: AdmissibleWord, h: History | Iterable[str]) -> Computation:
     """Run a history; raises NotApplicableAt(k) at the first failure."""
-    hist: History = tuple(parse_signed(t) if isinstance(t, str) else t for t in h)
-    trace = [w]
-    cur = w
-    for k, sl in enumerate(hist):
-        rule = machine.rule(sl)
+    comp = Computation(w)
+    for k, token in enumerate(h):
+        rule = machine.rule(token)
         try:
-            cur = apply_rule(machine, cur, rule)
+            comp = Computation(apply_rule(machine, comp.end, rule), rule.signed_label, comp)
         except NotApplicable as e:
-            raise NotApplicableAt(k, format_slabel(sl), str(e)) from e
-        trace.append(cur)
-    return Computation(w, hist, tuple(trace))
+            raise NotApplicableAt(k, format_slabel(rule.signed_label), str(e)) from e
+    return comp
 
 
 def step_history(h: History, machine: SMachine) -> tuple[str, ...]:

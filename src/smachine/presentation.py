@@ -53,6 +53,12 @@ GLetter = tuple[Generator, int]
 GWord = tuple[GLetter, ...]
 
 
+def _sort_key(g: Generator):
+    """The one generator order: exports list generators in it, and
+    relators start at their least rotation under it."""
+    return (g.kind, g.name, g.idx or 0, g.sup or 0)
+
+
 def g_inv(w: GWord) -> GWord:
     return tuple((g, -s) for g, s in reversed(w))
 
@@ -64,8 +70,9 @@ def canonical_rotation(w: GWord) -> GWord:
         w = w[1:-1]
     if not w:
         return w
-    key = lambda v: tuple((g.kind, g.name, g.idx or 0, g.sup or 0, s) for g, s in v)
-    return min((w[i:] + w[:i] for i in range(len(w))), key=key)
+    keys = [(*_sort_key(g), s) for g, s in w]
+    i = min(range(len(w)), key=lambda i: keys[i:] + keys[:i])
+    return w[i:] + w[:i]
 
 
 @dataclass(frozen=True)
@@ -356,10 +363,6 @@ def _fmt_glet(x: GLetter) -> str:
 
 def _gen_line(g: Generator) -> str:
     return f"{g.kind} {g.display()}"
-
-
-def _sort_key(g: Generator):
-    return (g.kind, g.name, g.idx or 0, g.sup or 0)
 
 
 def export(pres: Presentation, fmt: str = "plain") -> str:

@@ -20,7 +20,7 @@ from smachine.checks import (
 from smachine.compose import start_configuration_m3
 from smachine.enumerate import search
 from smachine.lr import build_lr
-from smachine.machine import Rule, RulePart, UnknownRule, history, run_history
+from smachine.machine import Hardware, Rule, RulePart, SMachine, UnknownRule, history, run_history
 from smachine.presentation import Relator, compile_group_G, factory_for
 from smachine.words import AdmissibleWord, QLetter, YLetter
 
@@ -46,6 +46,25 @@ def test_wi_bound_lr():
     rep = check_wi_bound(lr, [start], depth=5)
     assert rep.status == "pass"
     assert rep.counts["computations"] > 100
+
+
+def test_wi_bound_fails_on_a_growing_rule():
+    """One rule that puts aa beside both state letters grows the word by
+    4 a step; z^3 z^-3 peaks above its bound, whose periodic discount is
+    only 3, and the reported path replays to that peak."""
+    aa = (YLetter("a", 1),) * 2
+    hw = Hardware(parts=(("q",), ("p",)), sector_alphabets=(frozenset("a"),))
+    z = Rule("z", (RulePart("q", (), "q", aa), RulePart("p", aa, "p", ())), (frozenset("a"),))
+    machine = SMachine(hardware=hw, positive_rules=(z,), name="grow")
+    start = hw.word(["q", "p"])
+    assert check_wi_bound(machine, [start], depth=5).status == "pass"
+    rep = check_wi_bound(machine, [start], depth=6)
+    assert rep.status == "fail"
+    assert rep.counterexample == {"start": "q p", "history": ["z"] * 3 + ["z^-1"] * 3}
+    comp = run_history(machine, start, rep.counterexample["history"])
+    peak = max(w.length() for w in comp.trace)
+    bound = start.length() + comp.end.length() + 2 * len(comp) - _best_periodic_gain(comp.history)
+    assert (peak, bound) == (14, 13)
 
 
 def test_wi_bound_rejects_bad_base():

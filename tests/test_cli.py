@@ -326,6 +326,11 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         ["compile", "--group", "Gk:x"],
         ["build", "--lr-m", "a:x"],
         ["build", "--lr-m", "a:0"],
+        ["build", "--lr", ","],
+        ["build", "--rl", "a,a"],
+        ["build", "--lr-m", ":2"],
+        ["build", "--lr-m", "a,,b:1"],
+        ["build", "--lr", "a,a'"],
         ["build", "--m3", "--m", "0"],
         ["verify", "--suite", "nope"],
         ["verify", "--suite", "wi-bound", "--depth", "-1"],
@@ -341,6 +346,11 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         "group-k-not-int",
         "lr-m-not-int",
         "lr-m-zero",
+        "lr-empty-letters",
+        "rl-repeated-letter",
+        "lr-m-no-letter",
+        "lr-m-empty-letter",
+        "lr-primed-copy",
         "m3-m-zero",
         "unknown-suite",
         "verify-negative-depth",

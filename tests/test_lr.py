@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import random_words_for
-from smachine.lr import EmptyAlphabet, InvalidM, build_lr, build_lr_m, build_rl
+from smachine.lr import InvalidAlphabet, InvalidM, build_lr, build_lr_m, build_rl
 from smachine.machine import (
     apply_rule,
     invert_rule,
@@ -146,7 +146,7 @@ def test_m1_structural_match():
 
 
 def test_bad_parameters():
-    with pytest.raises(EmptyAlphabet):
+    with pytest.raises(InvalidAlphabet):
         build_lr([])
     with pytest.raises(InvalidM):
         build_lr_m(["a"], 0)

@@ -18,6 +18,7 @@ from smachine.machine import (
     step_history,
 )
 from smachine.enumerate import enumerate_computations, reach_levels
+from smachine.main_machine import THETA_23
 from smachine.words import AdmissibleWord, QLetter, YLetter
 
 from conftest import random_words_for
@@ -247,6 +248,22 @@ def test_enumerate_exactly_once(lr):
     assert len(hs) == len(set(hs))
 
 
+@pytest.mark.parametrize("filt", ["reduced", "eligible", "all"])
+def test_enumerated_computations_replay(filt, shipped):
+    """Every enumerated record's chain is a computation: it replays
+    through ``run_history`` to the same trace, from its start to its end."""
+    longest = 0
+    for machine in shipped:
+        for w in random_words_for(machine, 3, seed=7):
+            for c in enumerate_computations(machine, w, 3, filt, THETA_23):
+                trace = c.trace
+                assert run_history(machine, c.start, c.history).trace == trace
+                assert (trace[0], trace[-1]) == (c.start, c.end)
+                assert len(c) == len(c.history)
+                longest = max(longest, len(c))
+    assert longest == 3
+
+
 def _sweep_machines(bundle):
     return {
         "LR": build_lr(["a", "b"]),
@@ -272,12 +289,12 @@ def test_reach_levels_covers_enumeration(name, session_bundle):
         levels = 0
         for t, states in reach_levels(machine, [w], 3):
             levels += 1
-            got = [(s.word, s.last) for s in states]
+            got = [(s.end, s.last) for s in states]
             assert len(got) == len(set(got))
             assert set(got) == by_depth[t]
             for s in states:
                 assert s.start == w
-                assert run_history(machine, w, s.history()).end == s.word
+                assert run_history(machine, w, s.history).end == s.end
         assert levels == len(by_depth)
         deepest = max(deepest, levels - 1)
     assert deepest == 3  # non-vacuous: some start has computations of length 3
@@ -292,9 +309,9 @@ def test_reach_levels_first_start_wins():
     meet = lr.hardware.word(["q1", "a^-1", "p1", "a'", "a'", "q2"])
     for starts in ([u, v], [v, u]):
         level2 = dict(reach_levels(lr, starts, 2))[2]
-        (s,) = [s for s in level2 if s.word == meet and s.last == ("z1_a", 1)]
+        (s,) = [s for s in level2 if s.end == meet and s.last == ("z1_a", 1)]
         assert s.start == starts[0]
-        assert run_history(lr, s.start, s.history()).end == meet
+        assert run_history(lr, s.start, s.history).end == meet
 
 
 def _closure_in_order(machine):

@@ -1,5 +1,6 @@
 """Byte pins: the sha256 of printed machines, exported presentations,
-disk verdicts and verification reports.
+disk verdicts, enumerated and simulated computations, and verification
+reports.
 
 The sweep machines, the stage tower and the compiled presentations are
 derived from one another; these pins make sure a change to how they are
@@ -21,6 +22,7 @@ from smachine.compose import (
     mirror_m4,
 )
 from smachine.lr import build_lr, build_lr_m, build_rl
+from smachine.machine import format_slabel
 from smachine.main_machine import build_trimmed_machine
 from smachine.presentation import (
     compile_group_G,
@@ -79,6 +81,26 @@ DISK_PINS = {
     "hub-start": (["--hub", "start"], "f57e81af609b9f272d33dbed6274473c92fd0a1bbbc7eeb8d57b223b9779d8f0"),
 }
 
+# `smachine enumerate` and `simulate` on a built machine file: the paths
+# the engines record, read back as histories and traces
+CLI_PINS = {
+    "enumerate-LR[a,b]": (
+        ["--lr", "a,b"],
+        lambda b: ["enumerate", "--word", "q1 a b p1 q2", "--depth", "4", "--filter", "all"],
+        "7374497c3aaa6bc17ed261701f7b167c2abbb053d7fde679683686a247492034",
+    ),
+    "enumerate-main(2,12)": (
+        ["--main"],
+        lambda b: ["enumerate", "--word", str(b.w_word(0, 0)), "--depth", "3", "--filter", "eligible"],
+        "af2cdc5cbd88c5fae157bbedf6c19e0c5b5d3a2320baeb457ae03a78f823568e",
+    ),
+    "simulate-main(2,12)": (
+        ["--main"],
+        lambda b: ["simulate", "--word", str(b.w_st), "--history", " ".join(map(format_slabel, b.witness_wst_to_wac(2)))],
+        "1bd877a6a4c7a80f0be5160b0dcac5e63ea33dcef7318d8cb3ae74431eecd853",
+    ),
+}
+
 
 @pytest.mark.parametrize("name", list(MACHINE_PINS))
 def test_machine_file_pinned(name, session_bundle):
@@ -102,6 +124,15 @@ def test_gap_export_pinned(name, session_bundle):
 def test_disk_output_pinned(name, capsys):
     args, digest = DISK_PINS[name]
     assert main(["disk", *args, "--budget", "3000"]) == 0
+    assert sha(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("name", list(CLI_PINS))
+def test_cli_output_pinned(name, session_bundle, tmp_path, capsys):
+    build, args, digest = CLI_PINS[name]
+    mfile = str(tmp_path / "machine.txt")
+    assert main(["build", *build, "-o", mfile]) == 0
+    assert main([*args(session_bundle), "--machine", mfile]) == 0
     assert sha(capsys.readouterr().out) == digest
 
 
