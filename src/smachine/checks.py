@@ -566,7 +566,8 @@ def run_suites(suite: str, jobs: int = 1, **opts: object) -> list[CheckReport]:
     if jobs > 1 and len(names) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers at once, so no more than there are suites
+        with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
             groups = list(pool.map(_suite_worker, names, [opts] * len(names)))
     else:
         groups = [run_one_suite(n, opts) for n in names]

@@ -190,6 +190,13 @@ def _nonnegative(text: str) -> int:
     return n
 
 
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _letters_m(text: str) -> tuple[list[str], int | None]:
     """``LETTERS[:M]``: the alphabet, and m when it is given."""
     letters, _, m = text.partition(":")
@@ -362,7 +369,7 @@ def make_parser() -> _Parser:
     v.add_argument("--depth", type=_nonnegative, default=None)
     v.add_argument("--budget", type=_nonnegative, default=None)
     v.add_argument("--ks", type=_ints, default=None, help="comma-separated inputs for the language experiment")
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=_positive, default=1)
     v.add_argument("--manifest", default=None, help="replay parameters from a recorded manifest")
     v.set_defaults(func=cmd_verify)
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
+from .lr import Host, build_lr_m, place, primed, read_right_to_left
 from .machine import Hardware, Rule, RulePart, SMachine
 from .words import AdmissibleWord, Word, YLetter
 
@@ -272,17 +273,6 @@ class M3Build:
         return self.m2bar.history
 
 
-class _Sweep(NamedTuple):
-    """How one kind of history-sweep stage is built."""
-
-    letter: str  # in the rule labels: s{sigma}_{letter}1_.., _{letter}t, _{letter}2_..
-    sign: int  # sign of the right-copy letter a first-pass step consumes
-    frozen: tuple[str, ...]  # base letter each part's stage copies are named after
-    running: Mapping[int, ControlledHistorySector]  # running part -> its history sector
-    content: Mapping[int, frozenset[str]]  # domains of the sectors holding the history
-    scratch: Mapping[int, frozenset[str]]  # domains open during the turn as well
-
-
 def _stage_kind(sigma: int) -> str:
     r = sigma % 4
     return {1: "rl", 2: "fwd", 3: "lr", 0: "bwd"}[r]
@@ -309,80 +299,66 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
     input_dom = hw.sector_alphabets[input_sector]
     left = {h.sector: h.left_alphabet for h in hist}
     right = {h.sector: h.right_alphabet for h in hist}
-    sweeps = {
-        "rl": _Sweep(
-            "r",
-            1,
-            base.start_letters,
-            {h.r_part: h for h in hist},
-            left,
-            {**{h.rl_scratch: h.right_alphabet for h in hist}, input_sector: input_dom},
-        ),
-        "lr": _Sweep(
-            "l",
-            -1,
-            base.end_letters,
-            {h.p_part: h for h in hist},
-            right,
-            {h.lr_scratch: h.left_alphabet for h in hist},
-        ),
-    }
-
-    def stage_parts(sigma: int) -> list[tuple[str, ...]]:
-        sweep = sweeps.get(_stage_kind(sigma))
-        if sweep is None:
-            return [tuple(f"{x}_s{sigma}" for x in part) for part in hw.parts]
-        return [
-            (f"{q}a_s{sigma}", f"{q}b_s{sigma}") if i in sweep.running else (f"{q}_s{sigma}",)
-            for i, q in enumerate(sweep.frozen)
-        ]
-
-    def stage_ends(sigma: int, sparts: list[tuple[str, ...]]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """A sweep starts and ends on each part's first and last letter, a run on the base's."""
-        kind = _stage_kind(sigma)
-        if kind in sweeps:
-            return tuple(p[0] for p in sparts), tuple(p[-1] for p in sparts)
-        first, last = base.start_letters, base.end_letters
-        if kind == "bwd":
-            first, last = last, first
-        return tuple(f"{q}_s{sigma}" for q in first), tuple(f"{q}_s{sigma}" for q in last)
 
     def doms_with(entries: Mapping[int, frozenset[str]]) -> tuple[frozenset[str], ...]:
         return tuple(entries.get(k, frozenset()) for k in range(hw.n_sectors))
+
+    def copies(content: Mapping[str, str], scratch: Mapping[str, str]) -> dict[str, str]:
+        """Host names of a sweep's letters: each label and its primed copy."""
+        return {**content, **{primed(lbl): x for lbl, x in scratch.items()}}
+
+    # A history sweep is RL placed on every R letter (the history in the
+    # sector to its right) or LR on every P letter (the history to its
+    # left), in lockstep; the RL stages keep the input sector open too.
+    # Per kind: the label letter, the base letters that name each part's
+    # stage copies, and the placed rules.
+    lr = build_lr_m(m2bar.m2.rule_labels, 1)
+    rl_hosts = [Host(h.r_part, h.rl_scratch, h.sector, copies(h.left_copy, h.right_copy)) for h in hist]
+    lr_hosts = [Host(h.p_part, h.sector, h.lr_scratch, copies(h.right_copy, h.left_copy)) for h in hist]
+    sweeps = {
+        "rl": (
+            "r",
+            base.start_letters,
+            [(r, ins, {**doms, input_sector: input_dom}) for r, ins, doms in place(read_right_to_left(lr), rl_hosts)],
+        ),
+        "lr": ("l", base.end_letters, place(lr, lr_hosts)),
+    }
+    phase = {"p1": 0, "p2": -1}  # a sweep stage's first and last letter on each part
 
     parts: list[list[str]] = [[] for _ in range(hw.n_parts)]
     stages: list[Stage] = []
     rules: list[Rule] = []
     for sigma in range(1, n_stages + 1):
         kind = _stage_kind(sigma)
-        sparts = stage_parts(sigma)
-        for i, ps in enumerate(sparts):
-            parts[i].extend(ps)
         if kind in sweeps:
-            # a running step moves one history letter from the content
-            # sector to the scratch sector (first pass) or back (second)
-            sweep = sweeps[kind]
-            for j, s in ((0, sweep.sign), (1, -sweep.sign)):
-                for lbl in m2bar.m2.rule_labels:
-                    rps = []
-                    for i, p in enumerate(sparts):
-                        h = sweep.running.get(i)
-                        x = p[j] if h else p[0]
-                        a = (YLetter(h.right_copy[lbl], s),) if h else ()
-                        b = (YLetter(h.left_copy[lbl], -s),) if h else ()
-                        rps.append(RulePart(x, a, x, b))
-                    dom = doms_with({**sweep.content, **sweep.scratch})
-                    rules.append(Rule(f"s{sigma}_{sweep.letter}{j+1}_{lbl}", tuple(rps), dom, tag="m3"))
-                if j == 0:
-                    turn = tuple(RulePart(p[0], (), p[-1], ()) for p in sparts)
-                    rules.append(Rule(f"s{sigma}_{sweep.letter}t", turn, doms_with(sweep.scratch), tag="m3"))
+            letter, frozen, placed = sweeps[kind]
+            running = placed[0][1]  # every placed rule acts on all host parts
+            sparts = [
+                (f"{q}a_s{sigma}", f"{q}b_s{sigma}") if i in running else (f"{q}_s{sigma}",)
+                for i, q in enumerate(frozen)
+            ]
+            for r, ins, doms in placed:
+                mid = r.parts[1]
+                rps = []
+                for i, p in enumerate(sparts):
+                    a, b = ins.get(i, ((), ()))
+                    rps.append(RulePart(p[phase[mid.src]], a, p[phase[mid.dst]], b))
+                label = letter + ("t" if r.label == "zt1" else r.label[2:])  # zm1_x -> r1_x
+                rules.append(Rule(f"s{sigma}_{label}", tuple(rps), doms_with(doms), tag="m3"))
+            start, end = tuple(p[0] for p in sparts), tuple(p[-1] for p in sparts)
         else:
+            sparts = [tuple(f"{x}_s{sigma}" for x in part) for part in hw.parts]
             suffix = "" if kind == "fwd" else "_b"
             for rule in base.positive_rules:
                 src_rule = rule if kind == "fwd" else rule.inv()
                 rps = tuple(RulePart(f"{p.src}_s{sigma}", p.a, f"{p.dst}_s{sigma}", p.b) for p in src_rule.parts)
                 rules.append(Rule(f"s{sigma}_{rule.label}{suffix}", rps, rule.domains, tag="m3"))
-        start, end = stage_ends(sigma, sparts)
+            first, last = base.start_letters, base.end_letters
+            if kind == "bwd":
+                first, last = last, first
+            start, end = tuple(f"{q}_s{sigma}" for q in first), tuple(f"{q}_s{sigma}" for q in last)
+        for i, ps in enumerate(sparts):
+            parts[i].extend(ps)
         stages.append(Stage(sigma, kind, start, end))
 
     chi_labels: list[str] = []

@@ -3,18 +3,21 @@
 ``build_lr_m(Y, m)``: standard base Q1 P Q2; the middle letter sweeps
 left through the left sector, replacing each letter a by its primed copy
 a' deposited in the right sector, turns, and sweeps back, m times over
-with 2m phase letters.  It is the one hand-written sweep: ``build_lr`` is
+with 2m phase letters.  It is the one sweep written out: ``build_lr`` is
 ``build_lr_m(Y, 1)`` with the labels z1_a, z12, z2_a, and ``build_rl``
 is ``build_lr`` read right to left (content in the right sector, scratch
 on the left) with the letters r1, r2 and the labels x1_a, x12, x2_a.
+``place`` puts a sweep's rules on the parts of a larger machine: the
+main machine's set 2 is LRm placed on the input sector, and M3's
+history-sweep stages are LR and RL placed on every history sector.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .machine import Hardware, Rule, RulePart, SMachine
-from .words import YLetter
+from .words import Word, YLetter
 
 
 class InvalidAlphabet(Exception):
@@ -61,7 +64,7 @@ def _renamed(
     )
 
 
-def _read_right_to_left(machine: SMachine) -> SMachine:
+def read_right_to_left(machine: SMachine) -> SMachine:
     """``machine`` read right to left: parts, sectors and inserts reversed.
 
     A part ``q -> a q' b`` becomes ``q -> b^R q' a^R`` with no letter
@@ -87,6 +90,34 @@ def _read_right_to_left(machine: SMachine) -> SMachine:
     )
 
 
+class Host(NamedTuple):
+    """Where a sweep's middle part P runs inside a larger machine."""
+
+    part: int  # the host part that plays P
+    left: int  # the host sectors left and right of it
+    right: int
+    letters: Mapping[str, str]  # sweep tape letter -> host tape letter
+
+
+def place(
+    sweep: SMachine, hosts: Sequence[Host]
+) -> list[tuple[Rule, dict[int, tuple[Word, Word]], dict[int, frozenset[str]]]]:
+    """Each positive rule of ``sweep`` (base q1 P q2) with the inserts and
+    domains it has where every host plays P: a host part takes P's
+    inserts and its two sectors the domains beside P, in host letters.
+    The caller names the rule and its state letters."""
+    out = []
+    for r in sweep.positive_rules:
+        p = r.parts[1]
+        ins, doms = {}, {}
+        for h in hosts:
+            ins[h.part] = tuple(tuple(YLetter(h.letters[y.name], y.sign) for y in w) for w in (p.a, p.b))
+            for sector, dom in zip((h.left, h.right), r.domains):
+                doms[sector] = frozenset(h.letters[y] for y in dom)
+        out.append((r, ins, doms))
+    return out
+
+
 def build_lr(alphabet: Sequence[str]) -> SMachine:
     """Left-then-right sweep machine over ``alphabet``.
 
@@ -105,7 +136,7 @@ def build_rl(alphabet: Sequence[str]) -> SMachine:
     """Mirror of LR: content in the right sector, run right then left."""
     states = {"q1": "q2", "q2": "q1", "p1": "r1", "p2": "r2"}
     return _renamed(
-        _read_right_to_left(build_lr(alphabet)),
+        read_right_to_left(build_lr(alphabet)),
         "RL",
         "rl",
         lambda lbl: "x" + lbl[1:],

@@ -109,18 +109,20 @@ class Hardware:
     def _part_index(self) -> dict[str, int]:
         return {n: i for i, p in enumerate(self.parts) for n in p}
 
+    @cached_property
+    def flanks(self) -> tuple[tuple[int | None, int | None], ...]:
+        """The (left, right) sector of each part, None past a word end."""
+        n = self.n_parts
+        if self.circular:
+            return tuple(((i - 1) % n, i) for i in range(n))
+        return tuple((i - 1 if i > 0 else None, i if i < n - 1 else None) for i in range(n))
+
     def right_sector(self, x: QLetter) -> int | None:
         """Sector index to the right of a signed state letter, None at a word end."""
-        j = x.part if x.sign > 0 else x.part - 1
-        if self.circular:
-            return j % self.n_parts
-        return j if 0 <= j < self.n_sectors else None
+        return self.flanks[x.part][x.sign > 0]  # an inverse letter reads its part backwards
 
     def left_sector(self, x: QLetter) -> int | None:
-        j = x.part - 1 if x.sign > 0 else x.part
-        if self.circular:
-            return j % self.n_parts
-        return j if 0 <= j < self.n_sectors else None
+        return self.flanks[x.part][x.sign < 0]
 
     def validate(self, w: AdmissibleWord) -> None:
         """Check the two adjacency conditions and sector alphabets."""
@@ -251,32 +253,21 @@ class SMachine:
                 raise ValueError(f"rule {r.label} has {len(r.parts)} parts, hardware has {hw.n_parts}")
             if len(r.domains) != hw.n_sectors:
                 raise ValueError(f"rule {r.label} has {len(r.domains)} domains, hardware has {hw.n_sectors}")
-            for i, p in enumerate(r.parts):
+            # every insert lies in the domain beside it, so none is beside a locked sector
+            for i, (p, (left, right)) in enumerate(zip(r.parts, hw.flanks)):
                 if p.src not in hw.parts[i] or p.dst not in hw.parts[i]:
                     raise ValueError(f"rule {r.label} part {i}: {p.src}->{p.dst} not in part")
-                left = i - 1 if not hw.circular else (i - 1) % hw.n_parts
-                if 0 <= left < hw.n_sectors:
-                    bad = [y.name for y in p.a if y.name not in r.domains[left]]
+                for side, w, sector in (("a", p.a, left), ("b", p.b, right)):
+                    if sector is None:
+                        if w:
+                            raise ValueError(f"rule {r.label} part {i}: {side}-word beside no sector")
+                        continue
+                    bad = [y.name for y in w if y.name not in r.domains[sector]]
                     if bad:
-                        raise ValueError(f"rule {r.label} part {i}: a-word letters {bad} outside domain")
-                elif p.a:
-                    raise ValueError(f"rule {r.label} part {i}: a-word beside no sector")
-                right = i if (hw.circular or i < hw.n_sectors) else None
-                if right is not None:
-                    bad = [y.name for y in p.b if y.name not in r.domains[right]]
-                    if bad:
-                        raise ValueError(f"rule {r.label} part {i}: b-word letters {bad} outside domain")
-                elif p.b:
-                    raise ValueError(f"rule {r.label} part {i}: b-word beside no sector")
+                        raise ValueError(f"rule {r.label} part {i}: {side}-word letters {bad} outside domain")
             for i, dom in enumerate(r.domains):
                 if not dom.issubset(hw.sector_alphabets[i]):
                     raise ValueError(f"rule {r.label}: domain {i} not within sector alphabet")
-                if not dom:
-                    # lock convention: b_i and a_{i+1} must be empty
-                    lp = r.parts[i]
-                    rp = r.parts[(i + 1) % hw.n_parts] if (hw.circular or i + 1 < hw.n_parts) else None
-                    if lp.b or (rp is not None and rp.a):
-                        raise ValueError(f"rule {r.label}: locked sector {i} flanked by nonempty a/b")
 
     @cached_property
     def rules(self) -> tuple[Rule, ...]:

@@ -28,6 +28,7 @@ from .compose import (
     mirrored_rule,
     stage_sweep_history,
 )
+from .lr import Host, build_lr_m, place, primed
 from .machine import Hardware, History, Rule, SMachine
 from .toy import ToyRecognizer
 from .words import AdmissibleWord, Word, YLetter
@@ -223,34 +224,12 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
         )
     )
 
-    # set 2: the 2m-phase sweep of the input sector and its mirror
-    for i in range(1, 2 * m + 1):
-        letters = fix_lrm(phase_letters("w2"), f"z{i}", f"z{i}")
-        s = -1 if i % 2 == 1 else 1  # odd phases consume a, even ones put it back
-        rules.append(
-            mk(
-                f"w2_zm{i}_{a}",
-                "set2",
-                letters,
-                {lrm_part: ((YLetter(a, s),), (YLetter(a_c, -s),))},
-                {input_sector: frozenset({a}), lrm_scratch: frozenset({a_c})},
-            )
-        )
-        if i < 2 * m:
-            doms = (
-                {lrm_scratch: frozenset({a_c})}
-                if i % 2 == 1
-                else {input_sector: frozenset({a})}
-            )
-            rules.append(
-                mk(
-                    f"w2_zt{i}",
-                    "set2",
-                    fix_lrm(phase_letters("w2"), f"z{i}", f"z{i+1}"),
-                    {},
-                    doms,
-                )
-            )
+    # set 2: LRm over the input letter, placed on the sweep part and its mirror
+    lrm = build_lr_m([a], m)
+    for r, ins, doms in place(lrm, [Host(lrm_part, input_sector, lrm_scratch, {a: a, primed(a): a_c})]):
+        p = r.parts[1]  # the phase letters p1..p2m play z1..z2m
+        letters = fix_lrm(phase_letters("w2"), "z" + p.src[1:], "z" + p.dst[1:])
+        rules.append(mk(f"w2_{r.label}", "set2", letters, ins, doms))
 
     rules.append(
         mk(

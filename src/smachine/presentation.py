@@ -308,25 +308,22 @@ def compile_trimmed(bundle: MainMachineBundle) -> tuple[Presentation, Presentati
     return p_mbar, p_mbar.with_relators([_hub_accept(fac, bundle)], name="Gbar")
 
 
+def _hnn(pres: Presentation, bundle: MainMachineBundle, stable: str, w: AdmissibleWord, rule: str, name: str) -> Presentation:
+    """Add a stable letter s and the relation s w s^-1 = W_ac."""
+    fac = factory_for(bundle)
+    s = Generator("x", stable)
+    word = ((s, 1),) + word_to_gens(fac, w) + ((s, -1),) + g_inv(word_to_gens(fac, bundle.w_ac))
+    return pres.with_relators([Relator(canonical_rotation(word), "hnn", rule=rule)], name=name)
+
+
 def hnn_Gk(pres: Presentation, bundle: MainMachineBundle, k: int) -> Presentation:
     """Add a stable letter x and the relation x W(k,k) x^-1 = W_ac."""
-    fac = factory_for(bundle)
-    x = Generator("x", "x")
-    w = word_to_gens(fac, bundle.w_word(k, k))
-    wac = word_to_gens(fac, bundle.w_ac)
-    word = ((x, 1),) + w + ((x, -1),) + g_inv(wac)
-    rel = Relator(canonical_rotation(word), "hnn", rule=f"hnn-x-{k}")
-    return pres.with_relators([rel], name=f"G_{k}")
+    return _hnn(pres, bundle, "x", bundle.w_word(k, k), f"hnn-x-{k}", f"G_{k}")
 
 
 def hnn_Gbar(pres: Presentation, bundle: MainMachineBundle) -> Presentation:
     """Add a stable letter y commuting with W_ac."""
-    fac = factory_for(bundle)
-    y = Generator("x", "y")
-    wac = word_to_gens(fac, bundle.w_ac)
-    word = ((y, 1),) + wac + ((y, -1),) + g_inv(wac)
-    rel = Relator(canonical_rotation(word), "hnn", rule="hnn-y")
-    return pres.with_relators([rel], name="Gbar-hnn")
+    return _hnn(pres, bundle, "y", bundle.w_ac, "hnn-y", "Gbar-hnn")
 
 
 # --------------------------------------------------------------------------

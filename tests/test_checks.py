@@ -221,6 +221,41 @@ def test_run_suites_registry_and_json(session_bundle):
         run_suites("no-such-suite")
 
 
+def test_run_suites_jobs_2_matches_serial():
+    """A 2-worker pool gives the serial report bytes."""
+    serial = "".join(r.to_json() for r in run_suites("lr-bound,periodic"))
+    assert "".join(r.to_json() for r in run_suites("lr-bound,periodic", jobs=2)) == serial
+
+
+def test_run_suites_pool_has_at_most_one_worker_per_suite(monkeypatch):
+    """The pool forks every worker at its first submit, so ``jobs`` beyond
+    the number of suites would fork idle processes.  A stand-in pool
+    records its size and maps in this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = run_suites("lr-bound,periodic")
+    assert run_suites("lr-bound,periodic", jobs=64) == serial
+    assert run_suites("lr-bound,periodic", jobs=2) == serial
+    run_suites("periodic", jobs=64)  # one suite runs in this process, with no pool
+    assert sizes == [2, 2]
+
+
 def test_accepted_language_small(session_bundle):
     from smachine.checks import accepted_language_experiment
 

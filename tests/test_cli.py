@@ -335,6 +335,7 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         ["verify", "--suite", "nope"],
         ["verify", "--suite", "wi-bound", "--depth", "-1"],
         ["verify", "--suite", "lr-bound", "--max-tape", "-1"],
+        ["verify", "--suite", "periodic", "--jobs", "0"],
         ["build", "--main", "--L", "0"],
         ["compile", "--group", "G", "--L", "0"],
         ["verify", "--suite", "no-return", "--L", "0"],
@@ -355,6 +356,7 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         "unknown-suite",
         "verify-negative-depth",
         "verify-negative-max-tape",
+        "verify-no-jobs",
         "build-L-too-small",
         "compile-L-too-small",
         "verify-L-too-small",

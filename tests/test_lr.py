@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import random_words_for
-from smachine.lr import InvalidAlphabet, InvalidM, build_lr, build_lr_m, build_rl
+from smachine.lr import Host, InvalidAlphabet, InvalidM, build_lr, build_lr_m, build_rl, place
 from smachine.machine import (
     apply_rule,
     invert_rule,
@@ -180,3 +180,23 @@ def test_rl_is_lr_read_right_to_left(alphabet):
                 applied += 1
     # about half the words are built from a rule, which then applies
     assert applied >= len(words) // 2
+
+
+def test_place_puts_each_rule_on_every_host():
+    """Placed on its own base, a sweep keeps its inserts and domains; a
+    second host in lockstep takes the same ones in its own letters."""
+    lrm = build_lr_m(["a", "b"], 2)
+    own = {y: y for y in lrm.hardware.sector_alphabets[0]}
+    upper = {y: y.upper() for y in own}
+    placed = place(lrm, [Host(1, 0, 1, own), Host(4, 3, 5, upper)])
+    assert [r for r, _, _ in placed] == list(lrm.positive_rules)
+    for r, ins, doms in placed:
+        p = r.parts[1]
+        assert ins[1] == (p.a, p.b)
+        assert ins[4] == tuple(tuple(YLetter(y.name.upper(), y.sign) for y in w) for w in (p.a, p.b))
+        assert doms == {
+            0: r.domains[0],
+            1: r.domains[1],
+            3: frozenset(y.upper() for y in r.domains[0]),
+            5: frozenset(y.upper() for y in r.domains[1]),
+        }

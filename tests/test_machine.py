@@ -336,3 +336,43 @@ def test_candidate_rules_in_label_then_sign_order(shipped):
 def test_rules_in_label_then_sign_order(shipped):
     for machine in shipped:
         assert machine.rules == _closure_in_order(machine), machine.name
+
+
+def test_flanks_give_both_sector_lookups():
+    """Each part's (left, right) sectors, None past a word end; a letter's
+    right sector is its part's right flank, or its left one when inverted."""
+    line = Hardware((("a",), ("b",), ("c",)), (frozenset("x"), frozenset("y")))
+    circle = Hardware(line.parts, line.sector_alphabets + (frozenset("z"),), circular=True)
+    assert line.flanks == ((None, 0), (0, 1), (1, None))
+    assert circle.flanks == ((2, 0), (0, 1), (1, 2))
+    for hw in (line, circle):
+        for i, (left, right) in enumerate(hw.flanks):
+            assert (hw.left_sector(QLetter(i, "", 1)), hw.right_sector(QLetter(i, "", 1))) == (left, right)
+            assert (hw.left_sector(QLetter(i, "", -1)), hw.right_sector(QLetter(i, "", -1))) == (right, left)
+
+
+@pytest.mark.parametrize("circular", [False, True])
+def test_no_insert_beside_a_locked_sector(circular):
+    """An insert must lie in the domain beside it, so a rule that puts a
+    letter next to a locked sector, or beside no sector, is refused."""
+    parts = (("a",), ("b",), ("c",))
+    hw = Hardware(parts, (frozenset("x"),) * (3 if circular else 2), circular=circular)
+
+    def machine(i, a, b, domains):
+        rps = [RulePart(x, (), x, ()) for (x,) in parts]
+        rps[i] = RulePart(parts[i][0], a, parts[i][0], b)
+        return SMachine(hw, (Rule("t", tuple(rps), domains),))
+
+    x = (YLetter("x", 1),)
+    open_ = (frozenset("x"),) * hw.n_sectors
+    locked = (frozenset(),) + open_[1:]
+    machine(1, x, x, open_)
+    with pytest.raises(ValueError, match=r"part 1: a-word letters \['x'\] outside domain"):
+        machine(1, x, (), locked)
+    with pytest.raises(ValueError, match=r"part 0: b-word letters \['x'\] outside domain"):
+        machine(0, (), x, locked)
+    if circular:
+        machine(0, x, (), open_)
+    else:
+        with pytest.raises(ValueError, match="part 0: a-word beside no sector"):
+            machine(0, x, (), open_)

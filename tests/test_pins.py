@@ -22,8 +22,8 @@ from smachine.compose import (
     mirror_m4,
 )
 from smachine.lr import build_lr, build_lr_m, build_rl
-from smachine.machine import format_slabel
-from smachine.main_machine import build_trimmed_machine
+from smachine.machine import Hardware, Rule, RulePart, SMachine, format_slabel
+from smachine.main_machine import build_main_machine, build_trimmed_machine
 from smachine.presentation import (
     compile_group_G,
     compile_group_M,
@@ -34,16 +34,46 @@ from smachine.presentation import (
 )
 from smachine.serialize import print_machine
 from smachine.toy import toy_even_recognizer
+from smachine.words import YLetter
 
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def tower(m: int):
-    m3 = compose_m3(add_control_letters(add_history_sectors(toy_even_recognizer().machine)), m)
+def tower(m: int, base: SMachine | None = None):
+    m3 = compose_m3(add_control_letters(add_history_sectors(base or toy_even_recognizer().machine)), m)
     m4 = mirror_m4(m3)
     return m3, m4, circularize_m5(m4)
+
+
+def four_part_base() -> SMachine:
+    """Four parts, so two history sectors, with the input in the middle
+    sector: the history sweeps run in lockstep on both."""
+    s, f = ("s0", "s1", "s2", "s3"), ("f0", "f1", "f2", "f3")
+    a, b, c = (frozenset(x) for x in "abc")
+    none = frozenset()
+
+    def rule(label, src, dst, inserts, domains):
+        parts = []
+        for i, (x, y) in enumerate(zip(src, dst)):
+            left, right = inserts.get(i, ((), ()))
+            parts.append(RulePart(x, left, y, right))
+        return Rule(label, tuple(parts), domains, tag="m1")
+
+    return SMachine(
+        hardware=Hardware(tuple(zip(s, f)), (b, a, c)),
+        positive_rules=(
+            rule("eat", s, s, {2: ((YLetter("a", -1),), ())}, (b, a, none)),
+            rule("put", s, s, {0: ((), (YLetter("b", 1),))}, (b, a, none)),
+            rule("fin", s, f, {}, (b, none, none)),
+            rule("end", f, f, {3: ((YLetter("c", -1),), ())}, (none, none, c)),
+        ),
+        start_letters=s,
+        end_letters=f,
+        input_sector=1,
+        name="M1-four",
+    )
 
 
 MACHINE_PINS = {
@@ -55,6 +85,10 @@ MACHINE_PINS = {
     "M3": (lambda b: tower(2)[0].machine, "ba31b89896ceb9c8f5ab3eb3b863ea5da3310a14416d1165a526cc08687cccb9"),
     "M4": (lambda b: tower(2)[1].machine, "9fd3ec15d03ddc8459cb8fb4b656c249404e2874fee7510a7316fad50ba7e05a"),
     "M5": (lambda b: tower(2)[2].machine, "f75b3227dd85976b6d4bfccf645b8bb54dc1ff7f031f97c04f4c8258195f8e12"),
+    "M3-four": (lambda b: tower(2, four_part_base())[0].machine, "13956ef3f9b82746ab6623e4866d98fe32f593499b370b177f4baf0b47b98f77"),
+    "M5-four": (lambda b: tower(2, four_part_base())[2].machine, "8014a4a97567e777cb16902b84b00c0098a3d9bcd45783896657be83436cb727"),
+    "main(1,8)": (lambda b: build_main_machine(toy_even_recognizer(), 1, 8).machine, "26dbb54df1af098eeae73d7f30fc679b9d516173f070c2f09144b8d2a8b33103"),
+    "main(3,12)": (lambda b: build_main_machine(toy_even_recognizer(), 3, 12).machine, "b33b324e09f9107f685f42b0343e67b9af33aabab5160adb175845bd0ef26875"),
     "main(2,12)": (lambda b: b.machine, "90de020493be501cb5ac247d308b821bbf4d9e051d591015338102e27714fea3"),
     "Mbar(2,12)": (build_trimmed_machine, "26f79c69b181f22a7b4a4e1433bed560bd14b97843eff6f6a71ea32317974ea3"),
 }
