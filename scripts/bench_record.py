@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Record one benchmark file: the three perfbench workloads and the
+acceptance-size end-to-end runs, each repeated, with the environment.
+
+    python3 scripts/bench_record.py --out BENCH_<n>.json
+
+For each perfbench workload, ``perfbench/run.py --seed 1 --seconds 40
+--trace 0`` runs ``RUNS`` times in a fresh interpreter, and each
+end-to-end metric keeps its raw values and their minimum.  Then
+``smachine verify --suite all`` (serial and ``--jobs 2``) and the Tier-1
+pytest command run ``RUNS`` times each; a run keeps its wall time,
+the peak resident set of its process tree and, for verify, the sha256
+of its report file.  The file also carries the git sha (and whether
+``src`` or ``perfbench`` differ from it), perfbench's hash of the
+package source, the Python version and ``nproc``.  Stdlib only; run
+from anywhere.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("sweep", "compile", "verify-jobs2")
+RUNS = 3  # the host's run-to-run noise is about 25%, so keep the best of three
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+
+
+def _env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _timed(argv: list[str]) -> dict:
+    """Run ``argv`` from the repository root with its output discarded;
+    its wall time, exit code and peak RSS (MiB, largest process of its
+    tree)."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(argv, cwd=ROOT, env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {
+        "wall_s": round(time.perf_counter() - t0, 3),
+        "exit": proc.returncode,
+        "peak_rss_mib": round(usage.ru_maxrss / 1024, 1),
+    }
+
+
+def _perfbench(workload: str) -> dict:
+    values: dict[str, list[float]] = {}
+    units: dict[str, str] = {}
+    for _ in range(RUNS):
+        out = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "40", "--trace", "0"],
+            cwd=ROOT, capture_output=True, text=True, check=True,
+        )
+        *_, env_line, result_line = out.stdout.strip().splitlines()
+        src_sha = json.loads(env_line)["env"]["src_sha256"]
+        result = json.loads(result_line)
+        if not result["correct"]:
+            raise SystemExit(f"{workload}: {result['failed']} of {result['attempted']} operations failed")
+        for name, m in result["metrics"].items():
+            values.setdefault(name, []).append(m["value"])
+            units[name] = m["unit"]
+    metrics = {name: {"unit": units[name], "min": min(v), "runs": v} for name, v in values.items()}
+    return {"src_sha256": src_sha, "metrics": metrics}
+
+
+def _verify(jobs: int) -> dict:
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "reports.json"
+        for _ in range(RUNS):
+            row = _timed([sys.executable, "-m", "smachine.cli", "verify", "--suite", "all", "--jobs", str(jobs), "-o", str(report)])
+            row["sha256"] = hashlib.sha256(report.read_bytes()).hexdigest()
+            rows.append(row)
+    return _summary(rows)
+
+
+def _summary(rows: list[dict]) -> dict:
+    return {"min_wall_s": min(r["wall_s"] for r in rows), "runs": rows}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", required=True, help="the JSON file to write")
+    args = ap.parse_args()
+
+    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+    dirty = bool(subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"], cwd=ROOT,
+                                capture_output=True, text=True).stdout.strip())
+    doc = {
+        "env": {"git_sha": sha, "src_dirty": dirty, "python": platform.python_version(), "nproc": len(os.sched_getaffinity(0))},
+        "perfbench": {w: _perfbench(w) for w in WORKLOADS},
+        "end_to_end": {
+            "verify-all serial": _verify(1),
+            "verify-all --jobs 2": _verify(2),
+            "tier-1 pytest": _summary([_timed([sys.executable, *TIER1]) for _ in range(RUNS)]),
+        },
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -48,8 +48,12 @@ def successors(
     keep: Keep | None = None,
 ) -> Iterator[tuple[Rule, AdmissibleWord]]:
     """Yield (rule, word·rule) for each applicable rule, in rule order,
-    skipping the inverse of ``last`` and the rules ``keep`` rejects."""
-    for r in machine.candidate_rules(word.q[0]):
+    skipping the inverse of ``last`` and the rules ``keep`` rejects.
+
+    Only the rules whose sources match all of the word's state letters
+    (``rules_at``) are tried; each goes through ``is_applicable`` and
+    ``apply_rule`` as a caller outside the engine would."""
+    for r in machine.rules_at(word.q):
         if last is not None and last[0] == r.label and last[1] == -r.sign:
             continue
         if keep is not None and not keep(r):

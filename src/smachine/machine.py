@@ -3,18 +3,26 @@
 A rule is a tuple of per-part substitutions ``q_i -> a_i q_i' b_i``
 together with one domain alphabet per sector; an empty domain locks the
 sector.  Every rule stores only its positive form; the machine exposes
-the symmetric closure.  Applying a rule puts its inserts beside each
-state letter and freely reduces each tape word at its two ends.
+the symmetric closure.
+
+Applying a rule works from the rule's plan, compiled once: per part its
+source letter, its new state letter for either sign, and the two
+inserts for either sign, each freely reduced.  A new tape word is the
+old one with the inserts of its two state letters joined on, and since
+all three are reduced it is freely reduced at its two ends only.  The
+machine caches, per tuple of state letters, the rules whose sources
+match all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .words import (
-    AdmissibleWord, MalformedWord, QLetter, Word, YLetter, invert_word, parse_signed, reduce_word, signed,
+    AdmissibleWord, MalformedWord, QLetter, Word, YLetter, invert_word, junction_join, parse_signed, reduce_word,
+    signed,
 )
 
 
@@ -180,6 +188,16 @@ class RulePart:
     b: Word
 
 
+class RulePlan(NamedTuple):
+    """A rule compiled for application; entries indexed ``[part][sign > 0]``
+    are for a negative (0) or positive (1) state letter of that part."""
+
+    src: tuple[str, ...]
+    dst: tuple[tuple[QLetter, QLetter], ...]
+    # the (left, right) inserts, each freely reduced
+    ins: tuple[tuple[tuple[Word, Word], tuple[Word, Word]], ...]
+
+
 @dataclass(frozen=True)
 class Rule:
     """One substitution per part plus per-sector domain alphabets.
@@ -217,6 +235,15 @@ class Rule:
     def growth(self) -> int:
         """Max letters a single application can add: sum of |a_i|+|b_i|."""
         return sum(len(p.a) + len(p.b) for p in self.parts)
+
+    @cached_property
+    def plan(self) -> RulePlan:
+        dst, ins = [], []
+        for i, p in enumerate(self.parts):
+            a, b = reduce_word(p.a), reduce_word(p.b)
+            dst.append((QLetter(i, p.dst, -1), QLetter(i, p.dst, 1)))
+            ins.append(((invert_word(b), invert_word(a)), (a, b)))
+        return RulePlan(tuple(p.src for p in self.parts), tuple(dst), tuple(ins))
 
 
 def invert_rule(rule: Rule) -> Rule:
@@ -289,6 +316,20 @@ class SMachine:
         """Rules whose source letter at x's part matches x; sound prefilter."""
         return self._by_source.get((x.part, x.name), ())
 
+    @cached_property
+    def _by_state(self) -> dict[tuple[QLetter, ...], tuple[Rule, ...]]:
+        return {}
+
+    def rules_at(self, q: tuple[QLetter, ...]) -> tuple[Rule, ...]:
+        """Rules whose source letters match every state letter of ``q``,
+        in rule order; cached per ``q``."""
+        try:
+            return self._by_state[q]
+        except KeyError:
+            rs = tuple(r for r in self.candidate_rules(q[0]) if all(r.plan.src[x.part] == x.name for x in q))
+            self._by_state[q] = rs
+            return rs
+
     def rule(self, token: str | SignedLabel) -> Rule:
         lbl, sg = parse_signed(token) if isinstance(token, str) else token
         try:
@@ -326,32 +367,30 @@ class SMachine:
 # rule application
 
 
+def _refusal(machine: SMachine, w: AdmissibleWord, rule: Rule) -> str | None:
+    """Why ``rule`` does not apply to ``w``, or None when it does."""
+    src = rule.plan.src
+    for part, name, sign in w.q:
+        if src[part] != name:
+            return f"state letter {signed(name, sign)} does not match rule {rule.label}"
+    flanks, domains = machine.hardware.flanks, rule.domains
+    for (part, _, sign), u in zip(w.q, w.u):
+        if u:
+            sec = flanks[part][sign > 0]
+            dom = domains[sec]
+            for name, _ in u:
+                if name not in dom:
+                    return f"letter {name} in sector {sec} outside domain of {rule.label}"
+    return None
+
+
 def is_applicable(machine: SMachine, w: AdmissibleWord, rule: Rule) -> bool:
-    try:
-        _check(machine, w, rule)
-        return True
-    except NotApplicable:
-        return False
-
-
-def _check(machine: SMachine, w: AdmissibleWord, rule: Rule) -> None:
-    hw = machine.hardware
-    for x in w.q:
-        if rule.parts[x.part].src != x.name:
-            raise NotApplicable(f"state letter {x} does not match rule {rule.label}")
-    for a, u in zip(w.q, w.u):
-        sec = hw.right_sector(a)
-        assert sec is not None
-        dom = rule.domains[sec]
-        for y in u:
-            if y.name not in dom:
-                raise NotApplicable(
-                    f"letter {y.name} in sector {sec} outside domain of {rule.label}"
-                )
+    return _refusal(machine, w, rule) is None
 
 
 def inserts(rule: Rule, x: QLetter) -> tuple[Word, Word]:
-    """The tape words ``rule`` puts left and right of state letter ``x``."""
+    """The tape words ``rule`` puts left and right of state letter ``x``,
+    as written in the rule."""
     p = rule.parts[x.part]
     if x.sign > 0:
         return p.a, p.b
@@ -359,18 +398,25 @@ def inserts(rule: Rule, x: QLetter) -> tuple[Word, Word]:
 
 
 def apply_rule(machine: SMachine, w: AdmissibleWord, rule: Rule) -> AdmissibleWord:
-    """W·theta: each tape word is reduced between the inserts of its two
-    state letters; the inserts outside the end letters are never added.
+    """W·theta: each tape word is joined to the reduced inserts of its two
+    state letters and freely reduced at its two ends; the inserts outside
+    the end letters are never added.
 
     State letters never cancel, so this is the free reduction of the
     whole substituted word with its end tape letters trimmed.
     """
-    _check(machine, w, rule)
-    parts = rule.parts
-    ins = [inserts(rule, x) for x in w.q]
+    reason = _refusal(machine, w, rule)
+    if reason is not None:
+        raise NotApplicable(reason)
+    dst, ins = rule.plan.dst, rule.plan.ins
+    qs, sides = [], []
+    for part, _, sign in w.q:
+        qs.append(dst[part][sign > 0])
+        sides.append(ins[part][sign > 0])
     return AdmissibleWord(
-        tuple(QLetter(x.part, parts[x.part].dst, x.sign) for x in w.q),
-        tuple(reduce_word(ins[i][1] + u + ins[i + 1][0]) for i, u in enumerate(w.u)),
+        tuple(qs),
+        # a tape with no inserts on either side is shared, not joined
+        tuple([junction_join(x[1], u, y[0]) if x[1] or y[0] else u for x, u, y in zip(sides, w.u, sides[1:])]),
     )
 
 

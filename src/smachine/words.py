@@ -84,13 +84,35 @@ def reduce_word(w: Iterable[SignedPair]) -> tuple[SignedPair, ...]:
     return tuple(stack)
 
 
+def _meet(x: Word, y: Word) -> Word:
+    """``x·y`` freely reduced, for reduced ``x`` and ``y``: they cancel only
+    where they meet, so this is ``x[:n-i] + y[i:]``."""
+    n, i = len(x), 0
+    m = min(n, len(y))
+    while i < m and x[n - 1 - i][0] == y[i][0] and x[n - 1 - i][1] == -y[i][1]:
+        i += 1
+    return x[: n - i] + y[i:]
+
+
+def junction_join(left: Word, u: Word, right: Word) -> Word:
+    """The free reduction of ``left·u·right`` for three reduced words,
+    cancelling at the two junctions only; ``u`` itself when both inserts
+    are empty."""
+    if left:
+        u = _meet(left, u)
+    if right:
+        u = _meet(u, right)
+    return u
+
+
 def is_reduced(w: Word) -> bool:
-    return all(
-        not (a.name == b.name and a.sign == -b.sign) for a, b in zip(w, w[1:])
-    )
+    for (a, s), (b, t) in zip(w, w[1:]):
+        if a == b and s == -t:
+            return False
+    return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissibleWord:
     """Alternating word ``q_1 u_1 q_2 ... u_s q_{s+1}``.
 
@@ -111,10 +133,10 @@ class AdmissibleWord:
                 f" got {len(self.u)}"
             )
         for w in self.u:
-            if not is_reduced(w):
+            if len(w) > 1 and not is_reduced(w):
                 raise MalformedWord(f"tape word {format_word(w)} is not reduced")
         for a, b, w in zip(self.q, self.q[1:], self.u):
-            if a.part == b.part and a.sign == -b.sign and not w:
+            if not w and a.part == b.part and a.sign == -b.sign:
                 raise MalformedWord(f"unreduced pair {a}{b}")
 
     @property

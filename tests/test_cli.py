@@ -301,6 +301,23 @@ def test_bad_argument_is_a_usage_error(capsys, tmp_path, lr_file, args):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "history, err",
+    [
+        ("z12", "rule z12 not applicable at step 0: letter a in sector 0 outside domain of z12"),
+        ("z1_a z12 z12", "rule z12 not applicable at step 2: state letter p2 does not match rule z12"),
+    ],
+    ids=["letter-outside-domain", "state-letter-mismatch"],
+)
+def test_history_failure_names_step_and_reason(capsys, tmp_path, lr_file, history, err):
+    """The line names the failing step and why the rule does not apply."""
+    mfile = tmp_path / "lr.txt"
+    mfile.write_text(lr_file)
+    capsys.readouterr()
+    code, out = run_cli(["simulate", "--word", "q1 a p1 q2", "--history", history, "--machine", str(mfile)])
+    assert (code, out, capsys.readouterr().err) == (1, "", f"error: --history: {err}\n")
+
+
 @pytest.mark.parametrize("text", ["not json\n", '{"m": "x"}\n'], ids=["not-json", "m-not-an-integer"])
 def test_bad_manifest_is_a_format_error(capsys, tmp_path, text):
     code, err = run_on_bad_file(capsys, tmp_path, text, ["verify", "--suite", "periodic", "--manifest"])

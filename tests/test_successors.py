@@ -1,0 +1,208 @@
+"""``successors``, the one expansion step, against simple references.
+
+``successors`` tries only the rules cached for the word's state letters
+and applies each through a plan compiled once per rule; these tests
+compare it with the whole-word reference over every rule of the
+machine, check the cache against a plain filter, and pin the seam
+through which every application still passes (``is_applicable``,
+``apply_rule`` and ``AdmissibleWord.__post_init__`` at their module
+names) so that a later shortcut around it shows up here.
+"""
+
+import itertools
+import pickle
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from smachine import enumerate as engine
+from smachine.checks import check_lr_bound
+from smachine.lr import build_lr
+from smachine.machine import Hardware, NotApplicable, Rule, RulePart, SMachine, apply_rule, inserts
+from smachine.words import AdmissibleWord, MalformedWord, QLetter, reduce_word, y_word
+
+from conftest import random_words_for
+from test_machine import whole_word_apply
+
+KEEPS = {
+    "all": None,
+    "positive": lambda r: r.sign > 0,
+    "even-label": lambda r: len(r.label) % 2 == 0,
+}
+
+
+def _outcome(pairs):
+    """The (signed label, word) pairs of an expansion, and whether it
+    ended in ``MalformedWord``."""
+    out = []
+    try:
+        for label, w in pairs:
+            out.append((label, w))
+    except MalformedWord:
+        return out, True
+    return out, False
+
+
+def _reference(machine, w, last, keep):
+    """Every rule of the machine in order, applied by the whole-word
+    reference, with the same skips as ``successors``."""
+    for r in machine.rules:
+        if last == (r.label, -r.sign) or (keep is not None and not keep(r)):
+            continue
+        try:
+            yield r.signed_label, whole_word_apply(machine, w, r)
+        except NotApplicable:
+            pass
+
+
+def _fast(machine, w, last, keep):
+    for r, w2 in engine.successors(machine, w, last, keep):
+        yield r.signed_label, w2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    idx=st.integers(0, 10),
+    seed=st.integers(0, 2**16),
+    last_pick=st.one_of(st.none(), st.integers(0, 10**6)),
+    keep=st.sampled_from(sorted(KEEPS)),
+)
+def test_successors_match_the_whole_word_reference(shipped, idx, seed, last_pick, keep):
+    """Same (label, word) sequence, or the same ``MalformedWord``, with
+    ``last`` unset, set to any rule, and set to the step just taken."""
+    machine = shipped[idx]
+    keep_fn = KEEPS[keep]
+    last = None if last_pick is None else machine.rules[last_pick % len(machine.rules)].signed_label
+    for w in random_words_for(machine, 8, seed):
+        want = _outcome(_reference(machine, w, last, keep_fn))
+        assert _outcome(_fast(machine, w, last, keep_fn)) == want, (machine.name, str(w), last, keep)
+        for label, w2 in want[0][:2]:
+            again = _outcome(_reference(machine, w2, label, keep_fn))
+            assert _outcome(_fast(machine, w2, label, keep_fn)) == again, (machine.name, str(w2), label)
+
+
+def test_rules_at_is_a_plain_filter_of_the_rules(shipped):
+    """The cached candidates of a state tuple are the machine's rules
+    whose sources match every state letter, in rule order."""
+    for idx, machine in enumerate(shipped):
+        for w in random_words_for(machine, 200, seed=3000 + idx):
+            want = tuple(r for r in machine.rules if all(r.parts[x.part].src == x.name for x in w.q))
+            assert machine.rules_at(w.q) == want, (machine.name, str(w))
+            assert machine.rules_at(w.q) is machine.rules_at(w.q)
+
+
+def _unreduced_insert_machine():
+    """One rule whose inserts ``a a^-1`` and ``b^-1 b a`` are not reduced."""
+    hw = Hardware(
+        parts=(("q1",), ("p1", "p2"), ("q2",)),
+        sector_alphabets=(frozenset({"a", "b"}), frozenset({"a", "b"})),
+    )
+    rule = Rule(
+        "t",
+        (
+            RulePart("q1", (), "q1", y_word("a", "a^-1")),
+            RulePart("p1", y_word("b^-1", "b", "a"), "p2", y_word("a", "a^-1", "b")),
+            RulePart("q2", y_word("b", "b^-1"), "q2", ()),
+        ),
+        (frozenset({"a", "b"}), frozenset({"a", "b"})),
+    )
+    return SMachine(hw, (rule,), name="unreduced")
+
+
+def _reduced_words(length):
+    letters = [y for name in "ab" for y in y_word(name, f"{name}^-1")]
+    return {reduce_word(t) for n in range(length + 1) for t in itertools.product(letters, repeat=n)}
+
+
+def test_inserts_reduced_once_give_the_whole_tape_reduction():
+    """Reducing a rule's inserts when it is compiled, then joining at the
+    junctions, gives what ``reduce_word`` gives on the whole tape."""
+    machine = _unreduced_insert_machine()
+    tapes = sorted(_reduced_words(3))
+    checked = 0
+    for rule in machine.rules:
+        src = [QLetter(i, p.src, 1) for i, p in enumerate(rule.parts)]
+        for u0, u1 in itertools.product(tapes, repeat=2):
+            for w in (AdmissibleWord(tuple(src), (u0, u1)), AdmissibleWord(tuple(src), (u0, u1)).inv()):
+                got = apply_rule(machine, w, rule)
+                ins = [inserts(rule, x) for x in w.q]
+                tape = tuple(reduce_word(ins[i][1] + u + ins[i + 1][0]) for i, u in enumerate(w.u))
+                assert got.u == tape, (str(w), rule.signed_label)
+                assert got == whole_word_apply(machine, w, rule)
+                checked += 1
+    assert checked > 2000
+
+
+def test_a_word_the_constructor_rejects_is_raised_by_successors(monkeypatch):
+    """Every word ``successors`` yields comes from ``AdmissibleWord(...)``,
+    so a ``MalformedWord`` its checks raise reaches the caller."""
+    lr = build_lr(["a"])
+    # z1_a^-1 empties both tapes of w; no successor of v has empty tapes
+    w = lr.hardware.word(["q1", "a^-1", "p1", "a'", "q2"])
+    v = lr.hardware.word(["q1", "a", "p1", "q2"])
+    want = list(engine.successors(lr, v))
+    post_init = AdmissibleWord.__post_init__
+
+    def reject_empty_tapes(self):
+        post_init(self)
+        if not any(self.u):
+            raise MalformedWord("no tape")
+
+    monkeypatch.setattr(AdmissibleWord, "__post_init__", reject_empty_tapes)
+    with pytest.raises(MalformedWord, match="no tape"):
+        list(engine.successors(lr, w))
+    assert list(engine.successors(lr, v)) == want
+
+
+def test_every_application_passes_the_counted_names(monkeypatch):
+    """The engine calls ``is_applicable`` and ``apply_rule`` at their names
+    in ``smachine.enumerate``, one application per yielded successor, and
+    builds each word through ``AdmissibleWord.__post_init__``: the seam
+    through which applications are counted from outside the package."""
+    counts = dict.fromkeys(("is_applicable", "apply_rule", "post_init", "yielded"), 0)
+    built = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def post_init(self):
+        built.append(self)
+        counts["post_init"] += 1
+        checks(self)
+
+    def counted_successors(*args, **kwargs):
+        for pair in successors(*args, **kwargs):
+            counts["yielded"] += 1
+            assert pair[1] is built[-1], "a yielded word skipped the constructor's checks"
+            yield pair
+
+    successors, checks = engine.successors, AdmissibleWord.__post_init__
+    monkeypatch.setattr(engine, "is_applicable", counted("is_applicable", engine.is_applicable))
+    monkeypatch.setattr(engine, "apply_rule", counted("apply_rule", engine.apply_rule))
+    monkeypatch.setattr(engine, "successors", counted_successors)
+    monkeypatch.setattr(AdmissibleWord, "__post_init__", post_init)
+
+    assert check_lr_bound(max_tape=2).status == "pass"
+    lr = build_lr(["a"])
+    live = lr.hardware.word(["q1", "a", "p1", "q2"])
+    assert engine.search(lr, live, [lr.hardware.word(["q1", "p2", "a'", "q2"])], 1000) == (
+        (("z1_a", 1), ("z12", 1)),
+        False,
+    )
+    assert all(n > 0 for n in counts.values()), counts
+    assert counts["apply_rule"] == counts["yielded"], counts
+    assert counts["is_applicable"] >= counts["apply_rule"], counts
+
+
+def test_words_pickle_and_take_no_new_attributes():
+    """Words carry slots: they pickle for the ``--jobs`` pool and refuse
+    an attribute set on an instance."""
+    w = build_lr(["a"]).hardware.word(["q1", "a", "p1", "q2"])
+    assert pickle.loads(pickle.dumps(w)) == w
+    assert not hasattr(w, "__dict__")
+    with pytest.raises((AttributeError, TypeError)):
+        w.extra = 1
