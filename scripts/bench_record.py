@@ -7,13 +7,14 @@ acceptance-size end-to-end runs, each repeated, with the environment.
 For each perfbench workload, ``perfbench/run.py --seed 1 --seconds 40
 --trace 0`` runs ``RUNS`` times in a fresh interpreter, and each
 end-to-end metric keeps its raw values and their minimum.  Then
-``smachine verify --suite all`` (serial and ``--jobs 2``) and the Tier-1
-pytest command run ``RUNS`` times each; a run keeps its wall time,
-the peak resident set of its process tree and, for verify, the sha256
-of its report file.  The file also carries the git sha (and whether
-``src`` or ``perfbench`` differ from it), perfbench's hash of the
-package source, the Python version and ``nproc``.  Stdlib only; run
-from anywhere.
+``smachine verify --suite all`` (serial and ``--jobs 2``),
+``scripts/run_verification.py`` (writing to a temporary directory) and
+the Tier-1 pytest command run ``RUNS`` times each; a run keeps its wall
+time, the peak resident set of its process tree and, for the runs that
+verify, the sha256 of their report file.  The file also carries the git
+sha (and whether ``src`` or ``perfbench`` differ from it), perfbench's
+hash of the package source, the Python version and ``nproc``.  Stdlib
+only; run from anywhere.
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ def _verify(jobs: int) -> dict:
     return _summary(rows)
 
 
+def _run_verification() -> dict:
+    rows = []
+    for _ in range(RUNS):
+        with tempfile.TemporaryDirectory() as tmp:
+            row = _timed([sys.executable, "scripts/run_verification.py", "--out", tmp])
+            row["sha256"] = hashlib.sha256((Path(tmp) / "reports.json").read_bytes()).hexdigest()
+            rows.append(row)
+    return _summary(rows)
+
+
 def _summary(rows: list[dict]) -> dict:
     return {"min_wall_s": min(r["wall_s"] for r in rows), "runs": rows}
 
@@ -105,6 +116,7 @@ def main() -> int:
         "end_to_end": {
             "verify-all serial": _verify(1),
             "verify-all --jobs 2": _verify(2),
+            "run_verification.py": _run_verification(),
             "tier-1 pytest": _summary([_timed([sys.executable, *TIER1]) for _ in range(RUNS)]),
         },
     }

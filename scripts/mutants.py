@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Mutation gate for the rule-application fast paths.
+
+    python3 scripts/mutants.py
+
+Each mutant is one curated source edit.  For each, ``src/`` and
+``tests/`` are copied to a temporary directory, the edit is applied to
+the copy, and a fast subset of the tests (``TESTS``) runs against it
+with a timeout.  A mutant is killed by a failing run or by the timeout,
+which is reported as such.  The unedited copy runs first and must pass,
+or no kill means anything.  At most two runs go at once, and the
+working tree is never written to.
+
+Exit 0 when every mutant is killed; 1 when one survives, when an edit
+no longer matches its source exactly once, or when the unedited copy
+fails.  A survivor means a missing test: add the test, never drop the
+mutant.  Stdlib only; not part of Tier-1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ("tests/test_successors.py", "tests/test_machine.py", "tests/test_pins.py")
+TIMEOUT_S = 600
+JOBS = 2
+
+# (name, file under src/smachine, ((old, new), ...)): every old text must
+# occur exactly once in its file.
+MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
+    (
+        "skip the domain check of the last tape",
+        "machine.py",
+        (("    for i, u in enumerate(w.u):\n", "    for i, u in enumerate(w.u[:-1]):\n"),),
+    ),
+    (
+        "key the move cache on the first state letter only",
+        "machine.py",
+        (
+            ("            return self._moves[q]\n", "            return self._moves[q[0]]\n"),
+            ("            moves = self._moves[q] = {", "            moves = self._moves[q[0]] = {"),
+        ),
+    ),
+    (
+        "reuse a cached move by label without comparing the rule",
+        "machine.py",
+        (("    if m is None or not (m.rule is rule or m.rule == rule):\n", "    if m is None:\n"),),
+    ),
+    (
+        "swap the inserts of a negative letter",
+        "machine.py",
+        (("    return invert_word(p.b), invert_word(p.a)\n", "    return invert_word(p.a), invert_word(p.b)\n"),),
+    ),
+    (
+        "stop the junction join one letter early",
+        "words.py",
+        (("    while i < m and x[n - 1 - i]", "    while i < m - 1 and x[n - 1 - i]"),),
+    ),
+    (
+        "drop the skip of the last rule's inverse in successors",
+        "enumerate.py",
+        (("        if last is not None and last[0] == r.label and last[1] == -r.sign:\n            continue\n", ""),),
+    ),
+)
+
+
+def _run(edits: tuple[str, tuple[tuple[str, str], ...]] | None) -> tuple[str, float]:
+    """Apply ``edits`` (file, replacements) to a fresh copy and run the
+    tests there; returns (outcome, seconds)."""
+    with tempfile.TemporaryDirectory(prefix="smachine-mutant-") as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        if edits is not None:
+            name, replacements = edits
+            path = work / "src" / "smachine" / name
+            text = path.read_text()
+            for old, new in replacements:
+                if text.count(old) != 1:
+                    return f"stale: {old.strip()!r} occurs {text.count(old)} times in {name}", 0.0
+                text = text.replace(old, new)
+            path.write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *TESTS]
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                start_new_session=True)
+        try:
+            proc.wait(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return "timeout", time.perf_counter() - t0
+        return ("pass" if proc.returncode == 0 else "fail"), time.perf_counter() - t0
+
+
+def main() -> int:
+    outcome, secs = _run(None)
+    print(f"{'unedited copy':56} {outcome} ({secs:.0f} s)", flush=True)
+    if outcome != "pass":
+        return 1
+    bad = 0
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        results = pool.map(lambda m: _run((m[1], m[2])), MUTANTS)
+        for (name, _, _), (outcome, secs) in zip(MUTANTS, results):
+            if outcome == "timeout":
+                verdict = "killed (timeout)"
+            elif outcome == "fail":
+                verdict = "killed"
+            else:
+                verdict = "SURVIVED" if outcome == "pass" else outcome
+                bad += 1
+            print(f"{name:56} {verdict} ({secs:.0f} s)", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,32 +8,35 @@ output directory (default ./out).
 
     python3 scripts/run_verification.py [--out DIR] [--m 2] [--L 12] [--jobs N]
 
-Exit code 2 if any suite fails.
+Exit code 2 if any suite fails, 1 on a usage error (as ``smachine``).
 """
 
-import argparse
 import sys
 from pathlib import Path
 
 from smachine.checks import bundle_cached, run_suites
-from smachine.main_machine import build_trimmed_machine
+from smachine.cli import _nonnegative, _Parser, _positive
+from smachine.main_machine import BadParameters, build_trimmed_machine
 from smachine.presentation import compile_group_G, compile_trimmed, export, hnn_Gbar, hnn_Gk
 from smachine.serialize import manifest, print_machine
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
+    ap = _Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="out")
     ap.add_argument("--m", type=int, default=2)
     ap.add_argument("--L", type=int, default=12)
-    ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--budget", type=int, default=None)
+    ap.add_argument("--jobs", type=_positive, default=1)
+    ap.add_argument("--budget", type=_nonnegative, default=None)
     args = ap.parse_args()
 
+    try:
+        bundle = bundle_cached(args.m, args.L)
+    except BadParameters as e:
+        ap.error(str(e))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    bundle = bundle_cached(args.m, args.L)
     (out / "machine_M.txt").write_text(print_machine(bundle.machine))
     (out / "machine_Mbar.txt").write_text(print_machine(build_trimmed_machine(bundle)))
     (out / "manifest.json").write_text(

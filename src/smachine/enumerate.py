@@ -51,9 +51,11 @@ def successors(
     skipping the inverse of ``last`` and the rules ``keep`` rejects.
 
     Only the rules whose sources match all of the word's state letters
-    (``rules_at``) are tried; each goes through ``is_applicable`` and
-    ``apply_rule`` as a caller outside the engine would."""
-    for r in machine.rules_at(word.q):
+    are tried, the moves ``moves_at`` compiled for them; each still goes
+    through ``is_applicable`` and ``apply_rule`` as a caller outside the
+    engine would, and those read the same cached move."""
+    for m in machine.moves_at(word.q).values():
+        r = m.rule
         if last is not None and last[0] == r.label and last[1] == -r.sign:
             continue
         if keep is not None and not keep(r):

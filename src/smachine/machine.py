@@ -5,13 +5,13 @@ together with one domain alphabet per sector; an empty domain locks the
 sector.  Every rule stores only its positive form; the machine exposes
 the symmetric closure.
 
-Applying a rule works from the rule's plan, compiled once: per part its
-source letter, its new state letter for either sign, and the two
-inserts for either sign, each freely reduced.  A new tape word is the
-old one with the inserts of its two state letters joined on, and since
-all three are reduced it is freely reduced at its two ends only.  The
-machine caches, per tuple of state letters, the rules whose sources
-match all of them.
+Applying a rule works from a ``Move``, the rule compiled once for each
+tuple of state letters it meets: the new state letters, each tape's
+sector and domain, and the freely reduced inserts of the tapes that get
+any.  A new tape word is the old one with those inserts joined on, and
+since all three are reduced it is freely reduced at its two ends only;
+every other tape is shared.  The machine caches, per tuple of state
+letters, the moves of the rules whose sources match all of them.
 """
 
 from __future__ import annotations
@@ -188,16 +188,6 @@ class RulePart:
     b: Word
 
 
-class RulePlan(NamedTuple):
-    """A rule compiled for application; entries indexed ``[part][sign > 0]``
-    are for a negative (0) or positive (1) state letter of that part."""
-
-    src: tuple[str, ...]
-    dst: tuple[tuple[QLetter, QLetter], ...]
-    # the (left, right) inserts, each freely reduced
-    ins: tuple[tuple[tuple[Word, Word], tuple[Word, Word]], ...]
-
-
 @dataclass(frozen=True)
 class Rule:
     """One substitution per part plus per-sector domain alphabets.
@@ -236,18 +226,21 @@ class Rule:
         """Max letters a single application can add: sum of |a_i|+|b_i|."""
         return sum(len(p.a) + len(p.b) for p in self.parts)
 
-    @cached_property
-    def plan(self) -> RulePlan:
-        dst, ins = [], []
-        for i, p in enumerate(self.parts):
-            a, b = reduce_word(p.a), reduce_word(p.b)
-            dst.append((QLetter(i, p.dst, -1), QLetter(i, p.dst, 1)))
-            ins.append(((invert_word(b), invert_word(a)), (a, b)))
-        return RulePlan(tuple(p.src for p in self.parts), tuple(dst), tuple(ins))
-
 
 def invert_rule(rule: Rule) -> Rule:
     return rule.inv()
+
+
+class Move(NamedTuple):
+    """A rule compiled for one tuple of state letters: the new state
+    letters, each tape's (sector, domain), and the (tape index, left
+    insert, right insert) joins of the tapes that get inserts, each
+    insert freely reduced."""
+
+    rule: Rule
+    q: tuple[QLetter, ...]
+    tapes: tuple[tuple[int | None, frozenset[str]], ...]
+    joins: tuple[tuple[int, Word, Word], ...]
 
 
 @dataclass(frozen=True)
@@ -317,18 +310,18 @@ class SMachine:
         return self._by_source.get((x.part, x.name), ())
 
     @cached_property
-    def _by_state(self) -> dict[tuple[QLetter, ...], tuple[Rule, ...]]:
+    def _moves(self) -> dict[tuple[QLetter, ...], dict[SignedLabel, Move]]:
         return {}
 
-    def rules_at(self, q: tuple[QLetter, ...]) -> tuple[Rule, ...]:
-        """Rules whose source letters match every state letter of ``q``,
-        in rule order; cached per ``q``."""
+    def moves_at(self, q: tuple[QLetter, ...]) -> dict[SignedLabel, Move]:
+        """The rules whose sources match every state letter of ``q``, each
+        compiled for ``q``, by signed label in rule order; cached per ``q``."""
         try:
-            return self._by_state[q]
+            return self._moves[q]
         except KeyError:
-            rs = tuple(r for r in self.candidate_rules(q[0]) if all(r.plan.src[x.part] == x.name for x in q))
-            self._by_state[q] = rs
-            return rs
+            compiled = (_compile(self, q, r) for r in self.candidate_rules(q[0]))
+            moves = self._moves[q] = {m.rule.signed_label: m for m in compiled if not isinstance(m, str)}
+            return moves
 
     def rule(self, token: str | SignedLabel) -> Rule:
         lbl, sg = parse_signed(token) if isinstance(token, str) else token
@@ -367,27 +360,6 @@ class SMachine:
 # rule application
 
 
-def _refusal(machine: SMachine, w: AdmissibleWord, rule: Rule) -> str | None:
-    """Why ``rule`` does not apply to ``w``, or None when it does."""
-    src = rule.plan.src
-    for part, name, sign in w.q:
-        if src[part] != name:
-            return f"state letter {signed(name, sign)} does not match rule {rule.label}"
-    flanks, domains = machine.hardware.flanks, rule.domains
-    for (part, _, sign), u in zip(w.q, w.u):
-        if u:
-            sec = flanks[part][sign > 0]
-            dom = domains[sec]
-            for name, _ in u:
-                if name not in dom:
-                    return f"letter {name} in sector {sec} outside domain of {rule.label}"
-    return None
-
-
-def is_applicable(machine: SMachine, w: AdmissibleWord, rule: Rule) -> bool:
-    return _refusal(machine, w, rule) is None
-
-
 def inserts(rule: Rule, x: QLetter) -> tuple[Word, Word]:
     """The tape words ``rule`` puts left and right of state letter ``x``,
     as written in the rule."""
@@ -397,27 +369,60 @@ def inserts(rule: Rule, x: QLetter) -> tuple[Word, Word]:
     return invert_word(p.b), invert_word(p.a)
 
 
+def _compile(machine: SMachine, q: tuple[QLetter, ...], rule: Rule) -> Move | str:
+    """``rule``'s move at the state letters ``q``, or why their sources differ."""
+    qs, sides = [], []
+    for x in q:
+        p = rule.parts[x.part]
+        if p.src != x.name:
+            return f"state letter {x} does not match rule {rule.label}"
+        qs.append(x if p.dst == x.name else QLetter(x.part, p.dst, x.sign))
+        sides.append(tuple(map(reduce_word, inserts(rule, x))) if p.a or p.b else ((), ()))
+    # a word built without ``validate`` may have no sector right of a letter
+    secs = map(machine.hardware.right_sector, q[:-1])
+    tapes = tuple((sec, rule.domains[sec] if sec is not None else frozenset()) for sec in secs)
+    joins = tuple((i, x[1], y[0]) for i, (x, y) in enumerate(zip(sides, sides[1:])) if x[1] or y[0])
+    return Move(rule, tuple(qs), tapes, joins)
+
+
+def _move(machine: SMachine, w: AdmissibleWord, rule: Rule) -> Move | str:
+    """``rule``'s move at ``w``, or why it does not apply.  The cached move
+    serves only the rule it was compiled from; any other is compiled
+    here and not kept."""
+    m = machine.moves_at(w.q).get((rule.label, rule.sign))
+    if m is None or not (m.rule is rule or m.rule == rule):
+        m = _compile(machine, w.q, rule)
+        if isinstance(m, str):
+            return m
+    for i, u in enumerate(w.u):
+        if u:
+            sec, dom = m.tapes[i]
+            for name, _ in u:
+                if name not in dom:
+                    return f"letter {name} in sector {sec} outside domain of {rule.label}"
+    return m
+
+
+def is_applicable(machine: SMachine, w: AdmissibleWord, rule: Rule) -> bool:
+    return not isinstance(_move(machine, w, rule), str)
+
+
 def apply_rule(machine: SMachine, w: AdmissibleWord, rule: Rule) -> AdmissibleWord:
-    """W·theta: each tape word is joined to the reduced inserts of its two
-    state letters and freely reduced at its two ends; the inserts outside
-    the end letters are never added.
+    """W·theta from the rule's move at ``w``'s state letters: each tape
+    that gets inserts is joined to them and freely reduced at its two
+    ends, and every other tape is shared; the inserts outside the end
+    letters are never added.
 
     State letters never cancel, so this is the free reduction of the
     whole substituted word with its end tape letters trimmed.
     """
-    reason = _refusal(machine, w, rule)
-    if reason is not None:
-        raise NotApplicable(reason)
-    dst, ins = rule.plan.dst, rule.plan.ins
-    qs, sides = [], []
-    for part, _, sign in w.q:
-        qs.append(dst[part][sign > 0])
-        sides.append(ins[part][sign > 0])
-    return AdmissibleWord(
-        tuple(qs),
-        # a tape with no inserts on either side is shared, not joined
-        tuple([junction_join(x[1], u, y[0]) if x[1] or y[0] else u for x, u, y in zip(sides, w.u, sides[1:])]),
-    )
+    m = _move(machine, w, rule)
+    if isinstance(m, str):
+        raise NotApplicable(m)
+    u = list(w.u)
+    for i, left, right in m.joins:
+        u[i] = junction_join(left, u[i], right)
+    return AdmissibleWord(m.q, tuple(u))
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)

@@ -396,6 +396,25 @@ def test_bad_parameter_is_a_usage_error(capsys, tmp_path, lr_file, args):
     assert err.splitlines()[-1].startswith("error: "), err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--jobs", "0"], ["--budget", "-1"], ["--m", "0"]],
+    ids=["no-jobs", "negative-budget", "m-zero"],
+)
+def test_run_verification_usage_errors_exit_1(tmp_path, args):
+    """``scripts/run_verification.py`` checks its arguments as ``smachine
+    verify`` does: one closing ``error:`` line, exit 1 (not the 2 of a
+    failed suite), and no output directory."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    out = tmp_path / "out"
+    proc = run_python([str(script), *args, "--out", str(out)])
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (1, b""), err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: "), err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def reports_text(tmp_path_factory):
     path = tmp_path_factory.mktemp("reports") / "reports.json"

@@ -1,14 +1,17 @@
 """``successors``, the one expansion step, against simple references.
 
-``successors`` tries only the rules cached for the word's state letters
-and applies each through a plan compiled once per rule; these tests
-compare it with the whole-word reference over every rule of the
-machine, check the cache against a plain filter, and pin the seam
-through which every application still passes (``is_applicable``,
-``apply_rule`` and ``AdmissibleWord.__post_init__`` at their module
-names) so that a later shortcut around it shows up here.
+``successors`` tries only the rules whose moves are cached for the
+word's state letters, and ``is_applicable`` and ``apply_rule`` read the
+same moves; these tests compare them with the whole-word reference over
+every rule of the machine, check the cache against a plain filter, show
+that a rule the cache was not compiled from gets its own move and that
+no tape's domain check is skipped, and pin the seam through which every
+application still passes (``is_applicable``, ``apply_rule`` and
+``AdmissibleWord.__post_init__`` at their module names) so that a later
+shortcut around it shows up here.
 """
 
+import dataclasses
 import itertools
 import pickle
 
@@ -18,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 from smachine import enumerate as engine
 from smachine.checks import check_lr_bound
 from smachine.lr import build_lr
-from smachine.machine import Hardware, NotApplicable, Rule, RulePart, SMachine, apply_rule, inserts
-from smachine.words import AdmissibleWord, MalformedWord, QLetter, reduce_word, y_word
+from smachine.machine import Hardware, NotApplicable, Rule, RulePart, SMachine, apply_rule, inserts, is_applicable
+from smachine.words import AdmissibleWord, MalformedWord, QLetter, YLetter, reduce_word, y_word
 
 from conftest import random_words_for
 from test_machine import whole_word_apply
@@ -81,14 +84,132 @@ def test_successors_match_the_whole_word_reference(shipped, idx, seed, last_pick
             assert _outcome(_fast(machine, w2, label, keep_fn)) == again, (machine.name, str(w2), label)
 
 
-def test_rules_at_is_a_plain_filter_of_the_rules(shipped):
-    """The cached candidates of a state tuple are the machine's rules
-    whose sources match every state letter, in rule order."""
+def test_moves_at_is_a_plain_filter_of_the_rules(shipped):
+    """The cached moves of a state tuple are for the machine's rules whose
+    sources match every state letter, in rule order, and a second call
+    returns the same dict."""
     for idx, machine in enumerate(shipped):
         for w in random_words_for(machine, 200, seed=3000 + idx):
-            want = tuple(r for r in machine.rules if all(r.parts[x.part].src == x.name for x in w.q))
-            assert machine.rules_at(w.q) == want, (machine.name, str(w))
-            assert machine.rules_at(w.q) is machine.rules_at(w.q)
+            want = [r for r in machine.rules if all(r.parts[x.part].src == x.name for x in w.q)]
+            moves = machine.moves_at(w.q)
+            assert [m.rule for m in moves.values()] == want, (machine.name, str(w))
+            assert list(moves) == [r.signed_label for r in want]
+            assert machine.moves_at(w.q) is moves
+
+
+def _reference_refusal(machine, w, rule):
+    """Why ``rule`` does not apply to ``w``, read off the whole word: the
+    first state letter its source differs from, else the first tape
+    letter outside the domain beside it; None when it applies."""
+    for x in w.q:
+        if rule.parts[x.part].src != x.name:
+            return f"state letter {x} does not match rule {rule.label}"
+    for x, u in zip(w.q, w.u):
+        sec = machine.hardware.right_sector(x)
+        for y in u:
+            if y.name not in rule.domains[sec]:
+                return f"letter {y.name} in sector {sec} outside domain of {rule.label}"
+    return None
+
+
+def _applied(fn):
+    try:
+        return "word", fn()
+    except MalformedWord:
+        return "malformed", None
+    except NotApplicable as e:
+        return "refused", str(e)
+
+
+def _check_against_reference(machine, w, rule):
+    """``is_applicable``, ``apply_rule`` and its ``NotApplicable`` message
+    agree with the whole-word reference; returns the outcome."""
+    reason = _reference_refusal(machine, w, rule)
+    assert is_applicable(machine, w, rule) == (reason is None), (machine.name, str(w), rule.signed_label)
+    want = ("refused", reason) if reason else _applied(lambda: whole_word_apply(machine, w, rule))
+    got = _applied(lambda: apply_rule(machine, w, rule))
+    assert got == want, (machine.name, str(w), rule.signed_label)
+    return got
+
+
+def _some_rules(machine, w):
+    """The rules whose sources match ``w`` and every seventh other rule."""
+    here = {m.rule.signed_label for m in machine.moves_at(w.q).values()}
+    return [r for i, r in enumerate(machine.rules) if r.signed_label in here or i % 7 == 0]
+
+
+def test_an_equal_rule_is_applied_as_the_shipped_one(shipped):
+    """A rule equal to a shipped one but not the same object gets the same
+    answers from both calls, and the same refusal message."""
+    applied = 0
+    for idx, machine in enumerate(shipped):
+        for w in random_words_for(machine, 30, seed=4000 + idx):
+            for rule in _some_rules(machine, w):
+                twin = dataclasses.replace(rule)
+                assert twin == rule and twin is not rule
+                got = _check_against_reference(machine, w, twin)
+                assert got == _applied(lambda: apply_rule(machine, w, rule))
+                applied += got[0] == "word"
+    assert applied > 500
+
+
+def _other_inserts(machine, rule):
+    """``rule`` under its own signed label with other inserts: none where
+    it has some, else one domain letter right of the first part that
+    has a domain there."""
+    if rule.growth():
+        parts = tuple(dataclasses.replace(p, a=(), b=()) for p in rule.parts)
+        return dataclasses.replace(rule, parts=parts)
+    for i, (_, right) in enumerate(machine.hardware.flanks):
+        if right is not None and rule.domains[right]:
+            parts = list(rule.parts)
+            parts[i] = dataclasses.replace(parts[i], b=(YLetter(min(rule.domains[right]), 1),))
+            return dataclasses.replace(rule, parts=tuple(parts))
+    return None
+
+
+def test_a_rule_with_a_shipped_label_and_other_inserts_gets_its_own_move(shipped):
+    """A hand-built rule that shares a shipped rule's signed label but not
+    its inserts is applied as written, not by the shipped rule's cached
+    move."""
+    differ = 0
+    for idx, machine in enumerate(shipped):
+        for w in random_words_for(machine, 30, seed=5000 + idx):
+            for rule in _some_rules(machine, w):
+                other = _other_inserts(machine, rule)
+                if other is None:
+                    continue
+                shipped_out = _applied(lambda: apply_rule(machine, w, rule))
+                got = _check_against_reference(machine, w, other)
+                differ += got[0] == "word" and got != shipped_out
+    assert differ > 100
+
+
+def test_no_domain_check_is_skipped(shipped):
+    """A word built without ``validate`` may hold a tape letter outside
+    its sector's alphabet; beside a domain equal to that alphabet both
+    calls still refuse it, on every tape, the last one included."""
+    last_tapes = 0
+    for machine in shipped:
+        hw = machine.hardware
+        for rule in machine.positive_rules:
+            q = tuple(QLetter(i, p.src, 1) for i, p in enumerate(rule.parts))
+            for i, x in enumerate(q[:-1]):
+                sec = hw.right_sector(x)
+                if rule.domains[sec] != hw.sector_alphabets[sec]:
+                    continue
+                u = [()] * (len(q) - 1)
+                u[i] = y_word("stray")
+                w = AdmissibleWord(q, tuple(u))
+                with pytest.raises(MalformedWord, match="not in alphabet"):
+                    hw.validate(w)
+                message = f"letter stray in sector {sec} outside domain of {rule.label}"
+                assert not is_applicable(machine, w, rule)
+                with pytest.raises(NotApplicable) as refused:
+                    apply_rule(machine, w, rule)
+                assert str(refused.value) == message
+                last_tapes += i == len(q) - 2
+    assert last_tapes > 10
 
 
 def _unreduced_insert_machine():
@@ -196,6 +317,20 @@ def test_every_application_passes_the_counted_names(monkeypatch):
     assert all(n > 0 for n in counts.values()), counts
     assert counts["apply_rule"] == counts["yielded"], counts
     assert counts["is_applicable"] >= counts["apply_rule"], counts
+
+
+def test_a_letter_with_no_sector_on_its_right():
+    """A word built without ``validate`` may put the last part before the
+    first: with no tape letter between them a rule still applies, and a
+    tape letter there is outside every domain."""
+    lr = build_lr(["a"])
+    q = (QLetter(2, "q2", 1), QLetter(0, "q1", 1))
+    w = AdmissibleWord(q, ((),))
+    assert apply_rule(lr, w, lr.rule("z12")) == w
+    v = AdmissibleWord(q, (y_word("a"),))
+    assert not is_applicable(lr, v, lr.rule("z12"))
+    with pytest.raises(NotApplicable, match="^letter a in sector None outside domain of z12$"):
+        apply_rule(lr, v, lr.rule("z12"))
 
 
 def test_words_pickle_and_take_no_new_attributes():
