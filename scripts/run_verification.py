@@ -22,7 +22,7 @@ from smachine.serialize import manifest, print_machine
 
 
 def main() -> int:
-    ap = _Parser(description=__doc__.splitlines()[0])
+    ap = _Parser()
     ap.add_argument("--out", default="out")
     ap.add_argument("--m", type=int, default=2)
     ap.add_argument("--L", type=int, default=12)
