@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation gate for the rule-application fast paths.
+"""Mutation gate for the rule-application fast paths and the relator table.
 
     python3 scripts/mutants.py
 
@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ("tests/test_successors.py", "tests/test_machine.py", "tests/test_pins.py")
+TESTS = ("tests/test_successors.py", "tests/test_machine.py", "tests/test_pins.py", "tests/test_presentation.py")
 TIMEOUT_S = 600
 JOBS = 2
 
@@ -69,6 +69,22 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "drop the skip of the last rule's inverse in successors",
         "enumerate.py",
         (("        if last is not None and last[0] == r.label and last[1] == -r.sign:\n            continue\n", ""),),
+    ),
+    (
+        "key the relator table without the superscript",
+        "presentation.py",
+        (
+            ('key = ("q", rule.label, rule.sign, j, None, sup)', 'key = ("q", rule.label, rule.sign, j, None)'),
+            ('key = ("a", rule.label, rule.sign, sector, letter, sup)', 'key = ("a", rule.label, rule.sign, sector, letter)'),
+        ),
+    ),
+    (
+        "key the relator table without the part or sector",
+        "presentation.py",
+        (
+            ('key = ("q", rule.label, rule.sign, j, None, sup)', 'key = ("q", rule.label, rule.sign, None, sup)'),
+            ('key = ("a", rule.label, rule.sign, sector, letter, sup)', 'key = ("a", rule.label, rule.sign, letter, sup)'),
+        ),
     ),
 )
 

@@ -209,7 +209,7 @@ GROUPS = ("M", "G", "Mbar", "Gbar", "Gbar-hnn")
 def _group(text: str) -> tuple[str, int | None]:
     """A name from ``GROUPS``, or ``Gk:<k>`` read as ("Gk", k)."""
     if text.startswith("Gk:"):
-        return "Gk", int(text[3:])
+        return "Gk", _nonnegative(text[3:])
     if text not in GROUPS:
         raise argparse.ArgumentTypeError(f"unknown group {text!r}")
     return text, None

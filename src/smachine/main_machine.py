@@ -14,7 +14,7 @@ along with straight-line witness histories used by tests and harnesses.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .compose import (
@@ -64,6 +64,11 @@ class MainMachineBundle:
     lrm_part: int
     lrm_scratch: int
     m5: M5Build
+    # what other modules derive from the bundle once and free with it (the
+    # presentation compiler's relator factory); not part of its value
+    derived: dict[str, object] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     @property
     def N(self) -> int:

@@ -14,12 +14,12 @@ rotation.  Compiling twice yields identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .machine import Rule, SMachine
-from .main_machine import MainMachineBundle, build_trimmed_machine, family
+from .main_machine import BadParameters, MainMachineBundle, build_trimmed_machine, family
 from .serialize import Lines, format_names, names
 from .words import AdmissibleWord, Word, parse_signed, reduce_word, signed
 
@@ -134,11 +134,21 @@ class Presentation:
 
 @dataclass(frozen=True)
 class RelatorFactory:
-    """Builds single relator instances; shared by the compiler and trapezia."""
+    """Builds single relator instances; shared by the compiler and trapezia.
+
+    Each relator is built once and kept in a table keyed by (kind, rule
+    label, sign, part or sector, letter, superscript), so one factory
+    serves the rules of one machine (and of its trimmed machine): use
+    ``factory_for``, which keeps one factory per bundle.  The table is
+    not part of the factory's value.
+    """
 
     N: int
     L: int
     supped: frozenset[str]  # state letters owning L superscripted copies
+    _table: dict[tuple, Relator] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def q_gen(self, name: str, sup: int | None) -> Generator:
         if (sup is not None) != (name in self.supped):
@@ -164,6 +174,13 @@ class RelatorFactory:
 
     def theta_q_relator(self, rule: Rule, j: int, sup: int | None) -> Relator:
         """U_j theta_{j+1} V_j^-1 theta_j^-1 with the t-part aliasing."""
+        key = ("q", rule.label, rule.sign, j, None, sup)
+        rel = self._table.get(key)
+        if rel is None:
+            rel = self._table[key] = self._build_theta_q(rule, j, sup)
+        return rel
+
+    def _build_theta_q(self, rule: Rule, j: int, sup: int | None) -> Relator:
         fam = family(rule)
         if (sup is None) != (fam == "plain"):
             raise SuperscriptMismatch(f"rule {rule.label} is {fam}, sup={sup}")
@@ -183,6 +200,13 @@ class RelatorFactory:
 
     def theta_a_relator(self, rule: Rule, sector: int, letter: str, sup: int | None) -> Relator:
         """Commutation of theta_{sector+1} with a domain letter of that sector."""
+        key = ("a", rule.label, rule.sign, sector, letter, sup)
+        rel = self._table.get(key)
+        if rel is None:
+            rel = self._table[key] = self._build_theta_a(rule, sector, letter, sup)
+        return rel
+
+    def _build_theta_a(self, rule: Rule, sector: int, letter: str, sup: int | None) -> Relator:
         fam = family(rule)
         if (sup is None) != (fam == "plain"):
             raise SuperscriptMismatch(f"rule {rule.label} is {fam}, sup={sup}")
@@ -214,7 +238,15 @@ def _supped_letters(bundle: MainMachineBundle) -> frozenset[str]:
 
 
 def factory_for(bundle: MainMachineBundle) -> RelatorFactory:
-    return RelatorFactory(N=bundle.N, L=bundle.L, supped=_supped_letters(bundle))
+    """The bundle's one relator factory: G, its trimmed and HNN
+    presentations and every band cell read the same table, which the
+    bundle frees with itself."""
+    fac = bundle.derived.get("relator_factory")
+    if fac is None:
+        fac = bundle.derived["relator_factory"] = RelatorFactory(
+            N=bundle.N, L=bundle.L, supped=_supped_letters(bundle)
+        )
+    return fac
 
 
 def _tape_letters(machine: SMachine) -> tuple[str, ...]:
@@ -224,17 +256,19 @@ def _tape_letters(machine: SMachine) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-def _compile(name: str, machine: SMachine, fac: RelatorFactory) -> Presentation:
+def _compile(name: str, machine: SMachine, fac: RelatorFactory, supped: frozenset[str]) -> Presentation:
     """All rule relations of ``machine`` (no hubs); its t part is part 0.
 
-    Tape letters get L superscripted copies iff some state letter does.
+    ``supped`` are the state letters of ``machine`` with superscripted
+    copies; tape letters get L superscripted copies iff some state
+    letter does.
     """
     sups_all = tuple(range(1, fac.L + 1))
     gens: set[Generator] = set()
     for part in machine.hardware.parts:
         for q in part:
-            gens.update(Generator("q", q, None, s) for s in (sups_all if q in fac.supped else (None,)))
-    tape_sups = (None,) + sups_all if fac.supped else (None,)
+            gens.update(Generator("q", q, None, s) for s in (sups_all if q in supped else (None,)))
+    tape_sups = (None,) + sups_all if supped else (None,)
     for a in _tape_letters(machine):
         gens.update(Generator("a", a, None, s) for s in tape_sups)
     relators: list[Relator] = []
@@ -259,7 +293,8 @@ def _compile(name: str, machine: SMachine, fac: RelatorFactory) -> Presentation:
 
 def compile_group_M(bundle: MainMachineBundle) -> Presentation:
     """All rule relations of the main machine (no hubs)."""
-    return _compile("M", bundle.machine, factory_for(bundle))
+    fac = factory_for(bundle)
+    return _compile("M", bundle.machine, fac, fac.supped)
 
 
 def word_to_gens(fac: RelatorFactory, w: AdmissibleWord, sup: int | None = None) -> GWord:
@@ -303,8 +338,12 @@ def compile_group_G(bundle: MainMachineBundle) -> Presentation:
 def compile_trimmed(bundle: MainMachineBundle) -> tuple[Presentation, Presentation]:
     """Presentations of the trimmed machine group and its one-hub quotient."""
     mbar = build_trimmed_machine(bundle)
-    fac = RelatorFactory(N=bundle.N, L=bundle.L, supped=frozenset())
-    p_mbar = _compile("Mbar", mbar, fac)
+    # Mbar keeps only plain rules, whose relators G builds with sup=None,
+    # so no letter of theirs is in the factory's ``supped`` (``q_gen``
+    # would refuse it): their relators do not depend on ``supped``, and
+    # G's table serves them.  Mbar itself has no superscripted letters.
+    fac = factory_for(bundle)
+    p_mbar = _compile("Mbar", mbar, fac, frozenset())
     return p_mbar, p_mbar.with_relators([_hub_accept(fac, bundle)], name="Gbar")
 
 
@@ -318,6 +357,8 @@ def _hnn(pres: Presentation, bundle: MainMachineBundle, stable: str, w: Admissib
 
 def hnn_Gk(pres: Presentation, bundle: MainMachineBundle, k: int) -> Presentation:
     """Add a stable letter x and the relation x W(k,k) x^-1 = W_ac."""
+    if k < 0:
+        raise BadParameters("only nonnegative inputs can be inserted")
     return _hnn(pres, bundle, "x", bundle.w_word(k, k), f"hnn-x-{k}", f"G_{k}")
 
 

@@ -358,6 +358,7 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         ["verify", "--suite", "no-return", "--L", "0"],
         ["disk", "--L", "0"],
         ["disk", "--k", "-1"],
+        ["compile", "--group", "Gk:-1"],
     ],
     ids=[
         "negative-depth",
@@ -379,6 +380,7 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         "verify-L-too-small",
         "disk-L-too-small",
         "disk-negative-k",
+        "compile-negative-k",
     ],
 )
 def test_bad_parameter_is_a_usage_error(capsys, tmp_path, lr_file, args):

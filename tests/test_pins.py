@@ -29,6 +29,7 @@ from smachine.presentation import (
     compile_group_M,
     compile_trimmed,
     export,
+    factory_for,
     hnn_Gbar,
     hnn_Gk,
 )
@@ -146,6 +147,16 @@ def test_machine_file_pinned(name, session_bundle):
 def test_plain_export_pinned(name, session_bundle):
     compile_, digest = EXPORT_PINS[name]
     assert sha(export(compile_(session_bundle), "plain")) == digest
+
+
+def test_gbar_before_g_on_a_fresh_bundle():
+    """The bundle's relator table starts empty and may fill in any order:
+    Gbar compiled first, then G, still export their pinned bytes."""
+    b = build_main_machine(toy_even_recognizer(), 2, 12)
+    assert not factory_for(b)._table
+    for name in ("Gbar", "G"):
+        compile_, digest = EXPORT_PINS[name]
+        assert sha(export(compile_(b), "plain")) == digest
 
 
 @pytest.mark.parametrize("name", list(GAP_PINS))

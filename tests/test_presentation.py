@@ -2,10 +2,14 @@
 
 import pytest
 
-from smachine.main_machine import build_main_machine, build_trimmed_machine, family
+from smachine.machine import run_history
+from smachine.main_machine import BadParameters, build_main_machine, build_trimmed_machine, family
 from smachine.presentation import (
     Generator,
     QLetterPresent,
+    RelatorFactory,
+    SuperscriptMismatch,
+    _supped_letters,
     add_hub_relations,
     canonical_rotation,
     compile_group_M,
@@ -22,6 +26,7 @@ from smachine.presentation import (
     word_to_gens,
 )
 from smachine.toy import toy_even_recognizer
+from smachine.trapezia import computation_to_trapezium, make_band
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +174,83 @@ def test_hnn_extensions(bundle, pres_g):
     rel = gbar.relators[-1]
     # y W_ac y^-1 W_ac^-1 has length 2 + 2N
     assert len(rel.word) == 2 + 2 * bundle.N
+    with pytest.raises(BadParameters):
+        hnn_Gk(pres_g, bundle, -1)
+
+
+class _KeepsNothing(dict):
+    """A relator table that stores nothing, so every lookup builds afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _fresh_factory(bundle):
+    """A factory equal to the bundle's whose table stays empty."""
+    fac = RelatorFactory(bundle.N, bundle.L, _supped_letters(bundle))
+    object.__setattr__(fac, "_table", _KeepsNothing())
+    return fac
+
+
+def _fresh_rule_relators(bundle, machine):
+    """The rule relators of ``machine`` in compile order, each built afresh."""
+    fac = _fresh_factory(bundle)
+    out = []
+    for rule in machine.positive_rules:
+        for sup in (None,) if family(rule) == "plain" else range(1, bundle.L + 1):
+            out.extend(fac.theta_q_relator(rule, j, sup) for j in range(bundle.N))
+            for sector in range(machine.hardware.n_sectors):
+                out.extend(fac.theta_a_relator(rule, sector, x, sup) for x in sorted(rule.domains[sector]))
+    return out
+
+
+def test_table_relators_equal_fresh_builds(bundle, pres_g):
+    """G's and Gbar's rule relators, read from the bundle's one table,
+    are those that a factory without a table builds."""
+    gbar = compile_trimmed(bundle)[1]
+    for pres, machine in ((pres_g, bundle.machine), (gbar, build_trimmed_machine(bundle))):
+        rule_relators = [r for r in pres.relators if r.tag in ("theta-q", "theta-a")]
+        assert rule_relators == _fresh_rule_relators(bundle, machine)
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_band_cells_equal_fresh_builds(bundle, pres_g, k):
+    """Every cell of the witness trapezia W_st -> W_ac, at first levels 1,
+    5 and L, read from the table G filled, is the cell that a factory
+    without a table builds for the same band.  ``has_relator`` could not
+    tell: a cell taken at the wrong level is a relator of G as well."""
+    comp = run_history(bundle.machine, bundle.w_st, bundle.witness_wst_to_wac(k))
+    fresh = _fresh_factory(bundle)
+    for first in (1, 5, bundle.L):
+        trap = computation_to_trapezium(bundle, comp, first_sup=first)
+        for band in trap.bands:
+            rule = bundle.machine.rule(band.rule_label)
+            top_sup = band.top.q_sups[0] if family(rule) == "mixed" and rule.sign < 0 else None
+            assert make_band(bundle.machine, fresh, band.bottom, rule, top_sup) == band
+    other_level = computation_to_trapezium(bundle, comp, first_sup=2).bands[0].cells
+    assert other_level != trap.bands[0].cells
+    assert all(pres_g.has_relator(c) for c in other_level)
+
+
+def test_factory_for_is_one_factory_per_bundle(bundle, pres_g):
+    """The table stays out of the factory's value: the bundle's filled
+    factory equals, hashes and prints as a fresh one."""
+    fac = factory_for(bundle)
+    assert fac is factory_for(bundle) and fac._table
+    fresh = RelatorFactory(bundle.N, bundle.L, _supped_letters(bundle))
+    assert fac == fresh and hash(fac) == hash(fresh) and repr(fac) == repr(fresh)
+
+
+def test_wrong_superscript_raises_after_the_right_one_is_built(bundle):
+    fac = factory_for(bundle)
+    sector = bundle.machine.input_sector
+    for rule, right, wrong in ((bundle.machine.rule("w1_ins_a"), 3, None), (bundle.machine.rule("w3_ins_del2"), None, 3)):
+        fac.theta_q_relator(rule, 0, right)
+        fac.theta_a_relator(rule, sector, "a", right)
+        with pytest.raises(SuperscriptMismatch):
+            fac.theta_q_relator(rule, 0, wrong)
+        with pytest.raises(SuperscriptMismatch):
+            fac.theta_a_relator(rule, sector, "a", wrong)
 
 
 def test_canonical_rotation_invariance():
