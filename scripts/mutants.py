@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation gate for the rule-application fast paths and the relator table.
+"""Mutation gate for the rule-application fast paths, the relator table
+and the sweep labels.
 
     python3 scripts/mutants.py
 
@@ -30,7 +31,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ("tests/test_successors.py", "tests/test_machine.py", "tests/test_pins.py", "tests/test_presentation.py")
+TESTS = (
+    "tests/test_successors.py",
+    "tests/test_machine.py",
+    "tests/test_pins.py",
+    "tests/test_presentation.py",
+    "tests/test_lr.py",
+)
 TIMEOUT_S = 600
 JOBS = 2
 
@@ -85,6 +92,16 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
             ('key = ("q", rule.label, rule.sign, j, None, sup)', 'key = ("q", rule.label, rule.sign, None, sup)'),
             ('key = ("a", rule.label, rule.sign, sector, letter, sup)', 'key = ("a", rule.label, rule.sign, letter, sup)'),
         ),
+    ),
+    (
+        "read a sweep run's odd phases left to right",
+        "lr.py",
+        (("for a in (content[::-1] if i % 2 == 1 else content)]", "for a in content]"),),
+    ),
+    (
+        "name a backward stage's rules without _b",
+        "compose.py",
+        (('return f"s{sigma}_{label}" + ("_b" if kind == "bwd" else "")', 'return f"s{sigma}_{label}"'),),
     ),
 )
 

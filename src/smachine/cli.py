@@ -283,7 +283,8 @@ def _reports(text: str) -> list[dict]:
             doc, end = decoder.raw_decode(rest)
         except json.JSONDecodeError as e:
             raise FormatError(f"reports: report {len(docs) + 1}: {e}") from None
-        if not isinstance(doc, dict) or not {"suite", "status"} <= doc.keys():
+        ok = isinstance(doc, dict) and isinstance(doc.get("stats", {}), dict)
+        if not ok or not all(isinstance(doc.get(k), str) for k in ("suite", "status")):
             raise FormatError(f"reports: report {len(docs) + 1} is not a report object")
         docs.append(doc)
         rest = rest[end:].lstrip()
@@ -299,7 +300,7 @@ def cmd_report(args) -> int:
         if d.get("depth_exhausted"):
             extra.append("depth-exhausted")
         for k, v in sorted(d.get("stats", {}).items()):
-            if isinstance(v, (int, float, str)) and v is not None:
+            if isinstance(v, (int, float, str)):
                 extra.append(f"{k}={v}")
         if d["status"] == "fail":
             worst = EXIT_VERIFY

@@ -13,8 +13,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .lr import Host, build_lr_m, place, primed, read_right_to_left
-from .machine import Hardware, Rule, RulePart, SMachine
+from .lr import Host, build_lr_m, place, primed, read_right_to_left, sweep_run
+from .machine import Hardware, History, Rule, RulePart, SMachine
 from .words import AdmissibleWord, Word, YLetter
 
 
@@ -278,6 +278,14 @@ def _stage_kind(sigma: int) -> str:
     return {1: "rl", 2: "fwd", 3: "lr", 0: "bwd"}[r]
 
 
+def _stage_label(sigma: int, kind: str, label: str) -> str:
+    """Stage ``sigma``'s name for rule ``label``: LR's zm1_x, zt1, zm2_x become
+    r1_x, rt, r2_x on RL and l1_x, lt, l2_x on LR; ``_b`` marks a bwd stage."""
+    if kind in ("rl", "lr"):
+        return f"s{sigma}_{kind[0]}" + ("t" if label == "zt1" else label[2:])
+    return f"s{sigma}_{label}" + ("_b" if kind == "bwd" else "")
+
+
 def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
     """Concatenate 4m+1 stage machines over the controlled hardware.
 
@@ -310,18 +318,17 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
     # A history sweep is RL placed on every R letter (the history in the
     # sector to its right) or LR on every P letter (the history to its
     # left), in lockstep; the RL stages keep the input sector open too.
-    # Per kind: the label letter, the base letters that name each part's
-    # stage copies, and the placed rules.
+    # Per kind: the base letters that name each part's stage copies, and
+    # the placed rules.
     lr = build_lr_m(m2bar.m2.rule_labels, 1)
     rl_hosts = [Host(h.r_part, h.rl_scratch, h.sector, copies(h.left_copy, h.right_copy)) for h in hist]
     lr_hosts = [Host(h.p_part, h.sector, h.lr_scratch, copies(h.right_copy, h.left_copy)) for h in hist]
     sweeps = {
         "rl": (
-            "r",
             base.start_letters,
             [(r, ins, {**doms, input_sector: input_dom}) for r, ins, doms in place(read_right_to_left(lr), rl_hosts)],
         ),
-        "lr": ("l", base.end_letters, place(lr, lr_hosts)),
+        "lr": (base.end_letters, place(lr, lr_hosts)),
     }
     phase = {"p1": 0, "p2": -1}  # a sweep stage's first and last letter on each part
 
@@ -331,7 +338,7 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
     for sigma in range(1, n_stages + 1):
         kind = _stage_kind(sigma)
         if kind in sweeps:
-            letter, frozen, placed = sweeps[kind]
+            frozen, placed = sweeps[kind]
             running = placed[0][1]  # every placed rule acts on all host parts
             sparts = [
                 (f"{q}a_s{sigma}", f"{q}b_s{sigma}") if i in running else (f"{q}_s{sigma}",)
@@ -343,16 +350,14 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
                 for i, p in enumerate(sparts):
                     a, b = ins.get(i, ((), ()))
                     rps.append(RulePart(p[phase[mid.src]], a, p[phase[mid.dst]], b))
-                label = letter + ("t" if r.label == "zt1" else r.label[2:])  # zm1_x -> r1_x
-                rules.append(Rule(f"s{sigma}_{label}", tuple(rps), doms_with(doms), tag="m3"))
+                rules.append(Rule(_stage_label(sigma, kind, r.label), tuple(rps), doms_with(doms), tag="m3"))
             start, end = tuple(p[0] for p in sparts), tuple(p[-1] for p in sparts)
         else:
             sparts = [tuple(f"{x}_s{sigma}" for x in part) for part in hw.parts]
-            suffix = "" if kind == "fwd" else "_b"
             for rule in base.positive_rules:
                 src_rule = rule if kind == "fwd" else rule.inv()
                 rps = tuple(RulePart(f"{p.src}_s{sigma}", p.a, f"{p.dst}_s{sigma}", p.b) for p in src_rule.parts)
-                rules.append(Rule(f"s{sigma}_{rule.label}{suffix}", rps, rule.domains, tag="m3"))
+                rules.append(Rule(_stage_label(sigma, kind, rule.label), rps, rule.domains, tag="m3"))
             first, last = base.start_letters, base.end_letters
             if kind == "bwd":
                 first, last = last, first
@@ -395,26 +400,17 @@ def start_configuration_m3(b: M2Build | M3Build, k: int, hist: Sequence[str], le
     return b.machine.standard_base_word(b.machine.start_letters, tape)
 
 
-def stage_sweep_history(b: M3Build, hist: Sequence[str]) -> tuple[tuple[str, int], ...]:
-    """The straight-line run of all 4m+1 stages on history content ``hist``."""
+def stage_sweep_history(b: M3Build, hist: Sequence[str]) -> History:
+    """The straight-line run of all 4m+1 stages on history content ``hist``:
+    LR's run in the sweep stages (RL reads ``hist`` right to left) and the
+    base run forwards or backwards in the others, joined by the chi rules."""
+    base = [(lbl, 1) for lbl in hist]
+    runs = {"rl": sweep_run(hist[::-1], 1), "lr": sweep_run(hist, 1), "fwd": base, "bwd": base[::-1]}
     out: list[tuple[str, int]] = []
-    t = list(hist)
-    for st in b.stages:
-        sigma = st.index
-        if st.kind == "rl":
-            out += [(f"s{sigma}_r1_{lbl}", 1) for lbl in t]
-            out.append((f"s{sigma}_rt", 1))
-            out += [(f"s{sigma}_r2_{lbl}", 1) for lbl in reversed(t)]
-        elif st.kind == "lr":
-            out += [(f"s{sigma}_l1_{lbl}", 1) for lbl in reversed(t)]
-            out.append((f"s{sigma}_lt", 1))
-            out += [(f"s{sigma}_l2_{lbl}", 1) for lbl in t]
-        elif st.kind == "fwd":
-            out += [(f"s{sigma}_{lbl}", 1) for lbl in t]
-        else:
-            out += [(f"s{sigma}_{lbl}_b", 1) for lbl in reversed(t)]
-        if sigma < len(b.stages):
-            out.append((f"chi_{sigma}_{sigma+1}", 1))
+    for st, chi in zip(b.stages, (*b.chi_labels, None)):  # no chi rule after the last stage
+        out += [(_stage_label(st.index, st.kind, lbl), sign) for lbl, sign in runs[st.kind]]
+        if chi:
+            out.append((chi, 1))
     return tuple(out)
 
 

@@ -7,6 +7,7 @@ with 2m phase letters.  It is the one sweep written out: ``build_lr`` is
 ``build_lr_m(Y, 1)`` with the labels z1_a, z12, z2_a, and ``build_rl``
 is ``build_lr`` read right to left (content in the right sector, scratch
 on the left) with the letters r1, r2 and the labels x1_a, x12, x2_a.
+``sweep_run`` is LRm's straight run, in the labels build_lr_m gives.
 ``place`` puts a sweep's rules on the parts of a larger machine: the
 main machine's set 2 is LRm placed on the input sector, and M3's
 history-sweep stages are LR and RL placed on every history sector.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .machine import Hardware, Rule, RulePart, SMachine
+from .machine import Hardware, History, Rule, RulePart, SMachine
 from .words import Word, YLetter
 
 
@@ -202,3 +203,14 @@ def build_lr_m(alphabet: Sequence[str], m: int) -> SMachine:
         input_sector=0,
         name="LRm",
     )
+
+
+def sweep_run(content: Sequence[str], m: int) -> History:
+    """LRm's run from q1 <content> p1 q2 to q1 <content> p2m q2: odd phases
+    read the content right to left, even ones left to right."""
+    run: list[tuple[str, int]] = []
+    for i in range(1, 2 * m + 1):
+        run += [(f"zm{i}_{a}", 1) for a in (content[::-1] if i % 2 == 1 else content)]
+        if i < 2 * m:
+            run.append((f"zt{i}", 1))
+    return tuple(run)

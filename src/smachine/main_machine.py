@@ -28,7 +28,7 @@ from .compose import (
     mirrored_rule,
     stage_sweep_history,
 )
-from .lr import Host, build_lr_m, place, primed
+from .lr import Host, build_lr_m, place, primed, sweep_run
 from .machine import Hardware, History, Rule, SMachine
 from .toy import ToyRecognizer
 from .words import AdmissibleWord, Word, YLetter
@@ -46,6 +46,10 @@ MIXED_TAG = "tr23"
 PLAIN_FAMILY_TAGS = ("set3", "tr34", "set4", "tr45", "set5", "tr50")
 # The label of theta(23), the one rule an eligible history may follow by its inverse.
 THETA_23 = "tr_23"
+
+
+def _set2_label(label: str) -> str:
+    return f"w2_{label}"
 
 
 def family(rule: Rule) -> str:
@@ -119,10 +123,7 @@ class MainMachineBundle:
         hist: list[tuple[str, int]] = [("tr_st1", 1)]
         hist += [(f"w1_ins_{a}", 1)] * k
         hist.append(("tr_12", 1))
-        for i in range(1, 2 * self.m + 1):
-            hist += [(f"w2_zm{i}_{a}", 1)] * k
-            if i < 2 * self.m:
-                hist.append((f"w2_zt{i}", 1))
+        hist += [(_set2_label(lbl), sign) for lbl, sign in sweep_run([a] * k, self.m)]
         hist.append((THETA_23, 1))
         return tuple(hist)
 
@@ -234,7 +235,7 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
     for r, ins, doms in place(lrm, [Host(lrm_part, input_sector, lrm_scratch, {a: a, primed(a): a_c})]):
         p = r.parts[1]  # the phase letters p1..p2m play z1..z2m
         letters = fix_lrm(phase_letters("w2"), "z" + p.src[1:], "z" + p.dst[1:])
-        rules.append(mk(f"w2_{r.label}", "set2", letters, ins, doms))
+        rules.append(mk(_set2_label(r.label), "set2", letters, ins, doms))
 
     rules.append(
         mk(

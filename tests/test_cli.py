@@ -426,8 +426,13 @@ def reports_text(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "source, edit",
-    [("lr_file", lambda t: t), ("reports_text", lambda t: t[: len(t) // 2])],
-    ids=["machine-file", "truncated-reports"],
+    [
+        ("lr_file", lambda t: t),
+        ("reports_text", lambda t: t[: len(t) // 2]),
+        ("reports_text", lambda t: t.replace('"stats": {}', '"stats": [1]', 1)),
+        ("reports_text", lambda t: t.replace('"status": "pass"', '"status": null', 1)),
+    ],
+    ids=["machine-file", "truncated-reports", "stats-not-an-object", "status-not-a-string"],
 )
 def test_unreadable_reports_are_a_format_error(request, capsys, tmp_path, source, edit):
     """``report`` reads its file as concatenated JSON objects: anything else

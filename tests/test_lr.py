@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import random_words_for
-from smachine.lr import Host, InvalidAlphabet, InvalidM, build_lr, build_lr_m, build_rl, place
+from smachine.lr import Host, InvalidAlphabet, InvalidM, build_lr, build_lr_m, build_rl, place, sweep_run
 from smachine.machine import (
     apply_rule,
     invert_rule,
@@ -135,6 +135,18 @@ def test_lr_m_full_run():
     comp = run_history(mach, w, hist)
     assert len(comp) == 2 * m * k + 2 * m - 1
     assert comp.end == cfg(mach, ["q1"] + ["a"] * k + [f"p{2*m}", "q2"])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("content", [["a", "b", "b"], ["b", "a"], []], ids=["abb", "ba", "empty"])
+def test_sweep_run_replays(m, content):
+    """``sweep_run`` is the straight run that test_lr_m_full_run spells by
+    hand, on a two-letter alphabet whose content order matters."""
+    mach = build_lr_m(["a", "b"], m)
+    hist = sweep_run(content, m)
+    comp = run_history(mach, cfg(mach, ["q1", *content, "p1", "q2"]), hist)
+    assert len(comp) == 2 * m * len(content) + 2 * m - 1
+    assert comp.end == cfg(mach, ["q1", *content, f"p{2*m}", "q2"])
 
 
 def test_m1_structural_match():

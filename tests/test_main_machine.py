@@ -1,10 +1,13 @@
 """The assembled main machine: phases, distinguished words, witnesses."""
 
+import hashlib
+
 import pytest
 
 from smachine.machine import (
     NotApplicable,
     apply_rule,
+    format_slabel,
     is_applicable,
     is_eligible,
     run_history,
@@ -92,6 +95,26 @@ def test_full_accepting_witness(bundle):
         assert is_eligible(hist, allowed="tr_23")
         comp = run_history(bundle.machine, bundle.w_st, hist)
         assert comp.end == bundle.w_ac
+
+
+# sha256 of the formatted W_st -> W_ac witness for sweep counts other than
+# the bundle's m = 2, so a change to how set 2 or M3 name their sweep rules
+# shows up as a changed history and not only as a run that stops replaying
+WITNESS_PINS = {
+    (1, 0): "aadc507681e34b2cf32050d9e118535f42b6a46bc86e2d2d418d26e9c65f35ed",
+    (1, 2): "22544280c98373e1d22219621e38bc056b2f8a2ec9e84987655645a19d1fa489",
+    (3, 0): "7c9a8b2685ceb5fb57b3f6561d08978df1c3dd12c97a949544b0064de641df1f",
+    (3, 2): "8788b92feefed7d182f6c0c422832de2b780b1b14804fa0c74ee68c7ca55c304",
+}
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_accepting_witness_for_other_m(m):
+    b = build_main_machine(toy_even_recognizer(), m=m, L=12)
+    for k in (0, 2):
+        hist = b.witness_wst_to_wac(k)
+        assert run_history(b.machine, b.w_st, hist).end == b.w_ac
+        assert hashlib.sha256(" ".join(map(format_slabel, hist)).encode()).hexdigest() == WITNESS_PINS[m, k]
 
 
 def test_accepting_witness_rejects_odd(bundle):
