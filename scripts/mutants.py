@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation gate for the rule-application fast paths, the relator table
-and the sweep labels.
+"""Mutation gate for the rule-application fast paths, the relator table,
+the sweep labels and the word search.
 
     python3 scripts/mutants.py
 
@@ -102,6 +102,31 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "name a backward stage's rules without _b",
         "compose.py",
         (('return f"s{sigma}_{label}" + ("_b" if kind == "bwd" else "")', 'return f"s{sigma}_{label}"'),),
+    ),
+    (
+        "charge the search budget after the expansion",
+        "enumerate.py",
+        (
+            (
+                "                spent += 1\n"
+                "                if spent > budget:\n"
+                "                    return None, True\n"
+                "                if w2 in seen:\n"
+                "                    continue\n"
+                "                seen[w2] = s2 = Computation(w2, r.signed_label, s)\n",
+                "                if w2 in seen:\n"
+                "                    continue\n"
+                "                seen[w2] = s2 = Computation(w2, r.signed_label, s)\n"
+                "                spent += 1\n"
+                "                if spent > budget:\n"
+                "                    return None, True\n",
+            ),
+        ),
+    ),
+    (
+        "loop while either frontier is non-empty",
+        "enumerate.py",
+        (("    while fq and (bq or not bidirectional):\n", "    while fq or bq:\n"),),
     ),
 )
 

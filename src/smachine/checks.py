@@ -24,12 +24,13 @@ from .machine import (
     NotApplicableAt,
     SMachine,
     format_slabel,
+    history,
     run_history,
 )
 from .main_machine import MIXED_TAG, PLAIN_FAMILY_TAGS, MainMachineBundle, build_main_machine
 from .presentation import Presentation, compile_group_G, compile_trimmed, mu, nu
 from .toy import toy_even_recognizer
-from .words import AdmissibleWord, QLetter, YLetter, parse_signed
+from .words import AdmissibleWord, QLetter, YLetter
 
 
 @dataclass
@@ -276,7 +277,7 @@ def check_periodic_distinctness(
     a period window repeating a word violate the hypothesis and are
     reported as skipped.
     """
-    hist: History = tuple(parse_signed(lbl) if isinstance(lbl, str) else lbl for lbl in period)
+    hist = history(*period)
     trace = [start]
     cur = start
     reps = 0
@@ -540,7 +541,6 @@ def run_one_suite(name: str, opts: Mapping[str, object]) -> list[CheckReport]:
         if any(g.sup is not None for g in gbar.generators):
             rep.status = "fail"
             rep.notes = rep.notes + ("trimmed presentation carries superscripts",)
-        rep.params["presentation"] = "Gbar"
         out.append(rep)
         return out
     raise ValueError(f"unknown suite {name!r}")

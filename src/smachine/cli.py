@@ -30,7 +30,7 @@ from .presentation import (
 )
 from .serialize import FormatError, manifest, parse_machine, print_machine
 from .toy import toy_even_recognizer
-from .trapezia import disk_diagram_cells, is_disk_word, make_permissible, power_word, PermissibleWord
+from .trapezia import disk_diagram_cells, is_disk_word, power_word, PermissibleWord
 from .words import AdmissibleWord, MalformedWord
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
@@ -243,12 +243,8 @@ def cmd_disk(args) -> int:
     else:
         w = bundle.w_word(args.k, args.k)
     big = power_word(w, bundle.L)
-    if args.hub == "start":
-        pw = make_permissible(
-            bundle.machine, big, bundle.machine.rule("tr_st1"), 1, modulus=bundle.L
-        )
-    else:
-        pw = PermissibleWord(big, (None,) * len(big.q), tuple((None,) * len(u) for u in big.u))
+    # is_disk_word reads only the erasure, so the plain lift serves every word
+    pw = PermissibleWord(big, (None,) * len(big.q), tuple((None,) * len(u) for u in big.u))
     verdict = is_disk_word(pw, bundle, budget=args.budget)
     doc = {
         "word": f"{'hub-' + args.hub if args.hub else f'W({args.k},{args.k})'}^L",

@@ -137,10 +137,6 @@ def reach_levels(
         yield t, level
 
 
-class _Exhausted(Exception):
-    pass
-
-
 def search(
     machine: SMachine,
     source: AdmissibleWord,
@@ -165,39 +161,20 @@ def search(
         return (), False
     fq, bq = deque(fwd.values()), deque(bwd.values())
     spent = 0
-
-    def expand(queue: deque, seen: dict, other) -> AdmissibleWord | None:
-        """Expand one BFS layer; returns the first new word in ``other``."""
-        nonlocal spent
+    # an emptied frontier has closed its side without meeting the other
+    while fq and (bq or not bidirectional):
+        forward = not bidirectional or len(fq) <= len(bq)
+        queue, seen, other = (fq, fwd, bwd) if forward else (bq, bwd, fwd)
         for _ in range(len(queue)):
             s = queue.popleft()
             for r, w2 in successors(machine, s.end, keep=keep):
                 spent += 1
                 if spent > budget:
-                    raise _Exhausted
+                    return None, True
                 if w2 in seen:
                     continue
                 seen[w2] = s2 = Computation(w2, r.signed_label, s)
                 if w2 in other:
-                    return w2
+                    return fwd[w2].history + invert_history(bwd[w2].history), False
                 queue.append(s2)
-        return None
-
-    try:
-        if not bidirectional:
-            while fq:
-                hit = expand(fq, fwd, bwd)
-                if hit is not None:
-                    return fwd[hit].history, False
-            return None, False
-        # an emptied frontier has closed its side without meeting the other
-        while fq and bq:
-            if len(fq) <= len(bq):
-                meet = expand(fq, fwd, bwd)
-            else:
-                meet = expand(bq, bwd, fwd)
-            if meet is not None:
-                return fwd[meet].history + invert_history(bwd[meet].history), False
-        return None, False
-    except _Exhausted:
-        return None, True
+    return None, False

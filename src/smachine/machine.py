@@ -335,11 +335,9 @@ class SMachine:
 
     # -- configurations -------------------------------------------------
 
-    def standard_base_word(self, letters: Mapping[int, str] | Sequence[str], tape: Mapping[int, Word] | None = None) -> AdmissibleWord:
+    def standard_base_word(self, letters: Sequence[str], tape: Mapping[int, Word] | None = None) -> AdmissibleWord:
         """Configuration with one positive letter per part, in part order."""
         hw = self.hardware
-        if not isinstance(letters, Mapping):
-            letters = dict(enumerate(letters))
         qs = [QLetter(i, letters[i], 1) for i in range(hw.n_parts)]
         us: list[Word] = []
         tape = tape or {}

@@ -108,9 +108,10 @@ class Presentation:
         return frozenset(r.word for r in self.relators)
 
     def has_relator(self, word: GWord) -> bool:
-        """Membership up to rotation, inversion, and free/cyclic reduction."""
+        """Membership up to rotation, inversion, and free/cyclic reduction;
+        a stored relator is answered by one lookup."""
         rs = self.relator_set
-        return canonical_rotation(word) in rs or canonical_rotation(g_inv(word)) in rs
+        return word in rs or canonical_rotation(word) in rs or canonical_rotation(g_inv(word)) in rs
 
     def with_relators(self, extra: Iterable[Relator], name: str | None = None) -> "Presentation":
         extra = tuple(extra)

@@ -271,6 +271,8 @@ def test_has_relator_up_to_rotation_and_inverse(bundle, pres_m):
     assert pres_m.has_relator(w)
     assert pres_m.has_relator(g_inv(w))
     assert pres_m.has_relator(w[2:] + w[:2])
+    (g, sign), *rest = w
+    assert not pres_m.has_relator(((g, -sign), *rest))
 
 
 def test_export_parse_round_trip(bundle, pres_g):

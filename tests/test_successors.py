@@ -11,17 +11,32 @@ application still passes (``is_applicable``, ``apply_rule`` and
 shortcut around it shows up here.
 """
 
+import collections
+import contextlib
 import dataclasses
 import itertools
 import pickle
+import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smachine import enumerate as engine
 from smachine.checks import check_lr_bound
-from smachine.lr import build_lr
-from smachine.machine import Hardware, NotApplicable, Rule, RulePart, SMachine, apply_rule, inserts, is_applicable
+from smachine.lr import build_lr, build_lr_m, build_rl
+from smachine.machine import (
+    Hardware,
+    NotApplicable,
+    Rule,
+    RulePart,
+    SMachine,
+    apply_rule,
+    inserts,
+    is_applicable,
+    run_history,
+)
+from smachine.toy import toy_even_recognizer
 from smachine.words import AdmissibleWord, MalformedWord, QLetter, YLetter, reduce_word, y_word
 
 from conftest import random_words_for
@@ -341,3 +356,131 @@ def test_words_pickle_and_take_no_new_attributes():
     assert not hasattr(w, "__dict__")
     with pytest.raises((AttributeError, TypeError)):
         w.extra = 1
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in the body once ``seconds`` have passed."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_search_ends_when_a_frontier_closes():
+    """No rule applies at q1 a' p1 q2, so a search stops once the side
+    grown from it is closed: a definite no, in both modes, whatever the
+    other side still holds."""
+    lr = build_lr(["a"])
+    live = lr.hardware.word(["q1", "a", "p1", "q2"])
+    dead = lr.hardware.word(["q1", "a'", "p1", "q2"])
+    with _deadline(10):
+        assert engine.search(lr, dead, [live], 1000) == (None, False)
+        assert engine.search(lr, live, [dead], 1000, bidirectional=True) == (None, False)
+        assert engine.search(lr, dead, [live], 1000, bidirectional=True) == (None, False)
+
+
+def _reference_search(machine, source, targets, budget):
+    """Plain BFS: (witness, budget exhausted, applications spent).
+
+    Every rule of the machine in order, through ``is_applicable`` and
+    ``apply_rule``; each application is charged before its word is
+    looked up, the first step to reach a word is kept, and the first
+    new word that is a target ends the search."""
+    targets = set(targets)
+    if source in targets:
+        return (), False, 0
+    paths = {source: ()}
+    queue = collections.deque([source])
+    spent = 0
+    while queue:
+        w = queue.popleft()
+        for r in machine.rules:
+            if not is_applicable(machine, w, r):
+                continue
+            w2 = apply_rule(machine, w, r)
+            spent += 1
+            if spent > budget:
+                return None, True, spent
+            if w2 in paths:
+                continue
+            paths[w2] = paths[w] + (r.signed_label,)
+            if w2 in targets:
+                return paths[w2], False, spent
+            queue.append(w2)
+    return None, False, spent
+
+
+def _walk(machine, w, steps, rng):
+    """The end of a random walk of at most ``steps`` applications."""
+    for _ in range(steps):
+        rules = [r for r in machine.rules if is_applicable(machine, w, r)]
+        if not rules:
+            break
+        try:
+            w = apply_rule(machine, w, rng.choice(rules))
+        except MalformedWord:
+            break
+    return w
+
+
+def _raised(fn):
+    """``fn()``, or the type of the ``MalformedWord`` it raised."""
+    try:
+        return fn()
+    except MalformedWord as e:
+        return type(e)
+
+
+SEARCH_MACHINES = {
+    "LR[a,b]": lambda: build_lr(["a", "b"]),
+    "RL[a]": lambda: build_rl(["a"]),
+    "LRm([a],2)": lambda: build_lr_m(["a"], 2),
+    "toy": lambda: toy_even_recognizer().machine,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_MACHINES))
+def test_search_against_a_plain_bfs(name):
+    """One-directional ``search`` returns what the plain BFS returns, or
+    raises what it raises; a bidirectional witness replays from the
+    source to a target, a bidirectional definite no never meets a target
+    the BFS reaches, and with neither out of budget the two modes agree.
+    At the budget the BFS spent on a hit ``search`` finds it, and one
+    application less runs out."""
+    machine = SEARCH_MACHINES[name]()
+    rng = random.Random(name)
+    words = random_words_for(machine, 24, seed=len(name))
+    tally = collections.Counter()
+    for i, source in enumerate(words):
+        targets = [words[(i + 7) % len(words)]]
+        if i % 2:
+            targets.append(_walk(machine, source, rng.randrange(1, 12), rng))
+        for budget in (5, 40, 400):
+            ref = _raised(lambda: _reference_search(machine, source, targets, budget))
+            one = _raised(lambda: engine.search(machine, source, targets, budget))
+            if ref is MalformedWord:
+                assert one is MalformedWord, (name, str(source), budget)
+                tally["malformed"] += 1
+                continue
+            wit, exhausted, spent = ref
+            assert one == (wit, exhausted), (name, str(source), budget)
+            two = engine.search(machine, source, targets, budget, bidirectional=True)
+            if two[0] is not None:
+                assert run_history(machine, source, two[0]).end in targets, (name, str(source), budget)
+            if wit is not None:
+                assert two != (None, False), (name, str(source), budget)
+                if spent > 0:
+                    assert engine.search(machine, source, targets, spent) == (wit, False)
+                    assert engine.search(machine, source, targets, spent - 1) == (None, True)
+            if not exhausted and not two[1]:
+                assert (wit is None) == (two[0] is None), (name, str(source), budget)
+            tally["hit" if wit is not None else "exhausted" if exhausted else "closed"] += 1
+    assert all(tally[k] for k in ("hit", "exhausted", "closed")), tally
