@@ -432,11 +432,11 @@ def _walk(machine, w, steps, rng):
 
 
 def _raised(fn):
-    """``fn()``, or the type of the ``MalformedWord`` it raised."""
+    """``fn()``, or ``MalformedWord`` when it raised one."""
     try:
         return fn()
-    except MalformedWord as e:
-        return type(e)
+    except MalformedWord:
+        return MalformedWord
 
 
 SEARCH_MACHINES = {
