@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation gate for the rule-application fast paths, the relator table,
-the sweep labels and the word search.
+"""Mutation gate for the rule-application fast paths, the relator table
+and its superscript rule, the sweep labels, the word search and relator
+membership.
 
     python3 scripts/mutants.py
 
@@ -127,6 +128,16 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "loop while either frontier is non-empty",
         "enumerate.py",
         (("    while fq and (bq or not bidirectional):\n", "    while fq or bq:\n"),),
+    ),
+    (
+        "give theta(23) superscripts on both sides",
+        "main_machine.py",
+        (('return (rule.sign > 0, rule.sign < 0) if fam == "mixed"', 'return (True, True) if fam == "mixed"'),),
+    ),
+    (
+        "answer a miss in has_relator without the canonical set",
+        "presentation.py",
+        (("        canon = self._canonical_relators\n", "        canon = self.relator_set\n"),),
     ),
 )
 

@@ -86,13 +86,13 @@ def cmd_build(args) -> int:
         bundle = _bundle(args)
         machine = build_trimmed_machine(bundle) if args.trimmed else bundle.machine
         params = {"m": args.m, "L": args.L, "N": bundle.N, "toy": bundle.toy.name, "c4": None}
-    elif args.lr:
+    elif args.lr is not None:
         machine = build_lr(args.lr.split(","))
         params = {"alphabet": args.lr.split(",")}
-    elif args.rl:
+    elif args.rl is not None:
         machine = build_rl(args.rl.split(","))
         params = {"alphabet": args.rl.split(",")}
-    elif args.lr_m:
+    elif args.lr_m is not None:
         alpha, m = args.lr_m
         m = args.m if m is None else m
         machine = build_lr_m(alpha, m)
@@ -238,16 +238,17 @@ def cmd_verify(args) -> int:
 
 def cmd_disk(args) -> int:
     bundle = _bundle(args)
+    k = 0 if args.k is None else args.k  # None lets argparse see --k 0 beside --hub
     if args.hub:
         w = bundle.w_st if args.hub == "start" else bundle.w_ac
     else:
-        w = bundle.w_word(args.k, args.k)
+        w = bundle.w_word(k, k)
     big = power_word(w, bundle.L)
     # is_disk_word reads only the erasure, so the plain lift serves every word
     pw = PermissibleWord(big, (None,) * len(big.q), tuple((None,) * len(u) for u in big.u))
     verdict = is_disk_word(pw, bundle, budget=args.budget)
     doc = {
-        "word": f"{'hub-' + args.hub if args.hub else f'W({args.k},{args.k})'}^L",
+        "word": f"{'hub-' + args.hub if args.hub else f'W({k},{k})'}^L",
         "verdict": verdict.verdict,
         "direction": verdict.direction,
         "witness_length": len(verdict.witness) if verdict.witness is not None else None,
@@ -257,10 +258,10 @@ def cmd_disk(args) -> int:
         src = w if verdict.direction == "accepting" else bundle.s1()
         comp = run_history(bundle.machine, src, verdict.witness)
         doc["disk_cells"] = disk_diagram_cells(w, comp, bundle)
-    if not args.hub and bundle.toy.accepts(args.k):
+    if not args.hub and bundle.toy.accepts(k):
         # the toy accepts this input: the constructed accepting run gives
         # the hub-plus-L-trapezia cell count
-        hist = bundle.witness_wkk_to_wac(args.k)
+        hist = bundle.witness_wkk_to_wac(k)
         comp = run_history(bundle.machine, w, hist)
         doc["verdict"] = "yes"
         doc["accepting_witness_length"] = len(hist)
@@ -317,13 +318,14 @@ def make_parser() -> _Parser:
 
     b = sub.add_parser("build", help="construct a machine and write its file")
     common(b)
-    b.add_argument("--main", action="store_true")
-    b.add_argument("--trimmed", action="store_true")
-    b.add_argument("--toy-even", action="store_true")
-    b.add_argument("--lr", metavar="LETTERS")
-    b.add_argument("--rl", metavar="LETTERS")
-    b.add_argument("--lr-m", metavar="LETTERS:M", type=_letters_m)
-    b.add_argument("--m3", action="store_true")
+    which = b.add_mutually_exclusive_group()
+    which.add_argument("--main", action="store_true")
+    which.add_argument("--trimmed", action="store_true")
+    b.add_argument("--toy-even", action="store_true", help="the recognizer of --main/--trimmed/--m3; alone, build it")
+    which.add_argument("--lr", metavar="LETTERS")
+    which.add_argument("--rl", metavar="LETTERS")
+    which.add_argument("--lr-m", metavar="LETTERS:M", type=_letters_m)
+    which.add_argument("--m3", action="store_true")
     b.add_argument("--manifest")
     b.set_defaults(func=cmd_build)
 
@@ -372,8 +374,9 @@ def make_parser() -> _Parser:
 
     d = sub.add_parser("disk", help="disk-word verdicts and cell counts")
     common(d)
-    d.add_argument("--k", type=_nonnegative, default=0)
-    d.add_argument("--hub", choices=("start", "accept"), default=None)
+    word = d.add_mutually_exclusive_group()
+    word.add_argument("--k", type=_nonnegative, default=None, help="default 0")
+    word.add_argument("--hub", choices=("start", "accept"), default=None)
     d.add_argument("--budget", type=_nonnegative, default=10_000)
     d.set_defaults(func=cmd_disk)
 

@@ -389,9 +389,10 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
     return M3Build(machine, m2bar, m, tuple(stages), tuple(chi_labels))
 
 
-def start_configuration_m3(b: M2Build | M3Build, k: int, hist: Sequence[str], letter: str = "a") -> AdmissibleWord:
-    """I(a^k, H): input content plus a left-alphabet copy of H per history
-    sector, on the start letters of an M2 or M3 build."""
+def start_configuration_m3(b: M2Build | M3Build, k: int, hist: Sequence[str]) -> AdmissibleWord:
+    """I(a^k, H) over the input sector's one letter a, plus a left-alphabet
+    copy of H per history sector, on the start letters of an M2 or M3 build."""
+    (letter,) = b.machine.hardware.sector_alphabets[b.machine.input_sector]
     tape: dict[int, Word] = {
         b.machine.input_sector: tuple(YLetter(letter, 1 if k >= 0 else -1) for _ in range(abs(k)))
     }

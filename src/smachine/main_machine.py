@@ -59,6 +59,14 @@ def family(rule: Rule) -> str:
     return "mixed" if rule.tag == MIXED_TAG else "plain"
 
 
+def sup_sides(rule: Rule) -> tuple[bool, bool]:
+    """Whether the (source, target) side of ``rule`` carries superscripts:
+    both for the sup family, neither for the plain one, and for theta(23)
+    its source side only, which is its inverse's target side."""
+    fam = family(rule)
+    return (rule.sign > 0, rule.sign < 0) if fam == "mixed" else (fam == "sup", fam == "sup")
+
+
 @dataclass(frozen=True)
 class MainMachineBundle:
     machine: SMachine

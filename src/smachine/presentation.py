@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .machine import Rule, SMachine
-from .main_machine import BadParameters, MainMachineBundle, build_trimmed_machine, family
+from .main_machine import BadParameters, MainMachineBundle, build_trimmed_machine, sup_sides
 from .serialize import Lines, format_names, names
 from .words import AdmissibleWord, Word, parse_signed, reduce_word, signed
 
@@ -107,11 +107,19 @@ class Presentation:
     def relator_set(self) -> frozenset[GWord]:
         return frozenset(r.word for r in self.relators)
 
+    @cached_property
+    def _canonical_relators(self) -> frozenset[GWord]:
+        """Every relator in canonical rotation: a parsed file keeps its
+        relators as written, which need not be."""
+        return frozenset(canonical_rotation(r.word) for r in self.relators)
+
     def has_relator(self, word: GWord) -> bool:
         """Membership up to rotation, inversion, and free/cyclic reduction;
         a stored relator is answered by one lookup."""
-        rs = self.relator_set
-        return word in rs or canonical_rotation(word) in rs or canonical_rotation(g_inv(word)) in rs
+        if word in self.relator_set:
+            return True
+        canon = self._canonical_relators
+        return canonical_rotation(word) in canon or canonical_rotation(g_inv(word)) in canon
 
     def with_relators(self, extra: Iterable[Relator], name: str | None = None) -> "Presentation":
         extra = tuple(extra)
@@ -177,17 +185,27 @@ class RelatorFactory:
         """U_j theta_{j+1} V_j^-1 theta_j^-1 with the t-part aliasing."""
         key = ("q", rule.label, rule.sign, j, None, sup)
         rel = self._table.get(key)
-        if rel is None:
-            rel = self._table[key] = self._build_theta_q(rule, j, sup)
+        return rel if rel is not None else self._miss(key, rule, sup, self._build_theta_q, j)
+
+    def theta_a_relator(self, rule: Rule, sector: int, letter: str, sup: int | None) -> Relator:
+        """Commutation of theta_{sector+1} with a domain letter of that sector."""
+        key = ("a", rule.label, rule.sign, sector, letter, sup)
+        rel = self._table.get(key)
+        return rel if rel is not None else self._miss(key, rule, sup, self._build_theta_a, sector, letter)
+
+    def _miss(self, key: tuple, rule: Rule, sup: int | None, build, *at) -> Relator:
+        """Check ``sup`` against the rule's superscripted sides, then build
+        the relator with each side's superscript and keep it under ``key``."""
+        src, dst = sup_sides(rule)
+        if (sup is None) == (src or dst):
+            raise SuperscriptMismatch(f"rule {rule.label} takes {'a' if src or dst else 'no'} superscript, sup={sup}")
+        rel = self._table[key] = build(rule, *at, sup, sup if src else None, sup if dst else None)
         return rel
 
-    def _build_theta_q(self, rule: Rule, j: int, sup: int | None) -> Relator:
-        fam = family(rule)
-        if (sup is None) != (fam == "plain"):
-            raise SuperscriptMismatch(f"rule {rule.label} is {fam}, sup={sup}")
+    def _build_theta_q(
+        self, rule: Rule, j: int, sup: int | None, u_sup: int | None, v_sup: int | None
+    ) -> Relator:
         p = rule.parts[j]
-        u_sup = sup
-        v_sup = None if fam == "mixed" else sup
         u: GWord = ((self.q_gen(p.src, u_sup), 1),)
         v: GWord = (
             self._word_gens(p.a, v_sup)
@@ -199,43 +217,22 @@ class RelatorFactory:
         word = canonical_rotation(u + (right,) + g_inv(v) + (left,))
         return Relator(word, "theta-q", rule.label, part=j, sup=sup)
 
-    def theta_a_relator(self, rule: Rule, sector: int, letter: str, sup: int | None) -> Relator:
-        """Commutation of theta_{sector+1} with a domain letter of that sector."""
-        key = ("a", rule.label, rule.sign, sector, letter, sup)
-        rel = self._table.get(key)
-        if rel is None:
-            rel = self._table[key] = self._build_theta_a(rule, sector, letter, sup)
-        return rel
-
-    def _build_theta_a(self, rule: Rule, sector: int, letter: str, sup: int | None) -> Relator:
-        fam = family(rule)
-        if (sup is None) != (fam == "plain"):
-            raise SuperscriptMismatch(f"rule {rule.label} is {fam}, sup={sup}")
+    def _build_theta_a(
+        self, rule: Rule, sector: int, letter: str, sup: int | None, u_sup: int | None, v_sup: int | None
+    ) -> Relator:
         th = self.theta(rule, sector + 1, sup)
-        if fam == "mixed":
-            # a^(i) theta^(i) = theta^(i) a : superscripts erased on the right
-            word: GWord = (
-                ((self.a_gen(letter, sup), 1), (th, 1), (self.a_gen(letter, None), -1), (th, -1))
-            )
-        else:
-            word = (
-                ((th, 1), (self.a_gen(letter, sup), 1), (th, -1), (self.a_gen(letter, sup), -1))
-            )
+        x, y = self.a_gen(letter, u_sup), self.a_gen(letter, v_sup)
+        # x theta = theta y: written x theta y^-1 theta^-1 where the sides differ
+        # (theta(23), superscripts erased on the right), else as [theta, x]
+        word: GWord = ((x, 1), (th, 1), (y, -1), (th, -1)) if x != y else ((th, 1), (x, 1), (th, -1), (x, -1))
         return Relator(canonical_rotation(word), "theta-a", rule.label, sector=sector, sup=sup)
 
 
-def _supped_letters(bundle: MainMachineBundle) -> frozenset[str]:
-    out: set[str] = set()
-    for r in bundle.machine.positive_rules:
-        fam = family(r)
-        if fam == "sup":
-            for p in r.parts:
-                out.add(p.src)
-                out.add(p.dst)
-        elif fam == "mixed":
-            for p in r.parts:
-                out.add(p.src)
-    return frozenset(out)
+def _supped_letters(machine: SMachine) -> frozenset[str]:
+    """The state letters on a superscripted side of some rule of ``machine``."""
+    return frozenset(
+        q for r in machine.positive_rules for p in r.parts for q, s in zip((p.src, p.dst), sup_sides(r)) if s
+    )
 
 
 def factory_for(bundle: MainMachineBundle) -> RelatorFactory:
@@ -245,7 +242,7 @@ def factory_for(bundle: MainMachineBundle) -> RelatorFactory:
     fac = bundle.derived.get("relator_factory")
     if fac is None:
         fac = bundle.derived["relator_factory"] = RelatorFactory(
-            N=bundle.N, L=bundle.L, supped=_supped_letters(bundle)
+            N=bundle.N, L=bundle.L, supped=_supped_letters(bundle.machine)
         )
     return fac
 
@@ -257,13 +254,12 @@ def _tape_letters(machine: SMachine) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-def _compile(name: str, machine: SMachine, fac: RelatorFactory, supped: frozenset[str]) -> Presentation:
+def _compile(name: str, machine: SMachine, fac: RelatorFactory) -> Presentation:
     """All rule relations of ``machine`` (no hubs); its t part is part 0.
 
-    ``supped`` are the state letters of ``machine`` with superscripted
-    copies; tape letters get L superscripted copies iff some state
-    letter does.
+    Tape letters get L superscripted copies iff some state letter does.
     """
+    supped = _supped_letters(machine)
     sups_all = tuple(range(1, fac.L + 1))
     gens: set[Generator] = set()
     for part in machine.hardware.parts:
@@ -274,7 +270,7 @@ def _compile(name: str, machine: SMachine, fac: RelatorFactory, supped: frozense
         gens.update(Generator("a", a, None, s) for s in tape_sups)
     relators: list[Relator] = []
     for rule in machine.positive_rules:
-        sups = (None,) if family(rule) == "plain" else sups_all
+        sups = sups_all if any(sup_sides(rule)) else (None,)
         gens.update(Generator("th", rule.label, idx, s) for idx in range(1, fac.N + 1) for s in sups)
         for sup in sups:
             for j in range(fac.N):
@@ -294,15 +290,14 @@ def _compile(name: str, machine: SMachine, fac: RelatorFactory, supped: frozense
 
 def compile_group_M(bundle: MainMachineBundle) -> Presentation:
     """All rule relations of the main machine (no hubs)."""
-    fac = factory_for(bundle)
-    return _compile("M", bundle.machine, fac, fac.supped)
+    return _compile("M", bundle.machine, factory_for(bundle))
 
 
 def word_to_gens(fac: RelatorFactory, w: AdmissibleWord, sup: int | None = None) -> GWord:
     """An admissible word as a generator word; ``sup`` lifts every letter."""
     out: list[GLetter] = []
     for i, x in enumerate(w.q):
-        out.append((fac.q_gen(x.name, sup if x.name in fac.supped else None), x.sign))
+        out.append((fac.q_gen(x.name, sup), x.sign))
         if i < len(w.u):
             for y in w.u[i]:
                 out.append((fac.a_gen(y.name, sup), y.sign))
@@ -318,13 +313,9 @@ def _hub_accept(fac: RelatorFactory, bundle: MainMachineBundle) -> Relator:
 def hub_relators(bundle: MainMachineBundle) -> tuple[Relator, Relator]:
     """W_st^(1)...W_st^(L) = 1 and W_ac^L = 1."""
     fac = factory_for(bundle)
-    w_st = bundle.w_st
-    for x in w_st.q:
-        if x.name not in fac.supped:
-            raise SuperscriptMismatch(f"start letter {x.name} has no superscript copies")
     hub1: list[GLetter] = []
     for i in range(1, bundle.L + 1):
-        hub1.extend(word_to_gens(fac, w_st, sup=i))
+        hub1.extend(word_to_gens(fac, bundle.w_st, sup=i))
     return Relator(canonical_rotation(tuple(hub1)), "hub", rule="hub-start"), _hub_accept(fac, bundle)
 
 
@@ -338,13 +329,8 @@ def compile_group_G(bundle: MainMachineBundle) -> Presentation:
 
 def compile_trimmed(bundle: MainMachineBundle) -> tuple[Presentation, Presentation]:
     """Presentations of the trimmed machine group and its one-hub quotient."""
-    mbar = build_trimmed_machine(bundle)
-    # Mbar keeps only plain rules, whose relators G builds with sup=None,
-    # so no letter of theirs is in the factory's ``supped`` (``q_gen``
-    # would refuse it): their relators do not depend on ``supped``, and
-    # G's table serves them.  Mbar itself has no superscripted letters.
     fac = factory_for(bundle)
-    p_mbar = _compile("Mbar", mbar, fac, frozenset())
+    p_mbar = _compile("Mbar", build_trimmed_machine(bundle), fac)
     return p_mbar, p_mbar.with_relators([_hub_accept(fac, bundle)], name="Gbar")
 
 

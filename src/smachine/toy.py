@@ -22,19 +22,19 @@ from .machine import Hardware, History, Rule, RulePart, SMachine
 from .words import AdmissibleWord, YLetter
 
 
-def build_toy_even_machine(letter: str = "a") -> SMachine:
+def build_toy_even_machine() -> SMachine:
     hw = Hardware(
         parts=(("q0s", "q0e"), ("q1s", "q1e"), ("q2s", "q2e")),
-        sector_alphabets=(frozenset({letter}), frozenset()),
+        sector_alphabets=(frozenset({"a"}), frozenset()),
     )
     del2 = Rule(
         "del2",
         (
             RulePart("q0s", (), "q0s", ()),
-            RulePart("q1s", (YLetter(letter, -1), YLetter(letter, -1)), "q1s", ()),
+            RulePart("q1s", (YLetter("a", -1), YLetter("a", -1)), "q1s", ()),
             RulePart("q2s", (), "q2s", ()),
         ),
-        (frozenset({letter}), frozenset()),
+        (frozenset({"a"}), frozenset()),
         tag="m1",
     )
     fin = Rule(
@@ -85,5 +85,5 @@ class ToyRecognizer:
         return self.machine.end_configuration()
 
 
-def toy_even_recognizer(letter: str = "a") -> ToyRecognizer:
-    return ToyRecognizer(machine=build_toy_even_machine(letter), input_letter=letter)
+def toy_even_recognizer() -> ToyRecognizer:
+    return ToyRecognizer(machine=build_toy_even_machine())

@@ -22,7 +22,7 @@ from .machine import (
     inserts,
     is_eligible,
 )
-from .main_machine import THETA_23, MainMachineBundle, family
+from .main_machine import THETA_23, MainMachineBundle, sup_sides
 from .presentation import GWord, RelatorFactory, factory_for
 from .words import AdmissibleWord, MalformedWord, QLetter, Word, reduce_word, signed
 
@@ -79,10 +79,9 @@ class PermissibleWord:
 
 
 def lift_kind(rule: Rule) -> str:
-    """'sup' when the lift carries superscripts, 'plain' when it must not:
-    the mixed family's rule carries them on its source side only."""
-    fam = family(rule)
-    return "sup" if fam == "sup" or (fam == "mixed" and rule.sign > 0) else "plain"
+    """'sup' when the lift of a word ``rule`` applies to carries
+    superscripts (its source side does), 'plain' when it must not."""
+    return "sup" if sup_sides(rule)[0] else "plain"
 
 
 def make_permissible(
@@ -169,9 +168,9 @@ def make_band(
     pos = rule if rule.sign > 0 else inv
     # the top is the inverse rule's bottom: lifted as that rule requires,
     # at the bottom's level unless the band enters the superscripted phase
-    bottom_sup = lift_kind(rule) == "sup"
+    bottom_sup, top_is_sup = sup_sides(rule)
     level = None
-    if lift_kind(inv) == "sup":
+    if top_is_sup:
         level = bottom.q_sups[0] if bottom_sup else top_sup
     top = make_permissible(machine, w2, inv, level, modulus=fac.L)
     sups = (bottom if bottom_sup else top).q_sups
@@ -252,7 +251,7 @@ def computation_to_trapezium(
     for sl in comp.history:
         rule = machine.rule(sl)
         top_sup = None
-        if family(rule) == "mixed" and rule.sign < 0:
+        if sup_sides(rule) == (False, True):  # the band enters the superscripted phase
             top_sup = (level % bundle.L) + 1 if level is not None else 1
             level = top_sup
         band = make_band(machine, fac, bottom, rule, top_sup=top_sup)
@@ -290,19 +289,12 @@ def is_disk_word(
     word to base), so "unknown" is a possible verdict.
     """
     w = v.erase()
-    L = bundle.L
-    if len(w.q) % L != 0:
+    n, rem = divmod(len(w.q), bundle.L)
+    if rem:
         return DiskVerdict("no")
-    n = len(w.q) // L
-    blocks_q = [w.q[i * n : (i + 1) * n] for i in range(L)]
-    if any(b != blocks_q[0] for b in blocks_q):
-        return DiskVerdict("no")
-    us = [w.u[i * n : (i + 1) * n - 1] for i in range(L)]
-    joins = [w.u[(i + 1) * n - 1] for i in range(L - 1)]
-    if any(u != us[0] for u in us) or any(j != () for j in joins):
-        return DiskVerdict("no")
-    base = AdmissibleWord(blocks_q[0], tuple(us[0]))
-    if base.base != bundle.w_st.base:
+    base = AdmissibleWord(w.q[:n], w.u[: n - 1])
+    # W_st's letter pattern first: on it, power_word cannot raise
+    if base.base != bundle.w_st.base or power_word(base, bundle.L) != w:
         return DiskVerdict("no")
     machine = bundle.machine
     wit, exhausted1 = search(machine, base, [bundle.w_ac], budget)

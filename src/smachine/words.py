@@ -150,9 +150,6 @@ class AdmissibleWord:
     def y_length(self) -> int:
         return sum(len(w) for w in self.u)
 
-    def q_length(self) -> int:
-        return len(self.q)
-
     def inv(self) -> "AdmissibleWord":
         return AdmissibleWord(
             tuple(x.inv() for x in reversed(self.q)),

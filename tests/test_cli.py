@@ -359,6 +359,10 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         ["disk", "--L", "0"],
         ["disk", "--k", "-1"],
         ["compile", "--group", "Gk:-1"],
+        ["build", "--lr", "a", "--rl", "b"],
+        ["build", "--main", "--lr", "a"],
+        ["disk", "--hub", "accept", "--k", "3"],
+        ["disk", "--hub", "start", "--k", "0"],
     ],
     ids=[
         "negative-depth",
@@ -381,6 +385,10 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         "disk-L-too-small",
         "disk-negative-k",
         "compile-negative-k",
+        "build-two-machines",
+        "build-main-and-lr",
+        "disk-hub-and-k",
+        "disk-hub-and-default-k",
     ],
 )
 def test_bad_parameter_is_a_usage_error(capsys, tmp_path, lr_file, args):

@@ -17,6 +17,8 @@ from smachine.main_machine import (
     BadParameters,
     build_main_machine,
     build_trimmed_machine,
+    family,
+    sup_sides,
 )
 from smachine.toy import toy_even_recognizer
 from smachine.words import YLetter
@@ -32,6 +34,30 @@ def test_bad_parameters():
         build_main_machine(toy_even_recognizer(), m=0)
     with pytest.raises(BadParameters):
         build_main_machine(toy_even_recognizer(), L=4)
+
+
+# The superscripted (source, target) sides by family and sign, written
+# out here so the table does not read the function it checks.
+SUP_SIDES = {
+    ("sup", 1): (True, True),
+    ("sup", -1): (True, True),
+    ("mixed", 1): (True, False),
+    ("mixed", -1): (False, True),
+    ("plain", 1): (False, False),
+    ("plain", -1): (False, False),
+}
+
+
+def test_sup_sides_by_family_and_sign(bundle):
+    """Every rule of the main machine and its inverse: both sides for the
+    sup family, neither for the plain one, and theta(23)'s source side
+    only, which is its inverse's target side."""
+    seen = set()
+    for rule in bundle.machine.rules:
+        key = (family(rule), rule.sign)
+        assert sup_sides(rule) == SUP_SIDES[key], format_slabel(rule.signed_label)
+        seen.add(key)
+    assert seen == set(SUP_SIDES)
 
 
 def test_n_matches_derived_formula(bundle):

@@ -187,7 +187,7 @@ class _KeepsNothing(dict):
 
 def _fresh_factory(bundle):
     """A factory equal to the bundle's whose table stays empty."""
-    fac = RelatorFactory(bundle.N, bundle.L, _supped_letters(bundle))
+    fac = RelatorFactory(bundle.N, bundle.L, _supped_letters(bundle.machine))
     object.__setattr__(fac, "_table", _KeepsNothing())
     return fac
 
@@ -237,7 +237,7 @@ def test_factory_for_is_one_factory_per_bundle(bundle, pres_g):
     factory equals, hashes and prints as a fresh one."""
     fac = factory_for(bundle)
     assert fac is factory_for(bundle) and fac._table
-    fresh = RelatorFactory(bundle.N, bundle.L, _supped_letters(bundle))
+    fresh = RelatorFactory(bundle.N, bundle.L, _supped_letters(bundle.machine))
     assert fac == fresh and hash(fac) == hash(fresh) and repr(fac) == repr(fresh)
 
 
@@ -273,6 +273,25 @@ def test_has_relator_up_to_rotation_and_inverse(bundle, pres_m):
     assert pres_m.has_relator(w[2:] + w[:2])
     (g, sign), *rest = w
     assert not pres_m.has_relator(((g, -sign), *rest))
+
+
+def test_has_relator_on_a_parsed_file_written_in_another_rotation(pres_g):
+    """A parsed file keeps its relators as written: one ``theta-q`` line
+    rotated by one letter still answers for the compiled word, each of
+    its rotations and its inverse, and not for the word with one sign
+    flipped."""
+    lines = export(pres_g, "plain").splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("theta-q : "))
+    tag, _, body = lines[i].partition(" : ")
+    toks = body.split(".")
+    lines[i] = f"{tag} : " + ".".join(toks[1:] + toks[:1])
+    back = parse_presentation("\n".join(lines) + "\n")
+    w = next(r.word for r in pres_g.relators if r.tag == "theta-q")
+    assert w not in back.relator_set
+    assert all(back.has_relator(w[j:] + w[:j]) for j in range(len(w)))
+    assert back.has_relator(g_inv(w))
+    (g, sign), *rest = w
+    assert not back.has_relator(((g, -sign), *rest))
 
 
 def test_export_parse_round_trip(bundle, pres_g):

@@ -19,7 +19,7 @@ from smachine.trapezia import (
     trapezium_area,
     PermissibleWord,
 )
-from smachine.words import AdmissibleWord, invert_word
+from smachine.words import AdmissibleWord, YLetter, invert_word
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +198,28 @@ def test_hub_words_are_disk_words(bundle):
 def test_non_power_is_not_disk(bundle):
     pw = plain_lift(bundle.w_word(0, 0))
     assert is_disk_word(pw, bundle).verdict == "no"
+
+
+def test_power_with_one_block_differing_is_not_disk(bundle):
+    """W_st^(L-1) W_ac: every block has W_st's letter pattern, the last
+    one other letters."""
+    big = power_word(bundle.w_st, bundle.L - 1)
+    w = AdmissibleWord(big.q + bundle.w_ac.q, big.u + ((),) + bundle.w_ac.u)
+    assert is_disk_word(plain_lift(w), bundle).verdict == "no"
+
+
+def test_power_with_a_tape_letter_on_a_join_is_not_disk(bundle):
+    big = power_word(bundle.w_ac, bundle.L)
+    join = bundle.N - 1  # the tape between the first block and the second
+    assert big.u[join] == ()
+    u = big.u[:join] + ((YLetter(bundle.toy.input_letter, 1),),) + big.u[join + 1 :]
+    assert is_disk_word(plain_lift(AdmissibleWord(big.q, u)), bundle).verdict == "no"
+
+
+def test_power_of_an_inverse_word_is_not_disk(bundle):
+    """W_ac^-1 is a word of the hardware whose base is not W_st's."""
+    big = power_word(bundle.w_ac.inv(), bundle.L)
+    assert is_disk_word(plain_lift(big), bundle).verdict == "no"
 
 
 def test_wkk_power_is_disk_with_witness(bundle):
