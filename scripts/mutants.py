@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Mutation gate for the rule-application fast paths, the relator table
-and its superscript rule, the sweep labels, the word search and relator
-membership.
+and its superscript rule, the sweep labels and phase letters, the word
+search and its first-path-wins level dedup, relator membership and the
+report bytes.
 
     python3 scripts/mutants.py
 
@@ -103,6 +104,26 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "name a backward stage's rules without _b",
         "compose.py",
         (('return f"s{sigma}_{label}" + ("_b" if kind == "bwd" else "")', 'return f"s{sigma}_{label}"'),),
+    ),
+    (
+        "swap a sweep stage's a/b phase letters",
+        "compose.py",
+        (('''lambda i: f"{'ab'[i - 1]}_s{sigma}"''', '''lambda i: f"{'ba'[i - 1]}_s{sigma}"'''),),
+    ),
+    (
+        "let the last path win in reach_levels",
+        "enumerate.py",
+        (
+            (
+                "                if key not in nxt:\n                    nxt[key] = Computation(w2, sl, s, x)\n",
+                "                nxt[key] = Computation(w2, sl, s, x)\n",
+            ),
+        ),
+    ),
+    (
+        "turn sort_keys off in CheckReport.to_json",
+        "checks.py",
+        (("json.dumps(self.to_dict(), sort_keys=True, indent=2)", "json.dumps(self.to_dict(), sort_keys=False, indent=2)"),),
     ),
     (
         "charge the search budget after the expansion",

@@ -70,24 +70,14 @@ def check_lr_bound(max_tape: int = 4) -> CheckReport:
     possible bound is reported outright.
     """
     lr = build_lr(["a"])
-    hw = lr.hardware
-    letters = sorted(hw.sector_alphabets[0])
-    region_words = []
-    contents = _reduced_words(letters, max_tape)
-    by_len: dict[int, list] = {}
-    for u in contents:
-        by_len.setdefault(len(u), []).append(u)
-    for p_state in ("p1", "p2"):
-        for n0 in range(max_tape + 1):
-            for n1 in range(max_tape + 1 - n0):
-                for u0 in by_len.get(n0, []):
-                    for u1 in by_len.get(n1, []):
-                        region_words.append(
-                            AdmissibleWord(
-                                (QLetter(0, "q1", 1), QLetter(1, p_state, 1), QLetter(2, "q2", 1)),
-                                (u0, u1),
-                            )
-                        )
+    contents = _reduced_words(sorted(lr.hardware.sector_alphabets[0]), max_tape)
+    region_words = [
+        AdmissibleWord((QLetter(0, "q1", 1), QLetter(1, p, 1), QLetter(2, "q2", 1)), (u0, u1))
+        for p in lr.hardware.parts[1]
+        for u0 in contents
+        for u1 in contents
+        if len(u0) + len(u1) <= max_tape
+    ]
     max_bound = 2 * (3 + max_tape) - 2
     depth = max_bound + 1
 

@@ -30,7 +30,7 @@ from .presentation import (
 )
 from .serialize import FormatError, manifest, parse_machine, print_machine
 from .toy import toy_even_recognizer
-from .trapezia import disk_diagram_cells, is_disk_word, power_word, PermissibleWord
+from .trapezia import disk_diagram_cells, is_disk_word, plain_lift, power_word
 from .words import AdmissibleWord, MalformedWord
 
 EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO = 0, 1, 2, 3
@@ -82,6 +82,8 @@ def _bundle(args) -> "object":
 
 
 def cmd_build(args) -> int:
+    if args.toy_even and not (args.lr is None and args.rl is None and args.lr_m is None):
+        _usage_error("--toy-even names the recognizer of --main/--trimmed/--m3; it does not go with --lr/--rl/--lr-m")
     if args.main or args.trimmed:
         bundle = _bundle(args)
         machine = build_trimmed_machine(bundle) if args.trimmed else bundle.machine
@@ -245,8 +247,7 @@ def cmd_disk(args) -> int:
         w = bundle.w_word(k, k)
     big = power_word(w, bundle.L)
     # is_disk_word reads only the erasure, so the plain lift serves every word
-    pw = PermissibleWord(big, (None,) * len(big.q), tuple((None,) * len(u) for u in big.u))
-    verdict = is_disk_word(pw, bundle, budget=args.budget)
+    verdict = is_disk_word(plain_lift(big), bundle, budget=args.budget)
     doc = {
         "word": f"{'hub-' + args.hub if args.hub else f'W({k},{k})'}^L",
         "verdict": verdict.verdict,

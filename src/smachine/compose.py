@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .lr import Host, build_lr_m, place, primed, read_right_to_left, sweep_run
+from .lr import Host, Label, build_lr_m, place, primed, read_right_to_left, sweep_run
 from .machine import Hardware, History, Rule, RulePart, SMachine
 from .words import AdmissibleWord, Word, YLetter
 
@@ -279,11 +279,14 @@ def _stage_kind(sigma: int) -> str:
 
 
 def _stage_label(sigma: int, kind: str, label: str) -> str:
-    """Stage ``sigma``'s name for rule ``label``: LR's zm1_x, zt1, zm2_x become
-    r1_x, rt, r2_x on RL and l1_x, lt, l2_x on LR; ``_b`` marks a bwd stage."""
-    if kind in ("rl", "lr"):
-        return f"s{sigma}_{kind[0]}" + ("t" if label == "zt1" else label[2:])
+    """Stage ``sigma``'s name for base rule ``label``; ``_b`` marks a bwd stage."""
     return f"s{sigma}_{label}" + ("_b" if kind == "bwd" else "")
+
+
+def _sweep_label(sigma: int, kind: str) -> Label:
+    """Sweep stage ``sigma``'s rule names: s{sigma}_r1_x, s{sigma}_rt,
+    s{sigma}_r2_x on RL, and the same with l on LR."""
+    return lambda i, a: f"s{sigma}_{kind[0]}" + ("t" if a is None else f"{i}_{a}")
 
 
 def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
@@ -318,19 +321,11 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
     # A history sweep is RL placed on every R letter (the history in the
     # sector to its right) or LR on every P letter (the history to its
     # left), in lockstep; the RL stages keep the input sector open too.
-    # Per kind: the base letters that name each part's stage copies, and
-    # the placed rules.
-    lr = build_lr_m(m2bar.m2.rule_labels, 1)
+    # Per kind: the base letters that name each part's stage copies, the
+    # hosts, and the domains the stage adds.
     rl_hosts = [Host(h.r_part, h.rl_scratch, h.sector, copies(h.left_copy, h.right_copy)) for h in hist]
     lr_hosts = [Host(h.p_part, h.sector, h.lr_scratch, copies(h.right_copy, h.left_copy)) for h in hist]
-    sweeps = {
-        "rl": (
-            base.start_letters,
-            [(r, ins, {**doms, input_sector: input_dom}) for r, ins, doms in place(read_right_to_left(lr), rl_hosts)],
-        ),
-        "lr": (base.end_letters, place(lr, lr_hosts)),
-    }
-    phase = {"p1": 0, "p2": -1}  # a sweep stage's first and last letter on each part
+    sweeps = {"rl": (base.start_letters, rl_hosts, {input_sector: input_dom}), "lr": (base.end_letters, lr_hosts, {})}
 
     parts: list[list[str]] = [[] for _ in range(hw.n_parts)]
     stages: list[Stage] = []
@@ -338,19 +333,23 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
     for sigma in range(1, n_stages + 1):
         kind = _stage_kind(sigma)
         if kind in sweeps:
-            frozen, placed = sweeps[kind]
-            running = placed[0][1]  # every placed rule acts on all host parts
+            frozen, hosts, extra = sweeps[kind]
+            # a host part's stage copies are its letter q and the sweep's
+            # phase letters: qa_s{sigma}, qb_s{sigma}
+            sweep = build_lr_m(m2bar.m2.rule_labels, 1, _sweep_label(sigma, kind), lambda i: f"{'ab'[i - 1]}_s{sigma}")
+            if kind == "rl":
+                sweep = read_right_to_left(sweep)
+            running = {h.part for h in hosts}
             sparts = [
-                (f"{q}a_s{sigma}", f"{q}b_s{sigma}") if i in running else (f"{q}_s{sigma}",)
+                tuple(q + x for x in sweep.hardware.parts[1]) if i in running else (f"{q}_s{sigma}",)
                 for i, q in enumerate(frozen)
             ]
-            for r, ins, doms in placed:
+            for r, ins, doms in place(sweep, hosts):
                 mid = r.parts[1]
-                rps = []
-                for i, p in enumerate(sparts):
-                    a, b = ins.get(i, ((), ()))
-                    rps.append(RulePart(p[phase[mid.src]], a, p[phase[mid.dst]], b))
-                rules.append(Rule(_stage_label(sigma, kind, r.label), tuple(rps), doms_with(doms), tag="m3"))
+                rps = [RulePart(p[0], (), p[0], ()) for p in sparts]
+                for i, (a, b) in ins.items():
+                    rps[i] = RulePart(frozen[i] + mid.src, a, frozen[i] + mid.dst, b)
+                rules.append(Rule(r.label, tuple(rps), doms_with({**doms, **extra}), tag="m3"))
             start, end = tuple(p[0] for p in sparts), tuple(p[-1] for p in sparts)
         else:
             sparts = [tuple(f"{x}_s{sigma}" for x in part) for part in hw.parts]
@@ -405,11 +404,13 @@ def stage_sweep_history(b: M3Build, hist: Sequence[str]) -> History:
     """The straight-line run of all 4m+1 stages on history content ``hist``:
     LR's run in the sweep stages (RL reads ``hist`` right to left) and the
     base run forwards or backwards in the others, joined by the chi rules."""
-    base = [(lbl, 1) for lbl in hist]
-    runs = {"rl": sweep_run(hist[::-1], 1), "lr": sweep_run(hist, 1), "fwd": base, "bwd": base[::-1]}
+    content = {"rl": hist[::-1], "lr": hist, "fwd": hist, "bwd": hist[::-1]}
     out: list[tuple[str, int]] = []
     for st, chi in zip(b.stages, (*b.chi_labels, None)):  # no chi rule after the last stage
-        out += [(_stage_label(st.index, st.kind, lbl), sign) for lbl, sign in runs[st.kind]]
+        if st.kind in ("rl", "lr"):
+            out += sweep_run(content[st.kind], 1, _sweep_label(st.index, st.kind))
+        else:
+            out += [(_stage_label(st.index, st.kind, lbl), 1) for lbl in content[st.kind]]
         if chi:
             out.append((chi, 1))
     return tuple(out)

@@ -3,14 +3,16 @@
 ``build_lr_m(Y, m)``: standard base Q1 P Q2; the middle letter sweeps
 left through the left sector, replacing each letter a by its primed copy
 a' deposited in the right sector, turns, and sweeps back, m times over
-with 2m phase letters.  It is the one sweep written out: ``build_lr`` is
-``build_lr_m(Y, 1)`` with the labels z1_a, z12, z2_a, and ``build_rl``
-is ``build_lr`` read right to left (content in the right sector, scratch
-on the left) with the letters r1, r2 and the labels x1_a, x12, x2_a.
-``sweep_run`` is LRm's straight run, in the labels build_lr_m gives.
-``place`` puts a sweep's rules on the parts of a larger machine: the
-main machine's set 2 is LRm placed on the input sector, and M3's
-history-sweep stages are LR and RL placed on every history sector.
+with 2m phase letters.  It is the one sweep written out, and this module
+spells every name a sweep's rules and phase letters get: ``build_lr_m``
+and ``sweep_run`` take them as ``label(i, a)`` and ``phase(i)``, LRm's
+own being zm{i}_{a}, zt{i} and p{i}.  ``build_lr`` is ``build_lr_m(Y, 1)``
+with the labels z1_a, z12, z2_a, and ``build_rl`` is that sweep read
+right to left (content in the right sector, scratch on the left) with
+the letters r1, r2 and the labels x1_a, x12, x2_a.  ``place`` puts a
+sweep's rules on the parts of a larger machine: the main machine's set 2
+is LRm placed on the input sector, and M3's history-sweep stages are LR
+and RL placed on every history sector, each placement under its own names.
 """
 
 from __future__ import annotations
@@ -34,24 +36,27 @@ def primed(name: str) -> str:
     return name + "'"
 
 
-def _same(x: str) -> str:
-    return x
+# A sweep's rule names: label(i, a) for phase i's rule on letter a, and
+# label(i, None) for the turn after phase i; its phase letters: phase(i).
+Label = Callable[[int, str | None], str]
 
 
-def _renamed(
-    machine: SMachine,
-    name: str,
-    tag: str,
-    label: Callable[[str], str],
-    state: Callable[[str], str] = _same,
-) -> SMachine:
-    """``machine`` with its rule labels and state letters renamed and its rules retagged."""
+def lrm_label(i: int, a: str | None) -> str:
+    return f"zt{i}" if a is None else f"zm{i}_{a}"
+
+
+def _renamed(machine: SMachine, name: str, tag: str, swap: Mapping[str, str]) -> SMachine:
+    """``machine`` with its rules retagged and the state letters in ``swap`` renamed."""
+
+    def state(x: str) -> str:
+        return swap.get(x, x)
+
     hw = machine.hardware
     return SMachine(
         hardware=Hardware(tuple(tuple(map(state, p)) for p in hw.parts), hw.sector_alphabets, hw.circular),
         positive_rules=tuple(
             Rule(
-                label(r.label),
+                r.label,
                 tuple(RulePart(state(p.src), p.a, state(p.dst), p.b) for p in r.parts),
                 r.domains,
                 tag=tag,
@@ -125,32 +130,24 @@ def build_lr(alphabet: Sequence[str]) -> SMachine:
     Positive rules per letter a: z1_a (p1 -> a^-1 p1 a'), the turn z12
     locking the left sector, and z2_a (p2 -> a p2 a'^-1).
     """
-    return _renamed(
-        build_lr_m(alphabet, 1),
-        "LR",
-        "lr",
-        lambda lbl: "z12" if lbl == "zt1" else lbl.replace("zm", "z", 1),
-    )
+    return _renamed(build_lr_m(alphabet, 1, lambda i, a: "z12" if a is None else f"z{i}_{a}"), "LR", "lr", {})
 
 
 def build_rl(alphabet: Sequence[str]) -> SMachine:
     """Mirror of LR: content in the right sector, run right then left."""
-    states = {"q1": "q2", "q2": "q1", "p1": "r1", "p2": "r2"}
-    return _renamed(
-        read_right_to_left(build_lr(alphabet)),
-        "RL",
-        "rl",
-        lambda lbl: "x" + lbl[1:],
-        states.__getitem__,
-    )
+    lr = build_lr_m(alphabet, 1, lambda i, a: "x12" if a is None else f"x{i}_{a}", lambda i: f"r{i}")
+    return _renamed(read_right_to_left(lr), "RL", "rl", {"q1": "q2", "q2": "q1"})
 
 
-def build_lr_m(alphabet: Sequence[str], m: int) -> SMachine:
-    """Back-and-forth sweep repeated m times; p carries phase indices 1..2m.
+def build_lr_m(
+    alphabet: Sequence[str], m: int, label: Label = lrm_label, phase: Callable[[int], str] = lambda i: f"p{i}"
+) -> SMachine:
+    """Back-and-forth sweep repeated m times; P carries the phase letters
+    ``phase(1..2m)``.
 
     Odd phases move left (consume the left sector), even phases move
-    right.  Turning rules zt_i (i = 1..2m-1) bump the phase: odd turns
-    lock the left sector, even turns lock the right one.
+    right.  Turning rules ``label(i, None)`` (i = 1..2m-1) bump the phase:
+    odd turns lock the left sector, even turns lock the right one.
     """
     if m < 1:
         raise InvalidM(f"m must be >= 1, got {m}")
@@ -161,22 +158,22 @@ def build_lr_m(alphabet: Sequence[str], m: int) -> SMachine:
             f"alphabet {','.join(ys)!r}: need distinct nonempty letters, none another's primed copy"
         )
     both = frozenset(ys) | frozenset(ysp)
-    p_letters = tuple(f"p{i}" for i in range(1, 2 * m + 1))
+    p_letters = tuple(phase(i) for i in range(1, 2 * m + 1))
     hw = Hardware(
         parts=(("q1",), p_letters, ("q2",)),
         sector_alphabets=(both, both),
     )
     plain, prim = frozenset(ys), frozenset(ysp)
     rules = []
-    for i in range(1, 2 * m + 1):
+    for i, p in enumerate(p_letters, 1):
         for a in ys:
             if i % 2 == 1:
-                mid = RulePart(f"p{i}", (YLetter(a, -1),), f"p{i}", (YLetter(primed(a), 1),))
+                mid = RulePart(p, (YLetter(a, -1),), p, (YLetter(primed(a), 1),))
             else:
-                mid = RulePart(f"p{i}", (YLetter(a, 1),), f"p{i}", (YLetter(primed(a), -1),))
+                mid = RulePart(p, (YLetter(a, 1),), p, (YLetter(primed(a), -1),))
             rules.append(
                 Rule(
-                    f"zm{i}_{a}",
+                    label(i, a),
                     (RulePart("q1", (), "q1", ()), mid, RulePart("q2", (), "q2", ())),
                     (plain, prim),
                     tag="lrm",
@@ -185,10 +182,10 @@ def build_lr_m(alphabet: Sequence[str], m: int) -> SMachine:
         if i < 2 * m:
             rules.append(
                 Rule(
-                    f"zt{i}",
+                    label(i, None),
                     (
                         RulePart("q1", (), "q1", ()),
-                        RulePart(f"p{i}", (), f"p{i+1}", ()),
+                        RulePart(p, (), p_letters[i], ()),
                         RulePart("q2", (), "q2", ()),
                     ),
                     (frozenset(), prim) if i % 2 == 1 else (plain, frozenset()),
@@ -198,19 +195,20 @@ def build_lr_m(alphabet: Sequence[str], m: int) -> SMachine:
     return SMachine(
         hardware=hw,
         positive_rules=tuple(rules),
-        start_letters=("q1", "p1", "q2"),
-        end_letters=("q1", f"p{2*m}", "q2"),
+        start_letters=("q1", p_letters[0], "q2"),
+        end_letters=("q1", p_letters[-1], "q2"),
         input_sector=0,
         name="LRm",
     )
 
 
-def sweep_run(content: Sequence[str], m: int) -> History:
-    """LRm's run from q1 <content> p1 q2 to q1 <content> p2m q2: odd phases
-    read the content right to left, even ones left to right."""
+def sweep_run(content: Sequence[str], m: int, label: Label = lrm_label) -> History:
+    """LRm's run from q1 <content> p1 q2 to q1 <content> p2m q2, in the
+    rule names ``label`` gives: odd phases read the content right to left,
+    even ones left to right."""
     run: list[tuple[str, int]] = []
     for i in range(1, 2 * m + 1):
-        run += [(f"zm{i}_{a}", 1) for a in (content[::-1] if i % 2 == 1 else content)]
+        run += [(label(i, a), 1) for a in (content[::-1] if i % 2 == 1 else content)]
         if i < 2 * m:
-            run.append((f"zt{i}", 1))
+            run.append((label(i, None), 1))
     return tuple(run)

@@ -28,7 +28,7 @@ from .compose import (
     mirrored_rule,
     stage_sweep_history,
 )
-from .lr import Host, build_lr_m, place, primed, sweep_run
+from .lr import Host, build_lr_m, lrm_label, place, primed, sweep_run
 from .machine import Hardware, History, Rule, SMachine
 from .toy import ToyRecognizer
 from .words import AdmissibleWord, Word, YLetter
@@ -48,8 +48,8 @@ PLAIN_FAMILY_TAGS = ("set3", "tr34", "set4", "tr45", "set5", "tr50")
 THETA_23 = "tr_23"
 
 
-def _set2_label(label: str) -> str:
-    return f"w2_{label}"
+def _set2_label(i: int, a: str | None) -> str:
+    return "w2_" + lrm_label(i, a)
 
 
 def family(rule: Rule) -> str:
@@ -131,7 +131,7 @@ class MainMachineBundle:
         hist: list[tuple[str, int]] = [("tr_st1", 1)]
         hist += [(f"w1_ins_{a}", 1)] * k
         hist.append(("tr_12", 1))
-        hist += [(_set2_label(lbl), sign) for lbl, sign in sweep_run([a] * k, self.m)]
+        hist += sweep_run([a] * k, self.m, _set2_label)
         hist.append((THETA_23, 1))
         return tuple(hist)
 
@@ -177,6 +177,10 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
     mirror_lrm_part = m5.mirror_part[lrm_part]
     mirror_lrm_scratch = m5.mirror_sector[lrm_scratch]
 
+    # set 2 is LRm over the input letter, its phase letters z1..z2m
+    lrm = build_lr_m([a], m, _set2_label, lambda i: f"z{i}")
+    z_letters = lrm.hardware.parts[1]
+
     # hardware: extend the circular base with phase letters and sweep copies
     phases = ("st", "w1", "w2", "w3", "w5", "ac")
     parts = []
@@ -184,7 +188,7 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
         extra = [f"{tags[i]}_{ph}" for ph in phases]
         if i in (lrm_part, mirror_lrm_part):
             extra.remove(f"{tags[i]}_w2")
-            extra += [f"{tags[i]}_z{j}" for j in range(1, 2 * m + 1)]
+            extra += [f"{tags[i]}_{z}" for z in z_letters]
         parts.append(base.hardware.parts[i] + tuple(extra))
     alphabets = list(base.hardware.sector_alphabets)
     alphabets[lrm_scratch] = alphabets[lrm_scratch] | {a_c}
@@ -232,24 +236,22 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
         mk(
             "tr_12",
             "tr12",
-            fix_lrm(phase_letters("w1", "w2"), "w1", "z1"),
+            fix_lrm(phase_letters("w1", "w2"), "w1", z_letters[0]),
             {},
             {input_sector: frozenset({a})},
         )
     )
 
-    # set 2: LRm over the input letter, placed on the sweep part and its mirror
-    lrm = build_lr_m([a], m)
+    # set 2: LRm placed on the sweep part and its mirror
     for r, ins, doms in place(lrm, [Host(lrm_part, input_sector, lrm_scratch, {a: a, primed(a): a_c})]):
-        p = r.parts[1]  # the phase letters p1..p2m play z1..z2m
-        letters = fix_lrm(phase_letters("w2"), "z" + p.src[1:], "z" + p.dst[1:])
-        rules.append(mk(_set2_label(r.label), "set2", letters, ins, doms))
+        p = r.parts[1]
+        rules.append(mk(r.label, "set2", fix_lrm(phase_letters("w2"), p.src, p.dst), ins, doms))
 
     rules.append(
         mk(
             THETA_23,
             MIXED_TAG,
-            fix_lrm(phase_letters("w2", "w3"), f"z{2*m}", "w3"),
+            fix_lrm(phase_letters("w2", "w3"), z_letters[-1], "w3"),
             {},
             {input_sector: frozenset({a})},
         )

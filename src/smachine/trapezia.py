@@ -78,6 +78,11 @@ class PermissibleWord:
         return " ".join(toks)
 
 
+def plain_lift(w: AdmissibleWord) -> PermissibleWord:
+    """``w`` with no superscript on any letter."""
+    return PermissibleWord(w, (None,) * len(w.q), tuple((None,) * len(u) for u in w.u))
+
+
 def lift_kind(rule: Rule) -> str:
     """'sup' when the lift of a word ``rule`` applies to carries
     superscripts (its source side does), 'plain' when it must not."""
@@ -104,7 +109,7 @@ def make_permissible(
             raise SuperscriptForbidden(
                 f"rule {format_slabel(rule.signed_label)} admits only the plain lift"
             )
-        return PermissibleWord(v, (None,) * len(v.q), tuple((None,) * len(u) for u in v.u))
+        return plain_lift(v)
     if first_sup is None:
         raise SuperscriptRequired(
             f"rule {format_slabel(rule.signed_label)} needs a first-letter superscript"

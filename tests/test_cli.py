@@ -363,6 +363,9 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         ["build", "--main", "--lr", "a"],
         ["disk", "--hub", "accept", "--k", "3"],
         ["disk", "--hub", "start", "--k", "0"],
+        ["build", "--lr", "a", "--toy-even"],
+        ["build", "--rl", "a", "--toy-even"],
+        ["build", "--lr-m", "a:1", "--toy-even"],
     ],
     ids=[
         "negative-depth",
@@ -389,6 +392,9 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         "build-main-and-lr",
         "disk-hub-and-k",
         "disk-hub-and-default-k",
+        "lr-and-toy-even",
+        "rl-and-toy-even",
+        "lr-m-and-toy-even",
     ],
 )
 def test_bad_parameter_is_a_usage_error(capsys, tmp_path, lr_file, args):

@@ -1,5 +1,7 @@
 """The small sweep machines checked against hand computations."""
 
+import dataclasses
+
 import pytest
 
 from conftest import random_words_for
@@ -137,16 +139,40 @@ def test_lr_m_full_run():
     assert comp.end == cfg(mach, ["q1"] + ["a"] * k + [f"p{2*m}", "q2"])
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("content", [["a", "b", "b"], ["b", "a"], []], ids=["abb", "ba", "empty"])
-def test_sweep_run_replays(m, content):
+CONTENTS = {"abb": ["a", "b", "b"], "ba": ["b", "a"], "empty": []}
+# LRm's own rule and phase-letter names, and another placement's
+LRM_NAMES = (lambda i, a: f"zt{i}" if a is None else f"zm{i}_{a}", lambda i: f"p{i}")
+OTHER_NAMES = (lambda i, a: f"turn{i}" if a is None else f"y{i}{a}", lambda i: f"ph{i}")
+
+
+@pytest.mark.parametrize(
+    "content, m, names",
+    [pytest.param(c, m, LRM_NAMES, id=f"{cid}-{m}") for cid, c in CONTENTS.items() for m in (1, 2, 3)]
+    + [pytest.param(CONTENTS["abb"], 2, OTHER_NAMES, id="abb-2-other-names")],
+)
+def test_sweep_run_replays(content, m, names):
     """``sweep_run`` is the straight run that test_lr_m_full_run spells by
-    hand, on a two-letter alphabet whose content order matters."""
-    mach = build_lr_m(["a", "b"], m)
-    hist = sweep_run(content, m)
-    comp = run_history(mach, cfg(mach, ["q1", *content, "p1", "q2"]), hist)
+    hand, on a two-letter alphabet whose content order matters.  Under
+    other names the sweep is LRm with its rules and phase letters renamed,
+    in the same order, and ``sweep_run`` in those names replays on it."""
+    label, phase = names
+    lrm, mach = build_lr_m(["a", "b"], m), build_lr_m(["a", "b"], m, label, phase)
+    letter = {f"p{i}": phase(i) for i in range(1, 2 * m + 1)}
+    rename = {f"zm{i}_{a}": label(i, a) for i in range(1, 2 * m + 1) for a in "ab"}
+    rename |= {f"zt{i}": label(i, None) for i in range(1, 2 * m)}
+
+    def part(p):
+        return dataclasses.replace(p, src=letter.get(p.src, p.src), dst=letter.get(p.dst, p.dst))
+
+    assert mach.hardware.parts == (("q1",), tuple(letter.values()), ("q2",))
+    assert list(mach.positive_rules) == [
+        dataclasses.replace(r, label=rename[r.label], parts=tuple(map(part, r.parts))) for r in lrm.positive_rules
+    ]
+    hist = sweep_run(content, m, label)
+    assert hist == tuple((rename[lbl], sign) for lbl, sign in sweep_run(content, m))
+    comp = run_history(mach, cfg(mach, ["q1", *content, phase(1), "q2"]), hist)
     assert len(comp) == 2 * m * len(content) + 2 * m - 1
-    assert comp.end == cfg(mach, ["q1", *content, f"p{2*m}", "q2"])
+    assert comp.end == cfg(mach, ["q1", *content, phase(2 * m), "q2"])
 
 
 def test_m1_structural_match():

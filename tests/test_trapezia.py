@@ -15,9 +15,9 @@ from smachine.trapezia import (
     disk_diagram_cells,
     is_disk_word,
     make_permissible,
+    plain_lift,
     power_word,
     trapezium_area,
-    PermissibleWord,
 )
 from smachine.words import AdmissibleWord, YLetter, invert_word
 
@@ -30,10 +30,6 @@ def bundle():
 @pytest.fixture(scope="module")
 def pres_g(bundle):
     return compile_group_G(bundle)
-
-
-def plain_lift(w):
-    return PermissibleWord(w, (None,) * len(w.q), tuple((None,) * len(u) for u in w.u))
 
 
 def test_plain_family_lift_is_identity(bundle):
