@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Mutation gate for the rule-application fast paths, the relator table
 and its superscript rule, the sweep labels and phase letters, the word
-search and its first-path-wins level dedup, relator membership and the
-report bytes.
+search and its first-path-wins level dedup, relator membership, the
+level-sweep report driver and the report bytes.
 
     python3 scripts/mutants.py
 
@@ -39,6 +39,7 @@ TESTS = (
     "tests/test_pins.py",
     "tests/test_presentation.py",
     "tests/test_lr.py",
+    "tests/test_checks.py",
 )
 TIMEOUT_S = 600
 JOBS = 2
@@ -124,6 +125,16 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "turn sort_keys off in CheckReport.to_json",
         "checks.py",
         (("json.dumps(self.to_dict(), sort_keys=True, indent=2)", "json.dumps(self.to_dict(), sort_keys=False, indent=2)"),),
+    ),
+    (
+        "report pass at the first offending level",
+        "checks.py",
+        (('                status="fail",\n                params=fail_params,\n', '                status="pass",\n                params=fail_params,\n'),),
+    ),
+    (
+        "count the offending level's states in a fail report",
+        "checks.py",
+        (('                counts={**counts, "states": seen},\n', '                counts={**counts, "states": seen + len(states)},\n'),),
     ),
     (
         "charge the search budget after the expansion",

@@ -6,6 +6,11 @@ Each suite returns a :class:`CheckReport`; a failing suite carries a
 minimal reproduction (start word plus history) replayable through
 ``run_history``.  Reports serialize deterministically: no timestamps,
 sorted keys, explicit seeds.
+
+The level sweeps (lr-bound, chi-occurrences, no-return) report through
+one driver, ``_sweep``: ``states`` counts every state of every level on
+a pass, and the states of the levels before the offending one on a
+fail, whose counterexample is the offending state's start and history.
 """
 
 from __future__ import annotations
@@ -62,6 +67,26 @@ def _repro(start: AdmissibleWord, history: History) -> dict:
 # level sweeps over reduced computations (all paths covered)
 
 
+def _sweep(suite, levels, offending, params, fail_params, counts, stats) -> CheckReport:
+    """Walk ``levels`` until ``offending(t, states)`` gives a state and its
+    fail stats; a pass carries ``stats`` as the walk leaves them."""
+    seen = 0
+    for t, states in levels:
+        hit = offending(t, states)
+        if hit is not None:
+            bad, fail_stats = hit
+            return CheckReport(
+                suite=suite,
+                status="fail",
+                params=fail_params,
+                counts={**counts, "states": seen},
+                stats=fail_stats,
+                counterexample=_repro(bad.start, bad.history),
+            )
+        seen += len(states)
+    return CheckReport(suite=suite, status="pass", params=params, counts={**counts, "states": seen}, stats=stats)
+
+
 def check_lr_bound(max_tape: int = 4) -> CheckReport:
     """Sweep-machine length bound: t <= |W0| + |Wt| - 2.
 
@@ -84,34 +109,30 @@ def check_lr_bound(max_tape: int = 4) -> CheckReport:
     def within_tape(state, rule, word):
         return PRUNE if word.y_length() > max_tape else None
 
+    stats = {"min_slack": None, "bound_cap": max_bound}
+
+    def offending(t, states):
+        if t == 0:
+            return None
+        for s in states:
+            slack = s.start.length() + s.end.length() - 2 - t
+            if stats["min_slack"] is None or slack < stats["min_slack"]:
+                stats["min_slack"] = slack
+            if slack < 0:
+                return s, {"violation_at": t}
+        return None
+
     # shortest starts first: the first path into a state then comes from
     # the shortest start reaching it, which makes the bound check tightest
     starts = sorted(region_words, key=AdmissibleWord.length)
-    min_slack = None
-    states_total = 0
-    for t, states in reach_levels(lr, starts, depth, extend=within_tape):
-        states_total += len(states)
-        if t == 0:
-            continue
-        for s in states:
-            slack = s.start.length() + s.end.length() - 2 - t
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-            if slack < 0:
-                return CheckReport(
-                    suite="lr-bound",
-                    status="fail",
-                    params={"max_tape": max_tape, "alphabet": ["a"]},
-                    counts={"start_words": len(region_words), "states": states_total},
-                    stats={"violation_at": t},
-                    counterexample=_repro(s.start, s.history),
-                )
-    return CheckReport(
-        suite="lr-bound",
-        status="pass",
+    return _sweep(
+        "lr-bound",
+        reach_levels(lr, starts, depth, extend=within_tape),
+        offending,
         params={"max_tape": max_tape, "alphabet": ["a"], "depth": depth},
-        counts={"start_words": len(region_words), "states": states_total},
-        stats={"min_slack": min_slack, "bound_cap": max_bound},
+        fail_params={"max_tape": max_tape, "alphabet": ["a"]},
+        counts={"start_words": len(region_words)},
+        stats=stats,
     )
 
 
@@ -201,58 +222,35 @@ def check_chi_occurrences(
             return vec
         return vec[:i] + (min(vec[i] + 1, 2),) + vec[i + 1 :]
 
+    stats = {"max_occurrences": 0}
+
+    def offending(t, states):
+        # the first state in level order is the first offending application
+        bad = next((s for s in states if 2 in s.extra), None)
+        if bad is not None:
+            return bad, {"chi_rule": bad.last[0]}
+        top = max((x for s in states for x in s.extra), default=0)
+        stats["max_occurrences"] = max(stats["max_occurrences"], top)
+        return None
+
     zero = (0,) * len(m3.chi_labels)
-    max_seen = 0
-    states_total = 0
-    for t, states in reach_levels(m3.machine, starts, depth, extend=occurrences, extra=zero):
-        top = max(max(s.extra, default=0) for s in states)
-        if top >= 2:
-            # the first state in level order is the first offending application
-            bad = next(s for s in states if 2 in s.extra)
-            return CheckReport(
-                suite="chi-occurrences",
-                status="fail",
-                params={"depth": depth},
-                counts={"states": states_total},
-                stats={"chi_rule": bad.last[0]},
-                counterexample=_repro(bad.start, bad.history),
-            )
-        max_seen = max(max_seen, top)
-        states_total += len(states)
-    return CheckReport(
-        suite="chi-occurrences",
-        status="pass",
-        params={"depth": depth, "starts": len(starts)},
-        counts={"states": states_total},
-        stats={"max_occurrences": max_seen},
-    )
+    levels = reach_levels(m3.machine, starts, depth, extend=occurrences, extra=zero)
+    params = {"depth": depth, "starts": len(starts)}
+    return _sweep("chi-occurrences", levels, offending, params, {"depth": depth}, {}, stats)
 
 
 def check_norep(bundle: MainMachineBundle, k: int, depth: int = 8) -> CheckReport:
     """No nontrivial reduced return to W(k,k) without the first two sets."""
     target = bundle.w_word(k, k)
     allowed = {*PLAIN_FAMILY_TAGS, MIXED_TAG}
-    states_total = 0
-    levels = reach_levels(bundle.machine, [target], depth, keep=lambda r: r.tag in allowed)
-    for t, states in levels:
+
+    def offending(t, states):
         back = next((s for s in states if t and s.end == target), None)
-        if back is not None:
-            return CheckReport(
-                suite="no-return",
-                status="fail",
-                params={"k": k, "depth": depth},
-                counts={"states": states_total},
-                stats={"return_at": t},
-                counterexample=_repro(target, back.history),
-            )
-        states_total += len(states)
-    return CheckReport(
-        suite="no-return",
-        status="pass",
-        params={"k": k, "depth": depth},
-        counts={"states": states_total},
-        stats={},
-    )
+        return None if back is None else (back, {"return_at": t})
+
+    levels = reach_levels(bundle.machine, [target], depth, keep=lambda r: r.tag in allowed)
+    params = {"k": k, "depth": depth}
+    return _sweep("no-return", levels, offending, params, params, {}, {})
 
 
 def check_periodic_distinctness(

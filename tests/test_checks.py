@@ -169,14 +169,19 @@ def test_lr_bound_fails_on_seeded_identity_rule(monkeypatch):
 
     monkeypatch.setattr(checks, "build_lr", build_lr_seeded)
     rep = check_lr_bound(max_tape=1)
-    assert rep.status == "fail"
-    assert rep.counts == {"start_words": 18, "states": 160}
-    assert rep.stats == {"violation_at": 5}
+    assert rep.to_dict() == LR_SEEDED
     lr = seeded["machine"]
     start = lr.hardware.word(rep.counterexample["start"].split())
     comp = run_history(lr, start, rep.counterexample["history"])
     assert len(comp) == 5
     assert start.length() + comp.end.length() - 2 < len(comp)
+
+
+def test_chi_occurrences_passes_vacuously_with_no_starts(session_bundle):
+    """No start word is an empty sweep, as lr-bound and wi-bound treat
+    empty input: a pass over 0 states."""
+    rep = check_chi_occurrences(session_bundle.m5.m4.m3, [], depth=3)
+    assert (rep.status, rep.counts, rep.stats) == ("pass", {"states": 0}, {"max_occurrences": 0})
 
 
 def test_chi_occurrences_fails_on_repeated_rule(session_bundle):
@@ -267,8 +272,19 @@ def test_accepted_language_small(session_bundle):
     assert all(row["witness_length"] for row in table)
 
 
-# Whole reports of the two seeded sweeps above: they pin the first
+# Whole reports of the three seeded sweeps above: they pin the first
 # offending application and the state count of the levels before it.
+LR_SEEDED = {
+    "suite": "lr-bound",
+    "status": "fail",
+    "params": {"max_tape": 1, "alphabet": ["a"]},
+    "counts": {"start_words": 18, "states": 133},
+    "stats": {"violation_at": 5},
+    "counterexample": {"start": "q1 p1 q2", "history": ["id"] * 5},
+    "depth_exhausted": False,
+    "notes": [],
+}
+
 CHI_SEEDED = {
     "suite": "chi-occurrences",
     "status": "fail",
