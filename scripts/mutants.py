@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Mutation gate for the rule-application fast paths, the relator table
-and its superscript rule, the sweep labels and phase letters, the word
-search and its first-path-wins level dedup, relator membership, the
-level-sweep report driver and the report bytes.
+"""Mutation gate for the rule-application fast paths, the word
+constructor's checks, the relator table and its superscript rule, the
+sweep labels and phase letters, the word search and its first-path-wins
+level dedup, relator membership, the level-sweep report driver and the
+report bytes.
 
     python3 scripts/mutants.py
 
@@ -40,6 +41,7 @@ TESTS = (
     "tests/test_presentation.py",
     "tests/test_lr.py",
     "tests/test_checks.py",
+    "tests/test_words.py",
 )
 TIMEOUT_S = 600
 JOBS = 2
@@ -50,15 +52,30 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
     (
         "skip the domain check of the last tape",
         "machine.py",
-        (("    for i, u in enumerate(w.u):\n", "    for i, u in enumerate(w.u[:-1]):\n"),),
+        (("compress(zip(m.tapes, w.u), w.u)", "compress(zip(m.tapes, w.u[:-1]), w.u)"),),
+    ),
+    (
+        "skip the reducedness check of a tape",
+        "words.py",
+        (("            if len(w) > 1 and not is_reduced(w):\n", "            if False:\n"),),
+    ),
+    (
+        "skip the unreduced-pair check",
+        "words.py",
+        (("            if not u[i]:\n", "            if False:\n"),),
     ),
     (
         "key the move cache on the first state letter only",
         "machine.py",
         (
-            ("            return self._moves[q]\n", "            return self._moves[q[0]]\n"),
+            ("            moves = self._moves[q]\n", "            moves = self._moves[q[0]]\n"),
             ("            moves = self._moves[q] = {", "            moves = self._moves[q[0]] = {"),
         ),
+    ),
+    (
+        "return the last lookup's moves for any state tuple",
+        "machine.py",
+        (("        if last[0] is q:\n", "        if last[0] is not None:\n"),),
     ),
     (
         "reuse a cached move by label without comparing the rule",

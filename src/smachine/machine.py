@@ -11,13 +11,16 @@ sector and domain, and the freely reduced inserts of the tapes that get
 any.  A new tape word is the old one with those inserts joined on, and
 since all three are reduced it is freely reduced at its two ends only;
 every other tape is shared.  The machine caches, per tuple of state
-letters, the moves of the rules whose sources match all of them.
+letters, the moves of the rules whose sources match all of them, and
+answers a lookup with the same tuple object as the last one without
+hashing it again.  The domain check visits the non-empty tapes only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .words import (
@@ -202,7 +205,7 @@ class Rule:
     tag: str = ""
     sign: int = 1
 
-    @property
+    @cached_property
     def signed_label(self) -> SignedLabel:
         return (self.label, self.sign)
 
@@ -313,15 +316,26 @@ class SMachine:
     def _moves(self) -> dict[tuple[QLetter, ...], dict[SignedLabel, Move]]:
         return {}
 
+    # The latest (q, moves) pair moves_at returned, so that a repeated
+    # lookup with the same tuple object skips hashing it: successors looks
+    # a word's q up once, and each rule tried looks it up twice more.  A
+    # class attribute, not a field; the instance's copy is set through
+    # object.__setattr__ and replaced as one tuple.
+    _last_moves = (None, None)
+
     def moves_at(self, q: tuple[QLetter, ...]) -> dict[SignedLabel, Move]:
         """The rules whose sources match every state letter of ``q``, each
         compiled for ``q``, by signed label in rule order; cached per ``q``."""
+        last = self._last_moves
+        if last[0] is q:
+            return last[1]
         try:
-            return self._moves[q]
+            moves = self._moves[q]
         except KeyError:
             compiled = (_compile(self, q, r) for r in self.candidate_rules(q[0]))
             moves = self._moves[q] = {m.rule.signed_label: m for m in compiled if not isinstance(m, str)}
-            return moves
+        object.__setattr__(self, "_last_moves", (q, moves))
+        return moves
 
     def rule(self, token: str | SignedLabel) -> Rule:
         lbl, sg = parse_signed(token) if isinstance(token, str) else token
@@ -387,17 +401,16 @@ def _move(machine: SMachine, w: AdmissibleWord, rule: Rule) -> Move | str:
     """``rule``'s move at ``w``, or why it does not apply.  The cached move
     serves only the rule it was compiled from; any other is compiled
     here and not kept."""
-    m = machine.moves_at(w.q).get((rule.label, rule.sign))
+    m = machine.moves_at(w.q).get(rule.signed_label)
     if m is None or not (m.rule is rule or m.rule == rule):
         m = _compile(machine, w.q, rule)
         if isinstance(m, str):
             return m
-    for i, u in enumerate(w.u):
-        if u:
-            sec, dom = m.tapes[i]
-            for name, _ in u:
-                if name not in dom:
-                    return f"letter {name} in sector {sec} outside domain of {rule.label}"
+    # the domain check, over the non-empty tapes only
+    for (sec, dom), u in compress(zip(m.tapes, w.u), w.u):
+        for name, _ in u:
+            if name not in dom:
+                return f"letter {name} in sector {sec} outside domain of {rule.label}"
     return m
 
 

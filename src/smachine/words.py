@@ -6,11 +6,17 @@ hardware part they belong to; tape letters are bare names.  Signs are
 +1/-1; the token ``x^-1`` names the inverse of ``x``, and every module
 reads that syntax with ``parse_signed`` and writes it with ``signed``.
 Equality of words is syntactic on the reduced, trimmed form.
+
+The constructor checks every word it builds: each non-empty tape is
+reduced, and no empty tape sits between a state letter and a letter of
+the same part with the opposite sign.  A word hashes once, when it is
+built, and the hash is never pickled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, TypeVar
 
 
@@ -112,32 +118,61 @@ def is_reduced(w: Word) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
+@lru_cache(maxsize=4096)
+def _pairs_at(q: tuple[QLetter, ...]) -> tuple[int, tuple[int, ...]]:
+    """``hash(q)``, from which a word's hash is built, and the indexes
+    ``i`` where ``q[i] q[i+1]`` are letters of one part with opposite
+    signs: the places where an empty tape would leave an unreduced pair.
+    Words share their ``q`` tuples (a move builds every word it makes
+    from one), so this is worked out once per distinct tuple."""
+    return hash(q), tuple(
+        i for i, (a, b) in enumerate(zip(q, q[1:])) if a.part == b.part and a.sign == -b.sign
+    )
+
+
+@dataclass(frozen=True)
 class AdmissibleWord:
     """Alternating word ``q_1 u_1 q_2 ... u_s q_{s+1}``.
 
     ``q`` has length s+1 >= 1 and ``u`` has length s.  Validation against
     a concrete hardware lives in :mod:`smachine.machine`; this container
     only enforces the shape and local reducedness.
+
+    The hash is computed once, by the constructor, into a slot that is
+    not a field: ``__init__``, equality and ``repr`` never see it, and a
+    pickle carries ``q`` and ``u`` only and is rebuilt by the
+    constructor, since the hash of the same word differs between
+    interpreters with different hash seeds.
     """
+
+    __slots__ = ("q", "u", "_hash")
 
     q: tuple[QLetter, ...]
     u: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        if not self.q:
+        q, u = self.q, self.u
+        if not q:
             raise MalformedWord("word must contain at least one state letter")
-        if len(self.u) != len(self.q) - 1:
+        if len(u) != len(q) - 1:
             raise MalformedWord(
-                f"{len(self.q)} state letters need {len(self.q) - 1} tape words,"
-                f" got {len(self.u)}"
+                f"{len(q)} state letters need {len(q) - 1} tape words,"
+                f" got {len(u)}"
             )
-        for w in self.u:
+        for w in filter(None, u):
             if len(w) > 1 and not is_reduced(w):
                 raise MalformedWord(f"tape word {format_word(w)} is not reduced")
-        for a, b, w in zip(self.q, self.q[1:], self.u):
-            if not w and a.part == b.part and a.sign == -b.sign:
-                raise MalformedWord(f"unreduced pair {a}{b}")
+        hq, pairs = _pairs_at(q)
+        for i in pairs:
+            if not u[i]:
+                raise MalformedWord(f"unreduced pair {q[i]}{q[i + 1]}")
+        object.__setattr__(self, "_hash", hash((hq, u)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return AdmissibleWord, (self.q, self.u)
 
     @property
     def base(self) -> tuple[tuple[int, int], ...]:
