@@ -2,7 +2,7 @@
 """Record one benchmark file: the three perfbench workloads and the
 acceptance-size end-to-end runs, each repeated, with the environment.
 
-    python3 scripts/bench_record.py --out BENCH_<n>.json
+    python3 scripts/bench_record.py [--deep] --out BENCH_<n>.json
 
 For each perfbench workload, ``perfbench/run.py --seed 1 --seconds 40
 --trace 0`` runs ``RUNS`` times in a fresh interpreter, and each
@@ -13,8 +13,19 @@ the Tier-1 pytest command run ``RUNS`` times each; a run keeps its wall
 time, the peak resident set of its process tree and, for the runs that
 verify, the sha256 of their report file.  The file also carries the git
 sha (and whether ``src`` or ``perfbench`` differ from it), perfbench's
-hash of the package source, the Python version and ``nproc``.  Stdlib
-only; run from anywhere.
+hash of the package source, the Python version and ``nproc``.
+
+With ``--deep`` the file also records the deep sweep points under
+``deep``, before anything else runs: chi-occurrences at depth 11
+``DEEP_RUNS[11]`` times and at depth 12 once (m = 2, L = 12, the suite's
+two starts), one child process at a time, each capping its own address
+space at ``DEEP_CAP_GIB`` GiB with ``resource.setrlimit(RLIMIT_AS)``.  A
+run keeps its state count, the wall time of the sweep alone (the bundle
+is built first), its peak RSS and its bytes per state (the growth of the
+peak RSS over the sweep, per state); a run that hits the cap is recorded
+as ``"capped"``.  A state count other than ``DEEP_STATES`` is a failure:
+the script exits without writing the file.  Stdlib only; run from
+anywhere.
 """
 
 from __future__ import annotations
@@ -34,6 +45,33 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep", "compile", "verify-jobs2")
 RUNS = 3  # the host's run-to-run noise is about 25%, so keep the best of three
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+DEEP_STATES = {11: 761_657, 12: 2_284_933}  # chi-occurrences at m = 2, L = 12
+DEEP_RUNS = {11: 3, 12: 1}
+DEEP_CAP_GIB = 3
+
+# One deep run, in a child that caps its own address space first:
+# ``python -c _DEEP_CHILD DEPTH CAP_BYTES`` prints one JSON line, or ends
+# in a ``MemoryError`` at the cap.
+_DEEP_CHILD = """
+import json, resource, sys, time
+depth, cap = int(sys.argv[1]), int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from smachine.checks import bundle_cached, run_one_suite
+bundle_cached(2, 12)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+t0 = time.perf_counter()
+[report] = run_one_suite("chi-occurrences", {"m": 2, "L": 12, "depth": depth})
+wall = time.perf_counter() - t0
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+states = report.counts["states"]
+print(json.dumps({
+    "status": report.status,
+    "states": states,
+    "wall_s": round(wall, 3),
+    "peak_rss_mib": round(peak / 1024, 1),
+    "bytes_per_state": round((peak - before) * 1024 / states, 1),
+}))
+"""
 
 
 def _env() -> dict[str, str]:
@@ -98,6 +136,29 @@ def _run_verification() -> dict:
     return _summary(rows)
 
 
+def _deep() -> dict:
+    """The deep chi-occurrences points, one capped child at a time."""
+    cap = DEEP_CAP_GIB << 30
+    doc: dict = {"suite": "chi-occurrences", "m": 2, "L": 12, "cap_gib": DEEP_CAP_GIB}
+    for depth, runs in DEEP_RUNS.items():
+        rows = []
+        for _ in range(runs):
+            out = subprocess.run([sys.executable, "-c", _DEEP_CHILD, str(depth), str(cap)],
+                                 cwd=ROOT, env=_env(), capture_output=True, text=True)
+            if out.returncode == 0:
+                row = json.loads(out.stdout.strip().splitlines()[-1])
+            elif out.stderr.rstrip().endswith("MemoryError"):
+                row = "capped"
+            else:
+                raise SystemExit(f"deep run at depth {depth} exited {out.returncode}:\n{out.stderr[-2000:]}")
+            if row != "capped" and (row["status"] != "pass" or row["states"] != DEEP_STATES[depth]):
+                raise SystemExit(f"deep run at depth {depth}: {row['status']} with {row['states']} states, "
+                                 f"expected pass with {DEEP_STATES[depth]}")
+            rows.append(row)
+        doc[f"depth {depth}"] = rows
+    return doc
+
+
 def _summary(rows: list[dict]) -> dict:
     return {"min_wall_s": min(r["wall_s"] for r in rows), "runs": rows}
 
@@ -105,7 +166,9 @@ def _summary(rows: list[dict]) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", required=True, help="the JSON file to write")
+    ap.add_argument("--deep", action="store_true", help="also record the deep chi-occurrences sweep points")
     args = ap.parse_args()
+    deep = _deep() if args.deep else None
 
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True).stdout.strip()
     dirty = bool(subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"], cwd=ROOT,
@@ -120,6 +183,8 @@ def main() -> int:
             "tier-1 pytest": _summary([_timed([sys.executable, *TIER1]) for _ in range(RUNS)]),
         },
     }
+    if deep is not None:
+        doc["deep"] = deep
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation gate for the rule-application fast paths, the word
+"""Mutation gate for the rule-application fast paths (with the move
+``is_applicable`` hands to ``apply_rule``), the word
 constructor's checks, the relator table and its superscript rule, the
 sweep labels and phase letters, the word search and its first-path-wins
 level dedup, relator membership, the level-sweep report driver and the
@@ -76,6 +77,25 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "return the last lookup's moves for any state tuple",
         "machine.py",
         (("        if last[0] is q:\n", "        if last[0] is not None:\n"),),
+    ),
+    (
+        "key the last-passed memo on the rule alone",
+        "machine.py",
+        (("    if last_w is not w or last_rule is not rule:\n", "    if last_rule is not rule:\n"),),
+    ),
+    (
+        "store the memo when the domain check fails",
+        "machine.py",
+        (
+            (
+                "    if isinstance(m, str):\n"
+                "        return False\n"
+                '    object.__setattr__(machine, "_last_passed", (w, rule, m))\n',
+                '    object.__setattr__(machine, "_last_passed", (w, rule, m))\n'
+                "    if isinstance(m, str):\n"
+                "        return False\n",
+            ),
+        ),
     ),
     (
         "reuse a cached move by label without comparing the rule",

@@ -53,7 +53,9 @@ def successors(
     Only the rules whose sources match all of the word's state letters
     are tried, the moves ``moves_at`` compiled for them; each still goes
     through ``is_applicable`` and ``apply_rule`` as a caller outside the
-    engine would, and those read the same cached move."""
+    engine would.  ``is_applicable`` reads the same cached move and hands
+    it, checked, to ``apply_rule``, so each rule tried looks the word's
+    state letters up once more, not twice."""
     for m in machine.moves_at(word.q).values():
         r = m.rule
         if last is not None and last[0] == r.label and last[1] == -r.sign:

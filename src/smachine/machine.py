@@ -14,6 +14,11 @@ every other tape is shared.  The machine caches, per tuple of state
 letters, the moves of the rules whose sources match all of them, and
 answers a lookup with the same tuple object as the last one without
 hashing it again.  The domain check visits the non-empty tapes only.
+``is_applicable`` hands the move it has just checked to ``apply_rule``:
+given the same word and rule objects next, ``apply_rule`` builds the
+word from that move without looking the state tuple up or checking the
+domain again, so each rule tried looks the state tuple up once more
+after ``successors``' own lookup, not twice.
 """
 
 from __future__ import annotations
@@ -318,10 +323,16 @@ class SMachine:
 
     # The latest (q, moves) pair moves_at returned, so that a repeated
     # lookup with the same tuple object skips hashing it: successors looks
-    # a word's q up once, and each rule tried looks it up twice more.  A
-    # class attribute, not a field; the instance's copy is set through
+    # a word's q up once, and each rule tried looks it up once more, in
+    # is_applicable, whose checked move apply_rule then reuses.  A class
+    # attribute, not a field; the instance's copy is set through
     # object.__setattr__ and replaced as one tuple.
     _last_moves = (None, None)
+    # The latest (word, rule, move) that passed is_applicable, read and
+    # replaced as one tuple like _last_moves.  apply_rule reuses the move
+    # for the same word and rule objects only: both are frozen, and the
+    # strong references keep their ids from being reused.
+    _last_passed = (None, None, None)
 
     def moves_at(self, q: tuple[QLetter, ...]) -> dict[SignedLabel, Move]:
         """The rules whose sources match every state letter of ``q``, each
@@ -415,7 +426,11 @@ def _move(machine: SMachine, w: AdmissibleWord, rule: Rule) -> Move | str:
 
 
 def is_applicable(machine: SMachine, w: AdmissibleWord, rule: Rule) -> bool:
-    return not isinstance(_move(machine, w, rule), str)
+    m = _move(machine, w, rule)
+    if isinstance(m, str):
+        return False
+    object.__setattr__(machine, "_last_passed", (w, rule, m))
+    return True
 
 
 def apply_rule(machine: SMachine, w: AdmissibleWord, rule: Rule) -> AdmissibleWord:
@@ -425,11 +440,15 @@ def apply_rule(machine: SMachine, w: AdmissibleWord, rule: Rule) -> AdmissibleWo
     letters are never added.
 
     State letters never cancel, so this is the free reduction of the
-    whole substituted word with its end tape letters trimmed.
+    whole substituted word with its end tape letters trimmed.  The move
+    ``is_applicable`` just checked for these word and rule objects is
+    reused; any other call checks its own.
     """
-    m = _move(machine, w, rule)
-    if isinstance(m, str):
-        raise NotApplicable(m)
+    last_w, last_rule, m = machine._last_passed
+    if last_w is not w or last_rule is not rule:
+        m = _move(machine, w, rule)
+        if isinstance(m, str):
+            raise NotApplicable(m)
     u = list(w.u)
     for i, left, right in m.joins:
         u[i] = junction_join(left, u[i], right)

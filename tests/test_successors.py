@@ -4,8 +4,10 @@
 word's state letters, and ``is_applicable`` and ``apply_rule`` read the
 same moves; these tests compare them with the whole-word reference over
 every rule of the machine, check the cache against a plain filter, show
-that a rule the cache was not compiled from gets its own move and that
-no tape's domain check is skipped, and pin the seam through which every
+that a rule the cache was not compiled from gets its own move, that no
+tape's domain check is skipped, and that ``apply_rule`` reuses the move
+``is_applicable`` just passed only for the same word and rule objects,
+never after a refusal, and pin the seam through which every
 application still passes (``is_applicable``, ``apply_rule`` and
 ``AdmissibleWord.__post_init__`` at their module names) so that a later
 shortcut around it shows up here.
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smachine import enumerate as engine
+from smachine import machine as machine_module
 from smachine.checks import check_lr_bound
 from smachine.lr import build_lr, build_lr_m, build_rl
 from smachine.machine import (
@@ -200,31 +203,128 @@ def test_a_rule_with_a_shipped_label_and_other_inserts_gets_its_own_move(shipped
     assert differ > 100
 
 
+def _stray_tapes(machine):
+    """(rule, tape index, word, refusal) for each positive rule and each
+    tape beside a domain equal to its sector's alphabet: the word has the
+    rule's source letters and, on that tape only, a letter outside the
+    alphabet, as a word built without ``validate`` may."""
+    hw = machine.hardware
+    for rule in machine.positive_rules:
+        q = tuple(QLetter(i, p.src, 1) for i, p in enumerate(rule.parts))
+        for i, x in enumerate(q[:-1]):
+            sec = hw.right_sector(x)
+            if rule.domains[sec] != hw.sector_alphabets[sec]:
+                continue
+            u = [()] * (len(q) - 1)
+            u[i] = y_word("stray")
+            yield rule, i, AdmissibleWord(q, tuple(u)), f"letter stray in sector {sec} outside domain of {rule.label}"
+
+
 def test_no_domain_check_is_skipped(shipped):
     """A word built without ``validate`` may hold a tape letter outside
     its sector's alphabet; beside a domain equal to that alphabet both
     calls still refuse it, on every tape, the last one included."""
     last_tapes = 0
     for machine in shipped:
-        hw = machine.hardware
-        for rule in machine.positive_rules:
-            q = tuple(QLetter(i, p.src, 1) for i, p in enumerate(rule.parts))
-            for i, x in enumerate(q[:-1]):
-                sec = hw.right_sector(x)
-                if rule.domains[sec] != hw.sector_alphabets[sec]:
-                    continue
-                u = [()] * (len(q) - 1)
-                u[i] = y_word("stray")
-                w = AdmissibleWord(q, tuple(u))
-                with pytest.raises(MalformedWord, match="not in alphabet"):
-                    hw.validate(w)
-                message = f"letter stray in sector {sec} outside domain of {rule.label}"
-                assert not is_applicable(machine, w, rule)
-                with pytest.raises(NotApplicable) as refused:
-                    apply_rule(machine, w, rule)
-                assert str(refused.value) == message
-                last_tapes += i == len(q) - 2
+        for rule, i, w, message in _stray_tapes(machine):
+            with pytest.raises(MalformedWord, match="not in alphabet"):
+                machine.hardware.validate(w)
+            assert not is_applicable(machine, w, rule)
+            with pytest.raises(NotApplicable) as refused:
+                apply_rule(machine, w, rule)
+            assert str(refused.value) == message
+            last_tapes += i == len(w.q) - 2
     assert last_tapes > 10
+
+
+def test_a_passed_check_admits_no_other_word(shipped):
+    """After ``is_applicable`` passes a rule at a word with empty tapes,
+    ``apply_rule`` still refuses the rule at a word with the same state
+    letters and a tape outside its domain, with the exact message."""
+    refused = 0
+    for machine in shipped:
+        for rule, _, w, message in _stray_tapes(machine):
+            clean = AdmissibleWord(w.q, tuple(() for _ in w.u))
+            assert is_applicable(machine, clean, rule)
+            with pytest.raises(NotApplicable) as e:
+                apply_rule(machine, w, rule)
+            assert str(e.value) == message
+            refused += 1
+    assert refused > 10
+
+
+def test_a_passed_check_admits_no_other_rule(shipped):
+    """After ``is_applicable`` passes one rule at a word, ``apply_rule``
+    checks any other rule at that word itself: it answers as the
+    whole-word reference does, refusals and their messages included."""
+    tally = collections.Counter()
+    for idx, machine in enumerate(shipped):
+        for w in random_words_for(machine, 20, seed=6000 + idx):
+            passed = next((r for r in machine.rules if is_applicable(machine, w, r)), None)
+            if passed is None:
+                continue
+            for rule in _some_rules(machine, w):
+                if rule is passed:
+                    continue
+                reason = _reference_refusal(machine, w, rule)
+                want = ("refused", reason) if reason else _applied(lambda: whole_word_apply(machine, w, rule))
+                assert is_applicable(machine, w, passed)
+                assert _applied(lambda: apply_rule(machine, w, rule)) == want, (machine.name, str(w), rule.signed_label)
+                tally[want[0]] += 1
+    assert tally["refused"] > 100 and tally["word"] > 100, tally
+
+
+def test_a_failed_check_is_not_remembered(shipped):
+    """After ``is_applicable`` refuses a rule at a word, ``apply_rule`` on
+    the same word and rule raises ``NotApplicable`` with the reference's
+    message, for a state letter the rule does not match and for a tape
+    outside its domain."""
+    tally = collections.Counter()
+    for idx, machine in enumerate(shipped):
+        for w in random_words_for(machine, 20, seed=7000 + idx):
+            for rule in _some_rules(machine, w):
+                reason = _reference_refusal(machine, w, rule)
+                if reason is None:
+                    continue
+                assert not is_applicable(machine, w, rule)
+                with pytest.raises(NotApplicable) as e:
+                    apply_rule(machine, w, rule)
+                assert str(e.value) == reason, (machine.name, str(w), rule.signed_label)
+                tally[reason.split()[0]] += 1
+        for rule, _, w, message in _stray_tapes(machine):
+            assert not is_applicable(machine, w, rule)
+            with pytest.raises(NotApplicable, match=f"^{message}$"):
+                apply_rule(machine, w, rule)
+    assert tally["state"] > 100 and tally["letter"] > 10, tally
+
+
+def test_apply_rule_reuses_the_move_only_for_the_same_objects(shipped, monkeypatch):
+    """``apply_rule`` builds from the move ``is_applicable`` just passed
+    only when it gets the same word and rule objects: a word equal to
+    that one but built anew gets its own ``_move`` and the same result."""
+    calls = collections.Counter()
+    move = machine_module._move
+
+    def counted(*args):
+        calls["_move"] += 1
+        return move(*args)
+
+    monkeypatch.setattr(machine_module, "_move", counted)
+    reused = 0
+    for idx, machine in enumerate(shipped):
+        for w in random_words_for(machine, 10, seed=8000 + idx):
+            twin = AdmissibleWord(w.q, w.u)
+            assert twin == w and twin is not w
+            for rule in _some_rules(machine, w):
+                calls.clear()
+                if not is_applicable(machine, w, rule):
+                    continue
+                got_twin = _applied(lambda: apply_rule(machine, twin, rule))
+                assert calls["_move"] == 2, (machine.name, str(w), rule.signed_label)
+                assert _applied(lambda: apply_rule(machine, w, rule)) == got_twin
+                assert calls["_move"] == 2, (machine.name, str(w), rule.signed_label)
+                reused += 1
+    assert reused > 100
 
 
 def _unreduced_insert_machine():
