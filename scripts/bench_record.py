@@ -16,14 +16,14 @@ sha (and whether ``src`` or ``perfbench`` differ from it), perfbench's
 hash of the package source, the Python version and ``nproc``.
 
 With ``--deep`` the file also records the deep sweep points under
-``deep``, before anything else runs: chi-occurrences at depth 11
-``DEEP_RUNS[11]`` times and at depth 12 once (m = 2, L = 12, the suite's
-two starts), one child process at a time, each capping its own address
-space at ``DEEP_CAP_GIB`` GiB with ``resource.setrlimit(RLIMIT_AS)``.  A
+``deep``, before anything else runs: chi-occurrences at depth 11 three
+times and at depth 12 once (m = 2, L = 12, the suite's two starts), one
+child process at a time, each capping its own address space at
+``DEEP_CAP_GIB`` GiB with ``resource.setrlimit(RLIMIT_AS)``.  A
 run keeps its state count, the wall time of the sweep alone (the bundle
 is built first), its peak RSS and its bytes per state (the growth of the
 peak RSS over the sweep, per state); a run that hits the cap is recorded
-as ``"capped"``.  A state count other than ``DEEP_STATES`` is a failure:
+as ``"capped"``.  A state count other than the one in ``DEEP`` is a failure:
 the script exits without writing the file.  Stdlib only; run from
 anywhere.
 """
@@ -45,8 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep", "compile", "verify-jobs2")
 RUNS = 3  # the host's run-to-run noise is about 25%, so keep the best of three
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
-DEEP_STATES = {11: 761_657, 12: 2_284_933}  # chi-occurrences at m = 2, L = 12
-DEEP_RUNS = {11: 3, 12: 1}
+# (depth, chi-occurrences states at m = 2 and L = 12, runs)
+DEEP = ((11, 761_657, 3), (12, 2_284_933, 1))
 DEEP_CAP_GIB = 3
 
 # One deep run, in a child that caps its own address space first:
@@ -140,7 +140,7 @@ def _deep() -> dict:
     """The deep chi-occurrences points, one capped child at a time."""
     cap = DEEP_CAP_GIB << 30
     doc: dict = {"suite": "chi-occurrences", "m": 2, "L": 12, "cap_gib": DEEP_CAP_GIB}
-    for depth, runs in DEEP_RUNS.items():
+    for depth, states, runs in DEEP:
         rows = []
         for _ in range(runs):
             out = subprocess.run([sys.executable, "-c", _DEEP_CHILD, str(depth), str(cap)],
@@ -151,9 +151,9 @@ def _deep() -> dict:
                 row = "capped"
             else:
                 raise SystemExit(f"deep run at depth {depth} exited {out.returncode}:\n{out.stderr[-2000:]}")
-            if row != "capped" and (row["status"] != "pass" or row["states"] != DEEP_STATES[depth]):
+            if row != "capped" and (row["status"] != "pass" or row["states"] != states):
                 raise SystemExit(f"deep run at depth {depth}: {row['status']} with {row['states']} states, "
-                                 f"expected pass with {DEEP_STATES[depth]}")
+                                 f"expected pass with {states}")
             rows.append(row)
         doc[f"depth {depth}"] = rows
     return doc

@@ -291,10 +291,6 @@ def test_a_failed_check_is_not_remembered(shipped):
                     apply_rule(machine, w, rule)
                 assert str(e.value) == reason, (machine.name, str(w), rule.signed_label)
                 tally[reason.split()[0]] += 1
-        for rule, _, w, message in _stray_tapes(machine):
-            assert not is_applicable(machine, w, rule)
-            with pytest.raises(NotApplicable, match=f"^{message}$"):
-                apply_rule(machine, w, rule)
     assert tally["state"] > 100 and tally["letter"] > 10, tally
 
 
