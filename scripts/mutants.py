@@ -3,8 +3,8 @@
 ``is_applicable`` hands to ``apply_rule``), the word
 constructor's checks, the relator table and its superscript rule, the
 sweep labels and phase letters, the word search and its first-path-wins
-level dedup, relator membership, the level-sweep report driver and the
-report bytes.
+level dedup, relator membership, the level-sweep report driver, the
+rule sets of the trimmed and no-return machines and the report bytes.
 
     python3 scripts/mutants.py
 
@@ -202,6 +202,16 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "give theta(23) superscripts on both sides",
         "main_machine.py",
         (('return (rule.sign > 0, rule.sign < 0) if fam == "mixed"', 'return (True, True) if fam == "mixed"'),),
+    ),
+    (
+        "drop theta(23) from the no-return machine",
+        "main_machine.py",
+        (('self._restricted((*PLAIN_FAMILY_TAGS, MIXED_TAG), "Mbar+tr_23")', 'self._restricted(PLAIN_FAMILY_TAGS, "Mbar+tr_23")'),),
+    ),
+    (
+        "keep theta(23) in Mbar",
+        "main_machine.py",
+        (('self._restricted(PLAIN_FAMILY_TAGS, "Mbar")', 'self._restricted((*PLAIN_FAMILY_TAGS, MIXED_TAG), "Mbar")'),),
     ),
     (
         "answer a miss in has_relator without the canonical set",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from smachine.checks import bundle_cached, run_suites
 from smachine.cli import _nonnegative, _Parser, _positive
-from smachine.main_machine import BadParameters, build_trimmed_machine
+from smachine.main_machine import BadParameters
 from smachine.presentation import compile_group_G, compile_trimmed, export, hnn_Gbar, hnn_Gk
 from smachine.serialize import manifest, print_machine
 
@@ -38,7 +38,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     (out / "machine_M.txt").write_text(print_machine(bundle.machine))
-    (out / "machine_Mbar.txt").write_text(print_machine(build_trimmed_machine(bundle)))
+    (out / "machine_Mbar.txt").write_text(print_machine(bundle.trimmed))
     (out / "manifest.json").write_text(
         manifest(bundle.machine, m=args.m, L=args.L, N=bundle.N, toy=bundle.toy.name, c4=None)
     )

@@ -11,6 +11,7 @@ The level sweeps (lr-bound, chi-occurrences, no-return) report through
 one driver, ``_sweep``: ``states`` counts every state of every level on
 a pass, and the states of the levels before the offending one on a
 fail, whose counterexample is the offending state's start and history.
+No-return and accepted-language run on the bundle's restricted machines.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .machine import (
     history,
     run_history,
 )
-from .main_machine import MIXED_TAG, PLAIN_FAMILY_TAGS, MainMachineBundle, build_main_machine
+from .main_machine import MainMachineBundle, build_main_machine
 from .presentation import Presentation, compile_group_G, compile_trimmed, mu, nu
 from .toy import toy_even_recognizer
 from .words import AdmissibleWord, QLetter, YLetter
@@ -242,13 +243,12 @@ def check_chi_occurrences(
 def check_norep(bundle: MainMachineBundle, k: int, depth: int = 8) -> CheckReport:
     """No nontrivial reduced return to W(k,k) without the first two sets."""
     target = bundle.w_word(k, k)
-    allowed = {*PLAIN_FAMILY_TAGS, MIXED_TAG}
 
     def offending(t, states):
         back = next((s for s in states if t and s.end == target), None)
         return None if back is None else (back, {"return_at": t})
 
-    levels = reach_levels(bundle.machine, [target], depth, keep=lambda r: r.tag in allowed)
+    levels = reach_levels(bundle.without_first_two_sets, [target], depth)
     params = {"k": k, "depth": depth}
     return _sweep("no-return", levels, offending, params, params, {}, {})
 
@@ -323,12 +323,11 @@ def accepted_language_experiment(
     """Compare machine-level reachability with the reference acceptor.
 
     For accepted inputs the straight-line witness is constructed and
-    replayed; the bounded bidirectional search over the trimmed rule set
-    may independently certify reachability.  Verdicts: yes (witness in
+    replayed; the bounded bidirectional search may independently certify
+    reachability.  Both run on the trimmed machine.  Verdicts: yes (witness in
     hand), no (search closure exhausted), unknown (budget ran out).
     """
-    machine = bundle.machine
-    allowed = set(PLAIN_FAMILY_TAGS)
+    machine = bundle.trimmed
     rows = []
     failures = []
     any_unknown = False
@@ -344,14 +343,7 @@ def accepted_language_experiment(
                 failures.append(f"k={k}: constructed witness does not reach the accept word")
             verdict, witness_len, via = "yes", len(hist), "constructed"
         else:
-            wit, exhausted = search(
-                machine,
-                bundle.w_word(k, k),
-                [bundle.w_ac],
-                budget,
-                keep=lambda r: r.tag in allowed,
-                bidirectional=True,
-            )
+            wit, exhausted = search(machine, bundle.w_word(k, k), [bundle.w_ac], budget, bidirectional=True)
             if wit is not None:
                 comp = run_history(machine, bundle.w_word(k, k), wit)
                 if comp.end != bundle.w_ac:

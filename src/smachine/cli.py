@@ -18,7 +18,7 @@ from .compose import StageMismatch, add_control_letters, add_history_sectors, co
 from .enumerate import enumerate_computations
 from .lr import InvalidAlphabet, InvalidM, build_lr, build_lr_m, build_rl
 from .machine import NotApplicableAt, UnknownRule, format_slabel, run_history
-from .main_machine import BadParameters, build_main_machine, build_trimmed_machine, family
+from .main_machine import BadParameters, build_main_machine, family
 from .presentation import (
     compile_group_G,
     compile_group_M,
@@ -86,7 +86,7 @@ def cmd_build(args) -> int:
         _usage_error("--toy-even names the recognizer of --main/--trimmed/--m3; it does not go with --lr/--rl/--lr-m")
     if args.main or args.trimmed:
         bundle = _bundle(args)
-        machine = build_trimmed_machine(bundle) if args.trimmed else bundle.machine
+        machine = bundle.trimmed if args.trimmed else bundle.machine
         params = {"m": args.m, "L": args.L, "N": bundle.N, "toy": bundle.toy.name, "c4": None}
     elif args.lr is not None:
         machine = build_lr(args.lr.split(","))

@@ -2,7 +2,9 @@
 
 ``successors`` is the one expansion step: the applicable rules at a
 word, in the machine's rule order (label-sorted, positive before
-negative), each with the word it produces.
+negative), each with the word it produces.  The only rule it skips is
+the inverse of the last one; a search over part of a machine's rules
+runs on a machine holding just those rules.
 
 ``enumerate_computations`` yields every computation from a start word of
 length <= depth passing the filter, exactly once, in a deterministic
@@ -38,17 +40,15 @@ from .machine import (
 from .words import AdmissibleWord
 
 Filter = str  # "reduced" | "eligible" | "all"
-Keep = Callable[[Rule], bool]
 
 
 def successors(
     machine: SMachine,
     word: AdmissibleWord,
     last: SignedLabel | None = None,
-    keep: Keep | None = None,
 ) -> Iterator[tuple[Rule, AdmissibleWord]]:
     """Yield (rule, word·rule) for each applicable rule, in rule order,
-    skipping the inverse of ``last`` and the rules ``keep`` rejects.
+    skipping the inverse of ``last``.
 
     Only the rules whose sources match all of the word's state letters
     are tried, the moves ``moves_at`` compiled for them; each still goes
@@ -59,8 +59,6 @@ def successors(
     for m in machine.moves_at(word.q).values():
         r = m.rule
         if last is not None and last[0] == r.label and last[1] == -r.sign:
-            continue
-        if keep is not None and not keep(r):
             continue
         if is_applicable(machine, word, r):
             yield r, apply_rule(machine, word, r)
@@ -106,7 +104,6 @@ def reach_levels(
     machine: SMachine,
     starts: Iterable[AdmissibleWord],
     depth: int,
-    keep: Keep | None = None,
     extend: Callable[[Computation, Rule, AdmissibleWord], object] | None = None,
     extra: object = None,
 ) -> Iterator[tuple[int, list[Computation]]]:
@@ -125,7 +122,7 @@ def reach_levels(
     for t in range(1, depth + 1):
         nxt: dict[tuple, Computation] = {}
         for s in level:
-            for r, w2 in successors(machine, s.end, s.last, keep):
+            for r, w2 in successors(machine, s.end, s.last):
                 x = extend(s, r, w2) if extend is not None else None
                 if x is PRUNE:
                     continue
@@ -144,7 +141,6 @@ def search(
     source: AdmissibleWord,
     targets: Iterable[AdmissibleWord],
     budget: int,
-    keep: Keep | None = None,
     bidirectional: bool = False,
 ) -> tuple[History | None, bool]:
     """Word-graph BFS from ``source`` to any of ``targets``.
@@ -169,7 +165,7 @@ def search(
         queue, seen, other = (fq, fwd, bwd) if forward else (bq, bwd, fwd)
         for _ in range(len(queue)):
             s = queue.popleft()
-            for r, w2 in successors(machine, s.end, keep=keep):
+            for r, w2 in successors(machine, s.end):
                 spent += 1
                 if spent > budget:
                     return None, True

@@ -9,12 +9,15 @@ letters are disjoint per set, so transition rules move between phases.
 accept word), and the two-parameter family ``W(k, k')`` of words in the
 domain of the inverse of the phase-2-to-3 transition are all exposed,
 along with straight-line witness histories used by tests and harnesses.
+The bundle builds, on first use, the trimmed machine Mbar and the
+machine no-return sweeps, Mbar and theta(23).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .compose import (
@@ -151,6 +154,35 @@ class MainMachineBundle:
 
     def witness_wst_to_wac(self, k: int) -> History:
         return self.witness_wst_to_wkk(k) + self.witness_wkk_to_wac(k)
+
+    # -- restricted machines -------------------------------------------
+
+    @cached_property
+    def trimmed(self) -> SMachine:
+        """Mbar: the plain family, without the first two sets and theta(23)."""
+        return self._restricted(PLAIN_FAMILY_TAGS, "Mbar")
+
+    @cached_property
+    def without_first_two_sets(self) -> SMachine:
+        """Mbar and theta(23): the rules a no-return sweep from W(k,k) runs."""
+        return self._restricted((*PLAIN_FAMILY_TAGS, MIXED_TAG), "Mbar+tr_23")
+
+    def _restricted(self, tags: tuple[str, ...], name: str) -> SMachine:
+        """The main machine's rules tagged in ``tags``, the same objects in
+        the same order, over the state letters they use; the W(k,k')
+        letters are the start letters."""
+        kept = tuple(r for r in self.machine.positive_rules if r.tag in tags)
+        used = {x for r in kept for p in r.parts for x in (p.src, p.dst)}
+        hw = self.machine.hardware
+        parts = tuple(tuple(x for x in part if x in used) for part in hw.parts)
+        return SMachine(
+            hardware=Hardware(parts, hw.sector_alphabets, circular=True),
+            positive_rules=kept,
+            start_letters=tuple(f"{g}_w3" for g in self.part_tags),
+            end_letters=self.machine.end_letters,
+            input_sector=self.machine.input_sector,
+            name=name,
+        )
 
 
 def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachineBundle:
@@ -319,29 +351,4 @@ def build_main_machine(toy: ToyRecognizer, m: int = 2, L: int = 12) -> MainMachi
         lrm_part=lrm_part,
         lrm_scratch=lrm_scratch,
         m5=m5,
-    )
-
-
-def build_trimmed_machine(bundle: MainMachineBundle) -> SMachine:
-    """Drop the first two rule sets and the 2-to-3 transition.
-
-    State letters occurring only in removed rules go too; the W(k,k')
-    words become the start configurations.
-    """
-    keep_tags = set(PLAIN_FAMILY_TAGS)
-    kept = tuple(r for r in bundle.machine.positive_rules if r.tag in keep_tags)
-    used: set[str] = set()
-    for r in kept:
-        for p in r.parts:
-            used.add(p.src)
-            used.add(p.dst)
-    hw = bundle.machine.hardware
-    parts = tuple(tuple(x for x in part if x in used) for part in hw.parts)
-    return SMachine(
-        hardware=Hardware(parts, hw.sector_alphabets, circular=True),
-        positive_rules=kept,
-        start_letters=tuple(f"{g}_w3" for g in bundle.part_tags),
-        end_letters=bundle.machine.end_letters,
-        input_sector=bundle.machine.input_sector,
-        name="Mbar",
     )

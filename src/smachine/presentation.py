@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .machine import Rule, SMachine
-from .main_machine import BadParameters, MainMachineBundle, build_trimmed_machine, sup_sides
+from .main_machine import BadParameters, MainMachineBundle, sup_sides
 from .serialize import Lines, format_names, names
 from .words import AdmissibleWord, Word, parse_signed, reduce_word, signed
 
@@ -84,9 +84,6 @@ class Relator:
     sector: int | None = None
     sup: int | None = None
 
-    def __len__(self) -> int:
-        return len(self.word)
-
 
 @dataclass(frozen=True)
 class Presentation:
@@ -121,14 +118,14 @@ class Presentation:
         canon = self._canonical_relators
         return canonical_rotation(word) in canon or canonical_rotation(g_inv(word)) in canon
 
-    def with_relators(self, extra: Iterable[Relator], name: str | None = None) -> "Presentation":
+    def with_relators(self, extra: Iterable[Relator], name: str) -> "Presentation":
         extra = tuple(extra)
         gens = set(self.generators)
         for r in extra:
             for g, _ in r.word:
                 gens.add(g)
         return Presentation(
-            name or self.name,
+            name,
             self.L,
             self.N,
             frozenset(gens),
@@ -330,7 +327,7 @@ def compile_group_G(bundle: MainMachineBundle) -> Presentation:
 def compile_trimmed(bundle: MainMachineBundle) -> tuple[Presentation, Presentation]:
     """Presentations of the trimmed machine group and its one-hub quotient."""
     fac = factory_for(bundle)
-    p_mbar = _compile("Mbar", build_trimmed_machine(bundle), fac)
+    p_mbar = _compile("Mbar", bundle.trimmed, fac)
     return p_mbar, p_mbar.with_relators([_hub_accept(fac, bundle)], name="Gbar")
 
 

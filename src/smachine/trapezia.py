@@ -207,10 +207,6 @@ class Trapezium:
         return len(self.bands)
 
     @property
-    def history(self) -> History:
-        return tuple(b.rule_label for b in self.bands)
-
-    @property
     def bottom(self) -> PermissibleWord:
         return self.bands[0].bottom
 

@@ -11,7 +11,7 @@ from smachine.compose import (
 )
 from smachine.lr import build_lr, build_lr_m, build_rl
 from smachine.machine import SMachine
-from smachine.main_machine import build_main_machine, build_trimmed_machine
+from smachine.main_machine import build_main_machine
 from smachine.toy import toy_even_recognizer
 from smachine.words import AdmissibleWord, QLetter, YLetter, reduce_word
 
@@ -41,7 +41,7 @@ def shipped(session_bundle):
         m4.machine,
         m5.machine,
         session_bundle.machine,
-        build_trimmed_machine(session_bundle),
+        session_bundle.trimmed,
     ]
 
 
@@ -67,7 +67,6 @@ def random_words_for(machine: SMachine, count: int, seed: int, max_sector: int =
             hi = rng.randrange(lo + 1, hw.n_parts + 1)
         qs = []
         us = []
-        ok = True
         for i in range(lo, hi):
             src = rule.parts[i].src if use_rule else rng.choice(hw.parts[i])
             qs.append(QLetter(i, src, 1))
@@ -80,8 +79,6 @@ def random_words_for(machine: SMachine, count: int, seed: int, max_sector: int =
                         break
                     letters.append(YLetter(rng.choice(alpha), rng.choice((1, -1))))
                 us.append(reduce_word(letters))
-        if not ok:
-            continue
         w = AdmissibleWord(tuple(qs), tuple(us))
         if rng.random() < 0.33:
             w = w.inv()

@@ -144,12 +144,12 @@ def test_counterexamples_replay(session_bundle):
     assert rep2.status == "skip"
 
 
-def _identity_rule(machine, label, state, tag=""):
+def _identity_rule(machine, label, state):
     """A rule fixing ``state`` (and the first letter of every other part)
     that leaves the tape alone."""
     hw = machine.hardware
     letters = [state if state in names else names[0] for names in hw.parts]
-    return Rule(label, tuple(RulePart(x, (), x, ()) for x in letters), hw.sector_alphabets, tag=tag)
+    return Rule(label, tuple(RulePart(x, (), x, ()) for x in letters), hw.sector_alphabets)
 
 
 def _with_rules(machine, *rules):
@@ -194,13 +194,11 @@ def test_chi_occurrences_fails_on_repeated_rule(session_bundle):
 
 
 def test_norep_fails_on_seeded_identity_rule():
-    """A set3 identity rule at p2 turns a sweep back on itself."""
+    """An identity rule at p2 turns a sweep back on itself."""
     lr = build_lr(["a"])
-    retagged = tuple(dataclasses.replace(r, tag="set3") for r in lr.positive_rules)
-    machine = dataclasses.replace(lr, positive_rules=retagged)
-    machine = _with_rules(machine, _identity_rule(machine, "id", "p2", tag="set3"))
+    machine = _with_rules(lr, _identity_rule(lr, "id", "p2"))
     target = machine.hardware.word(["q1", "a", "p1", "q2"])
-    bundle = SimpleNamespace(machine=machine, w_word=lambda k, k2: target)
+    bundle = SimpleNamespace(without_first_two_sets=machine, w_word=lambda k, k2: target)
     rep = check_norep(bundle, 0, depth=6)
     assert rep.to_dict() == NOREP_SEEDED
 

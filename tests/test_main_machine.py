@@ -16,7 +16,6 @@ from smachine.machine import (
 from smachine.main_machine import (
     BadParameters,
     build_main_machine,
-    build_trimmed_machine,
     family,
     sup_sides,
 )
@@ -191,7 +190,7 @@ def test_erase_rules_pair_both_halves(bundle):
 
 
 def test_trimmed_machine(bundle):
-    mbar = build_trimmed_machine(bundle)
+    mbar = bundle.trimmed
     tags = {r.tag for r in mbar.positive_rules}
     assert tags == {"set3", "tr34", "set4", "tr45", "set5", "tr50"}
     # rule count: everything except sets 1-2 and the three early transitions
@@ -209,5 +208,15 @@ def test_trimmed_machine(bundle):
 
 
 def test_trimmed_start_configurations(bundle):
-    mbar = build_trimmed_machine(bundle)
-    assert mbar.start_configuration() == bundle.w_word(0, 0)
+    for mbar in (bundle.trimmed, bundle.without_first_two_sets):
+        assert mbar.start_configuration() == bundle.w_word(0, 0)
+
+
+def test_no_return_machine_is_mbar_and_theta_23(bundle):
+    """Mbar's rules and theta(23): the main machine's rule objects, in its order."""
+    main = bundle.machine.positive_rules
+    kept = bundle.without_first_two_sets.positive_rules
+    at = [next(i for i, s in enumerate(main) if s is r) for r in kept]
+    assert at == sorted(at)
+    assert [r for r in kept if r.label != "tr_23"] == list(bundle.trimmed.positive_rules)
+    assert len(kept) == len(bundle.trimmed.positive_rules) + 1

@@ -23,7 +23,7 @@ from smachine.compose import (
 )
 from smachine.lr import build_lr, build_lr_m, build_rl
 from smachine.machine import Hardware, Rule, RulePart, SMachine, format_slabel
-from smachine.main_machine import build_main_machine, build_trimmed_machine
+from smachine.main_machine import build_main_machine
 from smachine.presentation import (
     compile_group_G,
     compile_group_M,
@@ -91,7 +91,7 @@ MACHINE_PINS = {
     "main(1,8)": (lambda b: build_main_machine(toy_even_recognizer(), 1, 8).machine, "26dbb54df1af098eeae73d7f30fc679b9d516173f070c2f09144b8d2a8b33103"),
     "main(3,12)": (lambda b: build_main_machine(toy_even_recognizer(), 3, 12).machine, "b33b324e09f9107f685f42b0343e67b9af33aabab5160adb175845bd0ef26875"),
     "main(2,12)": (lambda b: b.machine, "90de020493be501cb5ac247d308b821bbf4d9e051d591015338102e27714fea3"),
-    "Mbar(2,12)": (build_trimmed_machine, "26f79c69b181f22a7b4a4e1433bed560bd14b97843eff6f6a71ea32317974ea3"),
+    "Mbar(2,12)": (lambda b: b.trimmed, "26f79c69b181f22a7b4a4e1433bed560bd14b97843eff6f6a71ea32317974ea3"),
 }
 
 EXPORT_PINS = {

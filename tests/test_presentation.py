@@ -3,7 +3,7 @@
 import pytest
 
 from smachine.machine import run_history
-from smachine.main_machine import BadParameters, build_main_machine, build_trimmed_machine, family
+from smachine.main_machine import BadParameters, build_main_machine, family
 from smachine.presentation import (
     Generator,
     QLetterPresent,
@@ -157,8 +157,7 @@ def test_trimmed_presentations(bundle, pres_g):
     for g in p_mbar.generators:
         assert (g.kind, g.name, g.idx) in plain_g
     # exactly the plain-family relators of M survive
-    mbar = build_trimmed_machine(bundle)
-    labels = {r.label for r in mbar.positive_rules}
+    labels = {r.label for r in bundle.trimmed.positive_rules}
     plain_rels = [r for r in pres_g.relators if r.rule in labels]
     assert len(plain_rels) == len(p_mbar.relators)
 
@@ -208,7 +207,7 @@ def test_table_relators_equal_fresh_builds(bundle, pres_g):
     """G's and Gbar's rule relators, read from the bundle's one table,
     are those that a factory without a table builds."""
     gbar = compile_trimmed(bundle)[1]
-    for pres, machine in ((pres_g, bundle.machine), (gbar, build_trimmed_machine(bundle))):
+    for pres, machine in ((pres_g, bundle.machine), (gbar, bundle.trimmed)):
         rule_relators = [r for r in pres.relators if r.tag in ("theta-q", "theta-a")]
         assert rule_relators == _fresh_rule_relators(bundle, machine)
 

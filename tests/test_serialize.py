@@ -10,7 +10,7 @@ from smachine.compose import (
     mirror_m4,
 )
 from smachine.lr import build_lr, build_lr_m, build_rl
-from smachine.main_machine import build_main_machine, build_trimmed_machine
+from smachine.main_machine import build_main_machine
 from smachine.serialize import machine_hash, manifest, parse_machine, print_machine
 from smachine.toy import toy_even_recognizer
 
@@ -35,7 +35,7 @@ def all_machines():
         m4.machine,
         m5.machine,
         bundle.machine,
-        build_trimmed_machine(bundle),
+        bundle.trimmed,
     ]
 
 

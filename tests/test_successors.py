@@ -45,13 +45,6 @@ from smachine.words import AdmissibleWord, MalformedWord, QLetter, YLetter, redu
 from conftest import random_words_for
 from test_machine import whole_word_apply
 
-KEEPS = {
-    "all": None,
-    "positive": lambda r: r.sign > 0,
-    "even-label": lambda r: len(r.label) % 2 == 0,
-}
-
-
 def _outcome(pairs):
     """The (signed label, word) pairs of an expansion, and whether it
     ended in ``MalformedWord``."""
@@ -64,11 +57,11 @@ def _outcome(pairs):
     return out, False
 
 
-def _reference(machine, w, last, keep):
+def _reference(machine, w, last):
     """Every rule of the machine in order, applied by the whole-word
     reference, with the same skips as ``successors``."""
     for r in machine.rules:
-        if last == (r.label, -r.sign) or (keep is not None and not keep(r)):
+        if last == (r.label, -r.sign):
             continue
         try:
             yield r.signed_label, whole_word_apply(machine, w, r)
@@ -76,8 +69,8 @@ def _reference(machine, w, last, keep):
             pass
 
 
-def _fast(machine, w, last, keep):
-    for r, w2 in engine.successors(machine, w, last, keep):
+def _fast(machine, w, last):
+    for r, w2 in engine.successors(machine, w, last):
         yield r.signed_label, w2
 
 
@@ -86,20 +79,18 @@ def _fast(machine, w, last, keep):
     idx=st.integers(0, 10),
     seed=st.integers(0, 2**16),
     last_pick=st.one_of(st.none(), st.integers(0, 10**6)),
-    keep=st.sampled_from(sorted(KEEPS)),
 )
-def test_successors_match_the_whole_word_reference(shipped, idx, seed, last_pick, keep):
+def test_successors_match_the_whole_word_reference(shipped, idx, seed, last_pick):
     """Same (label, word) sequence, or the same ``MalformedWord``, with
     ``last`` unset, set to any rule, and set to the step just taken."""
     machine = shipped[idx]
-    keep_fn = KEEPS[keep]
     last = None if last_pick is None else machine.rules[last_pick % len(machine.rules)].signed_label
     for w in random_words_for(machine, 8, seed):
-        want = _outcome(_reference(machine, w, last, keep_fn))
-        assert _outcome(_fast(machine, w, last, keep_fn)) == want, (machine.name, str(w), last, keep)
+        want = _outcome(_reference(machine, w, last))
+        assert _outcome(_fast(machine, w, last)) == want, (machine.name, str(w), last)
         for label, w2 in want[0][:2]:
-            again = _outcome(_reference(machine, w2, label, keep_fn))
-            assert _outcome(_fast(machine, w2, label, keep_fn)) == again, (machine.name, str(w2), label)
+            again = _outcome(_reference(machine, w2, label))
+            assert _outcome(_fast(machine, w2, label)) == again, (machine.name, str(w2), label)
 
 
 def test_moves_at_is_a_plain_filter_of_the_rules(shipped):

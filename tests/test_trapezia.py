@@ -70,6 +70,16 @@ def test_sup_lift_bumps_at_t_junction(bundle):
     # erasure is independent of the chosen level
     pw2 = make_permissible(bundle.machine, two, rule, 9, modulus=bundle.L)
     assert pw.erase() == pw2.erase()
+    # the inverse word crosses the junction backwards, one level down: its
+    # lift from the last level of the forward lift is that lift reversed
+    for v, label in ((w, "tr_st1"), (bundle.s1(), "w1_ins_a")):
+        rule = bundle.machine.rule(label)
+        three = power_word(v, 3)
+        for first in (5, 12):  # 12 wraps past L
+            up = make_permissible(bundle.machine, three, rule, first, modulus=bundle.L)
+            down = make_permissible(bundle.machine, three.inv(), rule, up.q_sups[-1], modulus=bundle.L)
+            assert down.q_sups == up.q_sups[::-1]
+            assert down.u_sups == up.u_sups[::-1]
 
 
 def test_lift_normalizes_tape_superscripts(bundle):
@@ -253,3 +263,13 @@ def test_accepted_power_is_disk_word(bundle):
 
     comp = run_history(bundle.machine, bundle.s1(), verdict.witness)
     assert comp.end == bundle.w_word(0, 0)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_disk_verdict_is_unknown_when_the_budget_runs_out(bundle, k):
+    """W(k,k)^L for k = 2, 3: neither search closes or meets its target
+    within 300 rule applications, so the verdict is unknown, put down to
+    the budget."""
+    big = power_word(bundle.w_word(k, k), bundle.L)
+    v = is_disk_word(plain_lift(big), bundle, budget=300)
+    assert (v.verdict, v.witness, v.budget_exhausted) == ("unknown", None, True)
