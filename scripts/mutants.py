@@ -4,7 +4,8 @@
 constructor's checks, the relator table and its superscript rule, the
 sweep labels and phase letters, the word search and its first-path-wins
 level dedup, relator membership, the level-sweep report driver, the
-rule sets of the trimmed and no-return machines and the report bytes.
+rule sets of the trimmed and no-return machines, the report bytes and
+the collector pause around the engine's drivers.
 
     python3 scripts/mutants.py
 
@@ -217,6 +218,16 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "answer a miss in has_relator without the canonical set",
         "presentation.py",
         (("        canon = self._canonical_relators\n", "        canon = self.relator_set\n"),),
+    ),
+    (
+        "leave the collector off after a pause",
+        "enumerate.py",
+        (("        if was_on:\n            gc.enable()\n", "        pass\n"),),
+    ),
+    (
+        "turn the collector on after a pause the caller had it off for",
+        "enumerate.py",
+        (("        if was_on:\n", "        if True:\n"),),
     ),
 )
 

@@ -20,11 +20,20 @@ word, one-directional or meet-in-the-middle.
 
 The three build ``Computation`` step chains, each step pointing at the
 one it extends, and read their witnesses back from them.
+
+``search`` and ``checks._sweep`` (the driver that pulls a sweep's
+levels) run inside ``paused_collector``: the states they build hold no
+reference cycles, so CPython's cyclic collector would walk every live
+state on each full pass and free nothing.  The generators do not pause
+it themselves, since one left suspended would keep it off for a caller
+that has moved on.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
 from .machine import (
@@ -40,6 +49,24 @@ from .machine import (
 from .words import AdmissibleWord
 
 Filter = str  # "reduced" | "eligible" | "all"
+
+
+@contextmanager
+def paused_collector() -> Iterator[None]:
+    """Turn the cyclic garbage collector off for the block, and back on
+    at exit if it was on before, also when an exception leaves the block.
+
+    Words, ``Computation`` steps and level dicts hold no reference
+    cycles, so reference counting frees them and a full collection over
+    a large frontier only walks it.  The collector is process-wide: a
+    pause also covers whatever other threads run meanwhile."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def successors(
@@ -136,6 +163,7 @@ def reach_levels(
         yield t, level
 
 
+@paused_collector()
 def search(
     machine: SMachine,
     source: AdmissibleWord,

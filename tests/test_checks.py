@@ -2,11 +2,13 @@
 seeded defects, and report replayable counterexamples."""
 
 import dataclasses
+import gc
 from types import SimpleNamespace
 
 import pytest
 
 from smachine import checks
+from smachine import enumerate as engine
 from smachine.checks import (
     _best_periodic_gain,
     check_chi_occurrences,
@@ -22,6 +24,7 @@ from smachine.enumerate import search
 from smachine.lr import build_lr
 from smachine.machine import Hardware, Rule, RulePart, SMachine, UnknownRule, history, run_history
 from smachine.presentation import Relator, compile_group_G, factory_for
+from smachine.trapezia import is_disk_word, plain_lift, power_word
 from smachine.words import AdmissibleWord, QLetter, YLetter
 
 
@@ -193,14 +196,17 @@ def test_chi_occurrences_fails_on_repeated_rule(session_bundle):
     assert rep.to_dict() == CHI_SEEDED
 
 
-def test_norep_fails_on_seeded_identity_rule():
-    """An identity rule at p2 turns a sweep back on itself."""
+def _seeded_norep():
     lr = build_lr(["a"])
     machine = _with_rules(lr, _identity_rule(lr, "id", "p2"))
     target = machine.hardware.word(["q1", "a", "p1", "q2"])
     bundle = SimpleNamespace(without_first_two_sets=machine, w_word=lambda k, k2: target)
-    rep = check_norep(bundle, 0, depth=6)
-    assert rep.to_dict() == NOREP_SEEDED
+    return check_norep(bundle, 0, depth=6)
+
+
+def test_norep_fails_on_seeded_identity_rule():
+    """An identity rule at p2 turns a sweep back on itself."""
+    assert _seeded_norep().to_dict() == NOREP_SEEDED
 
 
 def test_meet_in_the_middle_ends_when_a_frontier_empties():
@@ -268,6 +274,92 @@ def test_accepted_language_small(session_bundle):
     assert [row["verdict"] for row in table] == ["yes", "yes"]
     # positive verdicts ship replayable witnesses
     assert all(row["witness_length"] for row in table)
+
+
+def _chi(bundle, depth):
+    m3 = bundle.m5.m4.m3
+    starts = [start_configuration_m3(m3, 0, ["fin"]), start_configuration_m3(m3, 2, ["del2", "fin"])]
+    return check_chi_occurrences(m3, starts, depth=depth)
+
+
+def _disk_out_of_budget(bundle):
+    return is_disk_word(plain_lift(power_word(bundle.w_word(2, 2), bundle.L)), bundle, budget=300)
+
+
+def _search_with_witness():
+    lr = build_lr(["a"])
+    live = lr.hardware.word(["q1", "a", "p1", "q2"])
+    target = run_history(lr, live, history("z1_a", "z12")).end
+    return search(lr, live, [target], 1000)
+
+
+@pytest.fixture(params=(True, False), ids=("collector-on", "collector-off"))
+def collector_was_on(request):
+    """The collector as the caller left it before a run, restored after."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "run",
+    (
+        lambda b: check_lr_bound(max_tape=2),
+        lambda b: _chi(b, 4),
+        lambda b: _seeded_norep(),
+        lambda b: _search_with_witness(),
+        lambda b: _disk_out_of_budget(b),
+    ),
+    ids=("lr-bound", "chi", "norep-seeded-fail", "search-witness", "search-out-of-budget"),
+)
+def test_paused_collector_is_restored(session_bundle, collector_was_on, run):
+    """A sweep or search leaves the collector as its caller had it: on
+    again after a pause, off if it was off, also on an early fail."""
+    run(session_bundle)
+    assert gc.isenabled() is collector_was_on
+
+
+def test_paused_collector_is_restored_when_expansion_raises(session_bundle, collector_was_on, monkeypatch):
+    """An exception part-way through a sweep or a search still restores
+    the collector, which was off while the engine expanded."""
+    real = engine.successors
+    seen = []
+
+    def failing(machine, word, last=None):
+        seen.append(gc.isenabled())
+        if len(seen) % 5 == 0:
+            raise RuntimeError("seeded expansion failure")
+        return real(machine, word, last)
+
+    monkeypatch.setattr(engine, "successors", failing)
+    with pytest.raises(RuntimeError):
+        check_lr_bound(max_tape=2)
+    assert gc.isenabled() is collector_was_on
+    with pytest.raises(RuntimeError):
+        _disk_out_of_budget(session_bundle)
+    assert gc.isenabled() is collector_was_on
+    assert len(seen) == 10 and not any(seen)
+
+
+def test_engine_states_hold_no_reference_cycles(session_bundle):
+    """The premise of the pause: with the collector off, the sweeps and a
+    disk search leave nothing that only the collector could free."""
+    bundle = session_bundle
+    was_on = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        check_lr_bound(max_tape=2)
+        _chi(bundle, 5)
+        for k in (0, 2):
+            check_norep(bundle, k, depth=4)
+        _seeded_norep()
+        _disk_out_of_budget(bundle)
+        assert gc.collect() == 0
+    finally:
+        if was_on:
+            gc.enable()
 
 
 # Whole reports of the three seeded sweeps above: they pin the first
