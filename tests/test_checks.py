@@ -290,7 +290,8 @@ def _search_with_witness():
     lr = build_lr(["a"])
     live = lr.hardware.word(["q1", "a", "p1", "q2"])
     target = run_history(lr, live, history("z1_a", "z12")).end
-    return search(lr, live, [target], 1000)
+    wit, _ = search(lr, live, [target], 1000)
+    assert wit == history("z1_a", "z12")
 
 
 @pytest.fixture(params=(True, False), ids=("collector-on", "collector-off"))
