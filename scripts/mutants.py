@@ -3,16 +3,18 @@
 ``is_applicable`` hands to ``apply_rule``), the word
 constructor's checks, the relator table and its superscript rule, the
 sweep labels and phase letters, the word search and its first-path-wins
-level dedup, relator membership, the level-sweep report driver, the
-rule sets of the trimmed and no-return machines, the report bytes and
-the collector pause around the engine's drivers.
+level dedup, the order of each level's states, relator membership, the
+level-sweep report driver, the rule sets of the trimmed and no-return
+machines, the report bytes, the collector pause around the engine's
+drivers, and the failure branches of the checks, the trapezium and disk
+guards, the machine-file domain parser and the word adjacency check.
 
     python3 scripts/mutants.py
 
-Each mutant is one curated source edit.  For each, ``src/`` and
-``tests/`` are copied to a temporary directory, the edit is applied to
-the copy, and a fast subset of the tests (``TESTS``) runs against it
-with a timeout.  A mutant is killed by a failing run or by the timeout,
+Each mutant is one curated source edit.  For each, ``src/``, ``tests/``
+and ``scripts/`` (which the CLI tests run) are copied to a temporary
+directory, the edit is applied to the copy, and a fast subset of the
+tests (``TESTS``) runs against it with a timeout.  A mutant is killed by a failing run or by the timeout,
 which is reported as such.  The unedited copy runs first and must pass,
 or no kill means anything.  At most two runs go at once, and the
 working tree is never written to.
@@ -44,6 +46,8 @@ TESTS = (
     "tests/test_lr.py",
     "tests/test_checks.py",
     "tests/test_words.py",
+    "tests/test_trapezia.py",
+    "tests/test_cli.py",
 )
 TIMEOUT_S = 600
 JOBS = 2
@@ -229,6 +233,56 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "enumerate.py",
         (("        if was_on:\n", "        if True:\n"),),
     ),
+    (
+        "swap the first two states of each level",
+        "enumerate.py",
+        (("        level = list(nxt.values())\n", "        level = list(nxt.values())\n        level[:2] = level[1::-1]\n"),),
+    ),
+    (
+        "never report a constructed witness that misses W_ac",
+        "checks.py",
+        (
+            (
+                "            if comp.end != bundle.w_ac:\n                failures.append(f\"k={k}: constructed",
+                "            if False:\n                failures.append(f\"k={k}: constructed",
+            ),
+        ),
+    ),
+    (
+        "never report a search witness from a rejected input",
+        "checks.py",
+        (('                failures.append(f"k={k}: reached but rejected by the reference acceptor")\n', ""),),
+    ),
+    (
+        "never report a (theta,a)-relator that nu keeps",
+        "checks.py",
+        (("            if nu(r.word) != ():\n", "            if False:\n"),),
+    ),
+    (
+        "never skip a period that never applies",
+        "checks.py",
+        (("    if reps == 0:\n", "    if False:\n"),),
+    ),
+    (
+        "let bands that do not stack form a trapezium",
+        "trapezia.py",
+        (("            if a.top != b.bottom:\n", "            if False:\n"),),
+    ),
+    (
+        "count the disk cells of a computation that is no witness",
+        "trapezia.py",
+        (("    if not (is_accepting or is_access):\n", "    if False:\n"),),
+    ),
+    (
+        "let a sector take two domains in a machine file",
+        "serialize.py",
+        (("            if sec in domains:\n", "            if False:\n"),),
+    ),
+    (
+        "let a tape sit beside no sector",
+        "machine.py",
+        (("            if sec is None or not legal:\n", "            if not legal:\n"),),
+    ),
 )
 
 
@@ -239,6 +293,7 @@ def _run(edits: tuple[str, tuple[tuple[str, str], ...]] | None) -> tuple[str, fl
         work = Path(tmp)
         shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "scripts", work / "scripts", ignore=shutil.ignore_patterns("__pycache__"))
         if edits is not None:
             name, replacements = edits
             path = work / "src" / "smachine" / name

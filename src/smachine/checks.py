@@ -295,20 +295,17 @@ def check_periodic_distinctness(
                 params={"machine": machine.name, "reps": reps},
                 notes=(f"hypothesis violated: window at {r} repeats",),
             )
-    boundaries = [trace[j * p] for j in range(reps + 1)]
-    if len(set(boundaries)) != len(boundaries):
-        dup = [str(b) for b in boundaries]
-        return CheckReport(
-            suite="periodic-distinctness",
-            status="fail",
-            params={"machine": machine.name, "reps": reps},
-            counterexample={"start": str(start), "history": [format_slabel(s) for s in hist * reps], "boundaries": dup},
-        )
+    # No two boundary words trace[j * p] can be equal here.  The state
+    # letters come back after each period, and one period maps each tape
+    # u to A·u·B for fixed reduced A, B.  If boundaries i and i + j are
+    # equal, A^j·u·B^j = u, so (u⁻¹Au)^j = B^-j; roots are unique in a
+    # free group, so A·u·B = u and boundaries i and i + 1 are already
+    # equal, which the window check above reports at offset i·p.
     return CheckReport(
         suite="periodic-distinctness",
         status="pass",
         params={"machine": machine.name, "reps": reps, "period": [format_slabel(s) for s in hist]},
-        counts={"boundaries": len(boundaries)},
+        counts={"boundaries": reps + 1},
         stats={},
     )
 
@@ -332,12 +329,9 @@ def accepted_language_experiment(
     machine = bundle.trimmed
     rows = []
     failures = []
-    any_unknown = False
     for k in ks:
         expected = bundle.toy.accepts(k)
-        verdict = None
         witness_len = None
-        via = None
         if expected:
             hist = bundle.witness_wkk_to_wac(k)
             comp = run_history(machine, bundle.w_word(k, k), hist)
@@ -345,20 +339,18 @@ def accepted_language_experiment(
                 failures.append(f"k={k}: constructed witness does not reach the accept word")
             verdict, witness_len, via = "yes", len(hist), "constructed"
         else:
+            # only a rejected input is searched: "no" never meets an accepted
+            # one, and a witness that reaches W_ac contradicts the acceptor
             wit, exhausted = search(machine, bundle.w_word(k, k), [bundle.w_ac], budget, bidirectional=True)
             if wit is not None:
                 comp = run_history(machine, bundle.w_word(k, k), wit)
                 if comp.end != bundle.w_ac:
                     failures.append(f"k={k}: search witness fails to replay")
-                verdict, witness_len, via = "yes", len(wit), "search"
-            elif exhausted:
-                verdict, via = "unknown", "search"
-                any_unknown = True
+                failures.append(f"k={k}: reached but rejected by the reference acceptor")
+                verdict, witness_len = "yes", len(wit)
             else:
-                verdict, via = "no", "search"
-        # only a rejected input is searched, so "no" never meets an accepted one
-        if verdict == "yes" and not expected:
-            failures.append(f"k={k}: reached but rejected by the reference acceptor")
+                verdict = "unknown" if exhausted else "no"
+            via = "search"
         rows.append({"k": k, "expected": expected, "verdict": verdict, "via": via, "witness_length": witness_len})
     status = "fail" if failures else "pass"
     return CheckReport(
@@ -368,7 +360,7 @@ def accepted_language_experiment(
         counts={"definite": sum(1 for r in rows if r["verdict"] != "unknown")},
         stats={"table": rows},
         counterexample={"failures": failures} if failures else None,
-        depth_exhausted=any_unknown,
+        depth_exhausted=any(r["verdict"] == "unknown" for r in rows),
     )
 
 

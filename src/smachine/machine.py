@@ -148,16 +148,15 @@ class Hardware:
             if x.name not in self.parts[x.part]:
                 raise MalformedWord(f"{x.name} is not a letter of part {x.part}")
         for a, b, u in zip(w.q, w.q[1:], w.u):
+            sec = self.right_sector(a)
             if a.part == b.part:
                 # only x followed by its own inverse is allowed within a part
-                if not (a.name == b.name and a.sign == -b.sign):
-                    raise MalformedWord(f"illegal adjacency {a} {b}")
+                legal = a.name == b.name and a.sign == -b.sign
             else:
-                rs, ls = self.right_sector(a), self.left_sector(b)
-                if rs is None or rs != ls:
-                    raise MalformedWord(f"illegal adjacency {a} {b}")
-            sec = self.right_sector(a)
-            assert sec is not None
+                legal = sec == self.left_sector(b)
+            # a tape beside no sector (x·u·x^-1 at a linear word end) is illegal too
+            if sec is None or not legal:
+                raise MalformedWord(f"illegal adjacency {a} {b}")
             alpha = self.sector_alphabets[sec]
             for y in u:
                 if y.name not in alpha:

@@ -171,17 +171,22 @@ def _parse_rule(ln: str, part_names: set[str], n_sectors: int) -> Rule:
         locked_inside.update(range(len(rule_parts), len(rule_parts) + n - 1))
         for k, (s, d) in enumerate(zip(srcs, dsts)):
             rule_parts.append(RulePart(s, a if k == 0 else (), d, b if k == n - 1 else ()))
-    domains = [frozenset()] * n_sectors
+    domains: dict[int, frozenset[str]] = {}
     if dom_part:
         for chunk in dom_part.split(" ; "):
             dom, sec_s, eq, letters = chunk.split()
             if (dom, eq) != ("dom", "="):
                 raise FormatError(f"bad domain chunk {chunk!r}")
             sec = int(sec_s)
+            if not 0 <= sec < n_sectors:
+                raise FormatError(f"domain chunk {chunk!r}: no sector {sec}")
+            if sec in domains:
+                raise FormatError(f"domain chunk {chunk!r}: sector {sec} has a domain already")
             if sec in locked_inside:
                 raise FormatError(f"sector {sec} is merged-locked but has a domain")
             domains[sec] = frozenset(letters.split(","))
-    return Rule(label, tuple(rule_parts), tuple(domains), tag="" if tag == "-" else tag)
+    doms = tuple(domains.get(i, frozenset()) for i in range(n_sectors))
+    return Rule(label, tuple(rule_parts), doms, tag="" if tag == "-" else tag)
 
 
 def machine_hash(m: SMachine) -> str:

@@ -255,14 +255,12 @@ def computation_to_trapezium(
         if sup_sides(rule) == (False, True):  # the band enters the superscripted phase
             top_sup = (level % bundle.L) + 1 if level is not None else 1
             level = top_sup
-        band = make_band(machine, fac, bottom, rule, top_sup=top_sup)
-        if bands and bands[-1].rule_label == (sl[0], -sl[1]):
-            if bands[-1].bottom == band.top:
-                raise WitnessInvalid(
-                    f"mirror bands at {format_slabel(sl)}: pick a different lift level"
-                )
-        bands.append(band)
-        bottom = band.top
+        # No band mirrors the one before it: an eligible history's only
+        # adjacent inverse pair is theta(23)·theta(23)^-1, and the second
+        # band's top (level % L + 1) differs from the first band's bottom
+        # (level) mod L, as build_main_machine requires L >= 8.
+        bands.append(make_band(machine, fac, bottom, rule, top_sup=top_sup))
+        bottom = bands[-1].top
         if bottom.q_sups[0] is not None:
             level = bottom.q_sups[0]
     return Trapezium(tuple(bands))

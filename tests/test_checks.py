@@ -17,13 +17,14 @@ from smachine.checks import (
     check_periodic_distinctness,
     check_wi_bound,
     presentation_audit,
+    run_one_suite,
     run_suites,
 )
 from smachine.compose import start_configuration_m3
 from smachine.enumerate import search
 from smachine.lr import build_lr
 from smachine.machine import Hardware, Rule, RulePart, SMachine, UnknownRule, history, run_history
-from smachine.presentation import Relator, compile_group_G, factory_for
+from smachine.presentation import Generator, Relator, compile_group_G, factory_for
 from smachine.trapezia import is_disk_word, plain_lift, power_word
 from smachine.words import AdmissibleWord, QLetter, YLetter
 
@@ -107,6 +108,28 @@ def test_periodic_distinctness_boundary_movement():
     assert rep.status == "pass" and rep.counts["boundaries"] == 3
 
 
+@pytest.mark.parametrize(
+    "tokens, period, status, reps",
+    [
+        (["q1", "p2", "q2"], ["z1_a"], "skip", None),
+        (["q1", "p1", "q2"], ["z12"], "pass", 1),
+        (["q1", "a", "p1", "q2"], ["z1_a", "z12", "z12^-1"], "pass", 1),
+    ],
+    ids=["never-applicable", "state-letter-gone", "locked-sector-filled"],
+)
+def test_periodic_distinctness_runs_the_period_while_it_applies(tokens, period, status, reps):
+    """The check keeps the reps that applied.  z1_a needs p1; z12 takes
+    p1 to p2 once; and z12 needs an empty left tape, which the second
+    z1_a fills with a^-1."""
+    lr = build_lr(["a"])
+    rep = check_periodic_distinctness(lr, lr.hardware.word(tokens), period, max_reps=3)
+    assert rep.status == status
+    if reps is None:
+        assert rep.notes == ("period never applicable from the start word",)
+    else:
+        assert (rep.params["reps"], rep.counts) == (reps, {"boundaries": reps + 1})
+
+
 def test_periodic_distinctness_raises_on_unknown_rule():
     """A bad period label is a bug to report, not a skip."""
     lr = build_lr(["a"])
@@ -133,6 +156,57 @@ def test_presentation_audit_catches_seeded_defect(session_bundle):
     rep = presentation_audit(bad, session_bundle)
     assert rep.status == "fail"
     assert any("mu != 0" in f for f in rep.counterexample["failures"])
+
+
+def _audit_seeded(bundle, seed):
+    """The audit of G with one more relator, ``seed(G)``; returns its failures."""
+    pres = compile_group_G(bundle)
+    bad = dataclasses.replace(pres, relators=pres.relators + (seed(pres),))
+    rep = presentation_audit(bad, bundle)
+    assert rep.status == "fail"
+    return rep.counterexample["failures"]
+
+
+def _any_theta(pres):
+    return next(g for r in pres.relators for g, _ in r.word if g.kind == "th")
+
+
+def _t_discipline_broken(pres):
+    """θ_1 and θ_N of a (θ,t)-relator's rule at one superscript: their
+    levels differ by 0, not by 1."""
+    r = next(r for r in pres.relators if r.tag == "theta-q" and r.part == 0 and r.sup is not None)
+    word = ((Generator("th", r.rule, 1, r.sup), 1), (Generator("th", r.rule, pres.N, r.sup), -1))
+    return Relator(word, "theta-q", r.rule, part=0, sup=r.sup)
+
+
+@pytest.mark.parametrize(
+    "seed, failure",
+    [
+        (lambda pres: Relator(((_any_theta(pres), 1),), "theta-a", "seeded"), "nu does not kill a (theta,a)-relator of seeded"),
+        (lambda pres: Relator(((_any_theta(pres), 1),), "theta-q", "seeded"), "theta exponent sum nonzero in relator of seeded"),
+        (_t_discipline_broken, "superscript discipline broken in (theta,t)-relator of "),
+        (lambda pres: Relator(((_any_theta(pres), 1), (_any_theta(pres), -1)), "hub", "seeded"), "hub seeded has length 2 != L*N"),
+    ],
+    ids=["nu-keeps-a-theta", "theta-sum-nonzero", "t-superscripts-equal", "short-hub"],
+)
+def test_presentation_audit_catches_seeded_relator(session_bundle, seed, failure):
+    """Each audit of a relator's shape fails on a hand-built bad relator."""
+    assert any(f.startswith(failure) for f in _audit_seeded(session_bundle, seed))
+
+
+def test_presentation_audit_suite_fails_on_superscripted_trimmed_group(session_bundle, monkeypatch):
+    """The suite's second report fails when the trimmed presentation has
+    a superscripted generator, even though its relators audit clean."""
+    monkeypatch.setattr(checks, "bundle_cached", lambda m, L: session_bundle)
+    monkeypatch.setattr(checks, "compile_trimmed", lambda bundle: (None, compile_group_G(bundle)))
+    g, gbar = run_one_suite("presentation-audit", {})
+    assert (g.status, g.notes) == ("pass", ())
+    assert (gbar.status, gbar.notes, gbar.counterexample) == ("fail", ("trimmed presentation carries superscripts",), None)
+
+
+def test_run_one_suite_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_one_suite("nope", {})
 
 
 def test_counterexamples_replay(session_bundle):
@@ -274,6 +348,48 @@ def test_accepted_language_small(session_bundle):
     assert [row["verdict"] for row in table] == ["yes", "yes"]
     # positive verdicts ship replayable witnesses
     assert all(row["witness_length"] for row in table)
+
+
+def _lr_stand_in(accepts, start, witness=()):
+    """A bundle on the LR machine for the accepted-language experiment:
+    W(k,k) is ``start`` for every k, W_ac is where z1_a z12 takes
+    q1 a p1 q2, and the acceptor answers ``accepts``."""
+    lr = build_lr(["a"])
+    w = lr.hardware.word(start.split())
+    return SimpleNamespace(
+        trimmed=lr,
+        toy=SimpleNamespace(accepts=lambda k: accepts),
+        w_word=lambda k, k2: w,
+        w_ac=run_history(lr, lr.hardware.word(["q1", "a", "p1", "q2"]), history("z1_a", "z12")).end,
+        witness_wkk_to_wac=lambda k: history(*witness),
+    )
+
+
+LIVE, DEAD = "q1 a p1 q2", "q1 a' p1 q2"  # no rule applies at q1 a' p1 q2
+
+
+@pytest.mark.parametrize(
+    "bundle, found, row, failures",
+    [
+        (_lr_stand_in(True, LIVE, ["z1_a"]), None, ("yes", "constructed", 1), ["constructed witness does not reach the accept word"]),
+        (_lr_stand_in(False, LIVE), history("z1_a"), ("yes", "search", 1), ["search witness fails to replay", "reached but rejected by the reference acceptor"]),
+        (_lr_stand_in(False, LIVE), None, ("yes", "search", 2), ["reached but rejected by the reference acceptor"]),
+        (_lr_stand_in(False, DEAD), None, ("no", "search", None), []),
+    ],
+    ids=["constructed-witness-misses", "search-witness-fails-to-replay", "reached-but-rejected", "closed-search-says-no"],
+)
+def test_accepted_language_on_seeded_bundles(monkeypatch, bundle, found, row, failures):
+    """Each verdict and failure of the experiment, on stand-in bundles;
+    ``found`` replaces the search's witness, else the real search runs
+    (it meets W_ac from q1 a p1 q2, and closes at once from q1 a' p1 q2)."""
+    if found is not None:
+        monkeypatch.setattr(checks, "search", lambda *args, **kw: (found, False))
+    rep = checks.accepted_language_experiment(bundle, ks=(1,), budget=1000)
+    assert rep.status == ("fail" if failures else "pass")
+    (got,) = rep.stats["table"]
+    assert (got["verdict"], got["via"], got["witness_length"]) == row
+    assert rep.counterexample == ({"failures": [f"k=1: {f}" for f in failures]} if failures else None)
+    assert (rep.counts, rep.depth_exhausted) == ({"definite": 1}, False)
 
 
 def _chi(bundle, depth):

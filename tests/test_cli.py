@@ -251,6 +251,8 @@ def add_generator(line):
         ("lr_file", lambda t: t.replace("part 1 : p1 p2\n", "part 1 :\n"), SIMULATE),
         ("lr_file", lambda t: t.replace("part 1 : ", "part x : "), SIMULATE),
         ("lr_file", lambda t: t.replace(*WRONG_PART), SIMULATE),
+        ("lr_file", lambda t: t.replace("| dom 1 = a'\n", "| dom -1 = a'\n"), SIMULATE),
+        ("lr_file", lambda t: t.replace("| dom 1 = a'\n", "| dom 1 = a' ; dom 1 = a'\n"), SIMULATE),
         ("gbar_file", add_generator("q"), EXPORT),
         ("gbar_file", add_generator("a a^(x)"), EXPORT),
         ("gbar_file", add_generator("th foo_tX"), EXPORT),
@@ -260,6 +262,8 @@ def add_generator(line):
         "part-without-letters",
         "part-index-not-int",
         "rule-letter-in-other-part",
+        "dom-negative-sector",
+        "dom-repeated-sector",
         "bare-generator",
         "superscript-not-int",
         "theta-index-not-int",
@@ -288,8 +292,9 @@ def test_rejected_machine_reports_the_validator(capsys, tmp_path, lr_file):
         ["enumerate", "--word", "q1 b p1 q2"],
         ["simulate", "--word", "q1 a p1 q2", "--history", "nope"],
         ["simulate", "--word", "q1 a p1 q2", "--history", "z12"],
+        ["simulate", "--word", "q2 a q2^-1", "--history", "z12"],
     ],
-    ids=["simulate-bad-word", "enumerate-bad-word", "unknown-rule", "rule-not-applicable"],
+    ids=["simulate-bad-word", "enumerate-bad-word", "unknown-rule", "rule-not-applicable", "tape-past-the-word-end"],
 )
 def test_bad_argument_is_a_usage_error(capsys, tmp_path, lr_file, args):
     mfile = tmp_path / "lr.txt"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,7 @@ from smachine.machine import (
 )
 from smachine.enumerate import enumerate_computations, reach_levels
 from smachine.main_machine import THETA_23
-from smachine.words import AdmissibleWord, QLetter, YLetter
+from smachine.words import AdmissibleWord, MalformedWord, QLetter, YLetter
 
 from conftest import random_words_for
 
@@ -376,3 +378,62 @@ def test_no_insert_beside_a_locked_sector(circular):
     else:
         with pytest.raises(ValueError, match="part 0: a-word beside no sector"):
             machine(0, x, (), open_)
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        (["q2", "a", "q2^-1"], "illegal adjacency q2 q2^-1"),
+        (["q1^-1", "a", "q1"], "illegal adjacency q1^-1 q1"),
+        (["q1", "q2"], "illegal adjacency q1 q2"),
+        (["a", "q1", "p1", "q2"], "word must start with a state letter"),
+        (["q1", "p1", "q2", "a"], "word must end with a state letter"),
+    ],
+    ids=["tape-past-the-right-end", "tape-past-the-left-end", "parts-not-adjacent", "starts-with-tape", "ends-with-tape"],
+)
+def test_word_refuses_malformed_tokens(lr, tokens, message):
+    """x·u·x^-1 is a word only where a sector lies to the right of x: not
+    past either end of a linear machine."""
+    with pytest.raises(MalformedWord, match=f"^{re.escape(message)}$"):
+        lr.hardware.word(tokens)
+    for inside in (["q1", "a", "q1^-1"], ["q2^-1", "a'", "q2"]):
+        assert len(lr.hardware.word(inside).q) == 2
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [(QLetter(3, "q1", 1), "part 3 out of range"), (QLetter(1, "q1", 1), "q1 is not a letter of part 1")],
+    ids=["part-out-of-range", "letter-of-another-part"],
+)
+def test_validate_refuses_a_letter_outside_its_part(lr, q, message):
+    with pytest.raises(MalformedWord, match=f"^{re.escape(message)}$"):
+        lr.hardware.validate(AdmissibleWord((q,), ()))
+
+
+LINE = Hardware((("a",), ("b",)), (frozenset("x"),))
+
+
+def _rule(parts=(RulePart("a", (), "a", ()), RulePart("b", (), "b", ())), domains=(frozenset("x"),), sign=1):
+    return Rule("t", parts, domains, sign=sign)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Hardware((("a",), ("b",)), ()), "2 parts need 1 sectors, got 0"),
+        (lambda: Hardware((("a",), ("a",)), (frozenset("x"),)), "state letter a appears in two parts"),
+        (lambda: SMachine(LINE, (_rule(sign=-1),)), "rule t stored with negative sign"),
+        (lambda: SMachine(LINE, (_rule(), _rule())), "duplicate rule label t"),
+        (lambda: SMachine(LINE, (_rule(parts=(RulePart("a", (), "a", ()),)),)), "rule t has 1 parts, hardware has 2"),
+        (lambda: SMachine(LINE, (_rule(domains=()),)), "rule t has 0 domains, hardware has 1"),
+        (lambda: SMachine(LINE, (_rule(domains=(frozenset("y"),)),)), "rule t: domain 0 not within sector alphabet"),
+    ],
+    ids=["sector-count", "letter-in-two-parts", "negative-sign", "duplicate-label", "part-count", "domain-count", "domain-outside-alphabet"],
+)
+def test_constructors_refuse_inconsistent_machines(build, message):
+    """The checks of ``Hardware`` and ``SMachine`` that no other test
+    reaches: a machine file with a rule letter in the wrong part, and
+    ``test_no_insert_beside_a_locked_sector``, reach the rest."""
+    assert SMachine(LINE, (_rule(),)).rules[0] == _rule()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,6 +1,6 @@
 """Byte pins: the sha256 of printed machines, exported presentations,
-disk verdicts, enumerated and simulated computations, and verification
-reports.
+disk verdicts, enumerated and simulated computations, verification
+reports, and the states the level sweeps reach, in sweep order.
 
 The sweep machines, the stage tower and the compiled presentations are
 derived from one another; these pins make sure a change to how they are
@@ -20,7 +20,9 @@ from smachine.compose import (
     circularize_m5,
     compose_m3,
     mirror_m4,
+    start_configuration_m3,
 )
+from smachine.enumerate import reach_levels
 from smachine.lr import build_lr, build_lr_m, build_rl
 from smachine.machine import Hardware, Rule, RulePart, SMachine, format_slabel
 from smachine.main_machine import build_main_machine
@@ -187,3 +189,43 @@ def test_reports_pinned():
     reports = run_suites("all", m=2, L=12, max_tape=4, depth=6, budget=2000, ks=(0, 1, 2, 3))
     text = "".join(r.to_json() for r in reports)
     assert sha(text) == "d174353bddcafb7c4c66860c77b05c917b0056cea445918309e5f13bab1b4760"
+
+
+def _chi_starts(b):
+    m3 = b.m5.m4.m3
+    return m3.machine, [start_configuration_m3(m3, 0, ["fin"]), start_configuration_m3(m3, 2, ["del2", "fin"])]
+
+
+SWEEP_PINS = {
+    "chi-depth-8": (
+        lambda b: (*_chi_starts(b), 8),
+        28_218,
+        "73593014e78e0e8ce501e46e50cc631aebb23ca5881b69e4b4285e49f2e7901d",
+    ),
+    "no-return-W(0,0)-depth-6": (
+        lambda b: (b.without_first_two_sets, [b.w_word(0, 0)], 6),
+        4_952,
+        "71339ab114d800c9acaa277863646e6ca0ac0a8258e8a054ec934235b2520f34",
+    ),
+    "no-return-W(2,2)-depth-6": (
+        lambda b: (b.without_first_two_sets, [b.w_word(2, 2)], 6),
+        4_952,
+        "21371fdafd1df14d59f0e6931c69cd0cf9c25ba4bd42b316dc078a6153b79fc4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_PINS))
+def test_sweep_states_pinned(name, session_bundle):
+    """One line per state of plain ``reach_levels``, level by level in
+    the sweep's own order: a change that keeps every count but swaps a
+    state, its last rule or the order that decides which path wins
+    changes the digest."""
+    sweep, count, digest = SWEEP_PINS[name]
+    h = hashlib.sha256()
+    n = 0
+    for t, states in reach_levels(*sweep(session_bundle)):
+        for s in states:
+            h.update(f"{t}\t{s.end}\t{s.last}\t{s.extra}\n".encode())
+        n += len(states)
+    assert (n, h.hexdigest()) == (count, digest)

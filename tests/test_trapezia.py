@@ -2,15 +2,19 @@
 
 import pytest
 
+from smachine import trapezia
 from smachine.machine import run_history
 from smachine.main_machine import build_main_machine
 from smachine.presentation import compile_group_G, factory_for
 from smachine.toy import toy_even_recognizer
 from smachine.trapezia import (
+    DiskVerdict,
     EmptyHistory,
     IneligibleHistory,
     SuperscriptForbidden,
     SuperscriptRequired,
+    Trapezium,
+    WitnessInvalid,
     computation_to_trapezium,
     disk_diagram_cells,
     is_disk_word,
@@ -124,6 +128,15 @@ def test_trapezium_errors(bundle):
         computation_to_trapezium(bundle, bad, first_sup=1)
 
 
+def test_bands_that_do_not_stack_are_refused(bundle):
+    """A band's top must be the next band's bottom."""
+    comp = run_history(bundle.machine, bundle.w_word(0, 0), ["w3_ins_fin", "tr_34"])
+    b1, b2 = computation_to_trapezium(bundle, comp).bands
+    assert Trapezium((b1, b2)).height == 2
+    with pytest.raises(WitnessInvalid, match="band labels do not stack"):
+        Trapezium((b2, b1))
+
+
 def test_eligible_pair_gets_distinct_lifts(bundle, pres_g):
     """theta(23)·theta(23)^-1 stacks only with a fresh superscript level."""
     pre = bundle.witness_wst_to_wkk(0)[:-1]
@@ -138,6 +151,19 @@ def test_eligible_pair_gets_distinct_lifts(bundle, pres_g):
     for band in trap.bands:
         for cell in band.cells:
             assert pres_g.has_relator(cell)
+
+
+@pytest.mark.parametrize("first_sup", (0, 1, 11, 12, 13, -3))
+def test_eligible_pair_never_mirrors(bundle, first_sup):
+    """theta(23)^-1 re-enters the superscripted phase one level above
+    the theta(23) band's bottom, mod L, so the pair's second top never
+    equals its first bottom: no two adjacent bands mirror each other."""
+    pre = bundle.witness_wst_to_wkk(0)[:-1]
+    w = run_history(bundle.machine, bundle.w_st, pre).end
+    comp = run_history(bundle.machine, w, ["tr_23", "tr_23^-1"])
+    b1, b2 = computation_to_trapezium(bundle, comp, first_sup=first_sup).bands
+    assert (b1.bottom.q_sups[0], b2.top.q_sups[0]) == ((first_sup - 1) % bundle.L + 1, first_sup % bundle.L + 1)
+    assert b2.top != b1.bottom
 
 
 def test_band_cell_counts_height_one(bundle):
@@ -236,6 +262,33 @@ def test_wkk_power_is_disk_with_witness(bundle):
     trap = computation_to_trapezium(bundle, comp)
     assert cells == 1 + bundle.L * trapezium_area(trap)
     assert cells >= bundle.N * bundle.L * len(comp)
+
+
+def test_disk_verdict_is_no_when_both_searches_close(bundle, monkeypatch):
+    """Base to W_ac, then the start word to base: when both reachable
+    sets close without a hit, the verdict is a definite no."""
+    calls = []
+
+    def closed(machine, source, targets, budget):
+        calls.append((source, tuple(targets)))
+        return None, False
+
+    monkeypatch.setattr(trapezia, "search", closed)
+    w = bundle.w_word(2, 2)
+    assert is_disk_word(plain_lift(power_word(w, bundle.L)), bundle, budget=300) == DiskVerdict("no")
+    assert calls == [(w, (bundle.w_ac,)), (bundle.s1(), (w,))]
+
+
+def test_disk_cells_refuse_a_computation_that_is_no_witness(bundle):
+    """The computation must start or end at the word, and run from it to
+    W_ac or to it from a start word."""
+    w = bundle.w_word(0, 0)
+    step = run_history(bundle.machine, w, bundle.witness_wkk_to_wac(0)[:1])
+    assert step.end != bundle.w_ac
+    with pytest.raises(WitnessInvalid, match="does not involve the given word"):
+        disk_diagram_cells(bundle.w_ac, step, bundle)
+    with pytest.raises(WitnessInvalid, match="not an accessibility witness"):
+        disk_diagram_cells(w, step, bundle)
 
 
 def test_disk_cells_hub_only_edge_case(bundle):
