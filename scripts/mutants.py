@@ -4,7 +4,8 @@
 constructor's checks, the relator table and its superscript rule, the
 sweep labels and phase letters, the word search and its first-path-wins
 level dedup, the order of each level's states, relator membership, the
-level-sweep report driver, the rule sets of the trimmed and no-return
+level-sweep report driver, the enumeration's memo and the per-path
+statistics wi-bound carries, the rule sets of the trimmed and no-return
 machines, the report bytes, the collector pause around the engine's
 drivers, and the failure branches of the checks, the trapezium and disk
 guards, the machine-file domain parser and the word adjacency check.
@@ -282,6 +283,26 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "let a tape sit beside no sector",
         "machine.py",
         (("            if sec is None or not legal:\n", "            if not legal:\n"),),
+    ),
+    (
+        "read the prefix peak of the wrong parent",
+        "checks.py",
+        (
+            (
+                "        return t + 1, max(peak, word.length()), max(gain, step_gain), runs\n",
+                "        return t + 1, max((comp.parent or comp).extra[1], word.length()), max(gain, step_gain), runs\n",
+            ),
+        ),
+    ),
+    (
+        "key the enumeration memo on the word alone",
+        "enumerate.py",
+        (("            key = (c.end, skip)\n", "            key = c.end\n"),),
+    ),
+    (
+        "do not reset a periodic run when the label differs",
+        "checks.py",
+        (("        e = e + 1 if next(earlier, None) == label else p\n", "        e = e + 1 if next(earlier, None) == label else e\n"),),
     ),
 )
 

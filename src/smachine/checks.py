@@ -20,14 +20,16 @@ import dataclasses
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .compose import M3Build, start_configuration_m3
 from .enumerate import PRUNE, enumerate_computations, paused_collector, reach_levels, search
 from .lr import build_lr
 from .machine import (
+    Computation,
     History,
     NotApplicableAt,
+    SignedLabel,
     SMachine,
     format_slabel,
     history,
@@ -156,38 +158,76 @@ def _reduced_words(letters: Sequence[str], max_len: int):
     return out
 
 
+def _periodic_step(
+    runs: tuple[int, ...], label: SignedLabel, earlier: Iterator[SignedLabel]
+) -> tuple[tuple[int, ...], int]:
+    """Append ``label`` to a history whose labels ``earlier`` gives, latest
+    first; returns the new runs and the best gain ending at ``label``.
+
+    ``runs[p-1]`` is the length of the history's longest suffix with
+    period p, a suffix up to p long counting as p.  It grows by one when
+    ``label`` equals the label p steps back, and resets to p otherwise.
+    A run of length e ends in (H2)^k with |H2| = p and k = e // p, which
+    offers (2k-3)p when k >= 2."""
+    grown = []
+    gain = 0
+    for p, e in enumerate(runs, 1):
+        e = e + 1 if next(earlier, None) == label else p
+        grown.append(e)
+        if e >= 2 * p:
+            gain = max(gain, (2 * (e // p) - 3) * p)
+    return tuple(grown), gain
+
+
 def _best_periodic_gain(hist: History) -> int:
-    """max over factorizations H1 (H2)^k H3 of (2k-3)|H2|, floored at 0."""
-    t = len(hist)
+    """max over factorizations H1 (H2)^k H3 of (2k-3)|H2|, floored at 0:
+    the fold of ``_periodic_step`` over ``hist``."""
+    runs = tuple(range(1, len(hist) // 2 + 1))
     best = 0
-    for p in range(1, t // 2 + 1):
-        for i in range(0, t - 2 * p + 1):
-            k = 1
-            while i + (k + 1) * p <= t and hist[i + k * p : i + (k + 1) * p] == hist[i : i + p]:
-                k += 1
-            if k >= 2:
-                best = max(best, (2 * k - 3) * p)
+    for i, label in enumerate(hist):
+        runs, gain = _periodic_step(runs, label, reversed(hist[:i]))
+        best = max(best, gain)
     return best
 
 
+def _labels_back(comp: Computation) -> Iterator[SignedLabel]:
+    """The labels of ``comp``'s history, latest first, read off its steps."""
+    while comp.last is not None:
+        yield comp.last
+        comp = comp.parent
+
+
+@paused_collector()
 def check_wi_bound(
     machine: SMachine,
     starts: Sequence[AdmissibleWord],
     depth: int = 8,
 ) -> CheckReport:
     """Two-letter-base length bound with periodic-history discounts, over
-    all computations (not only reduced ones)."""
+    all computations (not only reduced ones).
+
+    Each computation carries (t, peak length, gain, runs) in its extra,
+    grown from its parent's by ``_periodic_step``, so no path's trace is
+    scanned again; runs stop at period depth // 2, the longest that can
+    repeat.  The enumeration runs with the cyclic collector paused."""
+
+    def extend(comp, rule, word):
+        t, peak, gain, runs = comp.extra
+        runs, step_gain = _periodic_step(runs, rule.signed_label, _labels_back(comp))
+        return t + 1, max(peak, word.length()), max(gain, step_gain), runs
+
     checked = 0
     min_slack = None
     for w0 in starts:
         if len(w0.q) != 2:
             raise ValueError("wi bound applies to 2-letter-base words")
-        for comp in enumerate_computations(machine, w0, depth, "all"):
+        n0 = w0.length()
+        for comp in enumerate_computations(
+            machine, w0, depth, "all", extend=extend, extra=(0, n0, 0, tuple(range(1, depth // 2 + 1)))
+        ):
             checked += 1
-            steps = comp.steps()
-            hist = tuple(s.last for s in steps[1:])
-            bound = w0.length() + comp.end.length() + 2 * len(hist) - _best_periodic_gain(hist)
-            slack = bound - max(s.end.length() for s in steps)
+            t, peak, gain, _ = comp.extra
+            slack = n0 + comp.end.length() + 2 * t - gain - peak
             if min_slack is None or slack < min_slack:
                 min_slack = slack
             if slack < 0:
@@ -197,7 +237,7 @@ def check_wi_bound(
                     params={"machine": machine.name, "depth": depth, "filter": "all"},
                     counts={"computations": checked},
                     stats={},
-                    counterexample=_repro(w0, hist),
+                    counterexample=_repro(w0, comp.history),
                 )
     return CheckReport(
         suite="wi-bound",

@@ -8,7 +8,13 @@ runs on a machine holding just those rules.
 
 ``enumerate_computations`` yields every computation from a start word of
 length <= depth passing the filter, exactly once, in a deterministic
-order: by length, then lexicographically by rule order.
+order: by length, then lexicographically by rule order.  Many
+computations end at the same word, so one memo for the whole
+enumeration keeps what ``successors`` yielded for each (end word,
+skipped label) and expands a repeated one from it; every application
+it does make still goes through ``successors``.  An ``extend``/``extra``
+pair carries a per-path value along each computation, as in
+``reach_levels`` but with nothing pruned.
 
 ``reach_levels`` is the level sweep behind the verification suites: a
 level-synchronous sweep over (word, last rule, extra) states that covers
@@ -21,12 +27,12 @@ word, one-directional or meet-in-the-middle.
 The three build ``Computation`` step chains, each step pointing at the
 one it extends, and read their witnesses back from them.
 
-``search`` and ``checks._sweep`` (the driver that pulls a sweep's
-levels) run inside ``paused_collector``: the states they build hold no
-reference cycles, so CPython's cyclic collector would walk every live
-state on each full pass and free nothing.  The generators do not pause
-it themselves, since one left suspended would keep it off for a caller
-that has moved on.
+``search``, ``checks._sweep`` (the driver that pulls a sweep's levels)
+and ``checks.check_wi_bound`` run inside ``paused_collector``: the
+states they build hold no reference cycles, so CPython's cyclic
+collector would walk every live state on each full pass and free
+nothing.  The generators do not pause it themselves, since one left
+suspended would keep it off for a caller that has moved on.
 """
 
 from __future__ import annotations
@@ -97,26 +103,38 @@ def enumerate_computations(
     depth: int,
     filt: Filter = "reduced",
     eligible_label: str | None = None,
+    extend: Callable[[Computation, Rule, AdmissibleWord], object] | None = None,
+    extra: object = None,
 ) -> Iterator[Computation]:
     """Stream computations of length <= depth, breadth first.
 
     "reduced" never follows a rule by its inverse, "all" may, and
     "eligible" allows only ``eligible_label`` followed by its inverse.
+    The start carries ``extra``, and ``extend(comp, rule, word)`` gives
+    the extra of comp's successor by rule.  Each (end word, skipped
+    label) is expanded once: a computation ending where an earlier one
+    did, with the same skip, reuses the successors that one yielded.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if filt not in ("reduced", "eligible", "all"):
         raise ValueError(f"unknown filter {filt!r}")
-    level = [Computation(start)]
+    level = [Computation(start, extra=extra)]
     yield level[0]
+    expanded: dict[tuple[AdmissibleWord, SignedLabel | None], list[tuple[Rule, AdmissibleWord]]] = {}
     for _ in range(depth):
         nxt: list[Computation] = []
         for c in level:
-            last = c.last
-            if filt == "all" or (filt == "eligible" and last == (eligible_label, 1)):
-                last = None
-            for r, w2 in successors(machine, c.end, last):
-                nxt.append(Computation(w2, r.signed_label, c))
+            skip = c.last
+            if filt == "all" or (filt == "eligible" and skip == (eligible_label, 1)):
+                skip = None
+            key = (c.end, skip)
+            succ = expanded.get(key)
+            if succ is None:
+                succ = expanded[key] = list(successors(machine, c.end, skip))
+            for r, w2 in succ:
+                x = extend(c, r, w2) if extend is not None else None
+                nxt.append(Computation(w2, r.signed_label, c, x))
                 yield nxt[-1]
         if not nxt:
             return

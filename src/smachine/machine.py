@@ -458,8 +458,8 @@ def apply_rule(machine: SMachine, w: AdmissibleWord, rule: Rule) -> AdmissibleWo
 class Computation:
     """One step of a computation: ``end`` is ``parent.end·last``, and the
     start has neither.  A computation is the chain of its steps, which
-    ``steps()`` walks once; ``extra`` is a level sweep's per-path value.
-    Records compare by identity."""
+    ``steps()`` walks once; ``extra`` is the per-path value of a level
+    sweep or an enumeration.  Records compare by identity."""
 
     end: AdmissibleWord
     last: SignedLabel | None = None

@@ -6,6 +6,7 @@ import gc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smachine import checks
 from smachine import enumerate as engine
@@ -37,6 +38,28 @@ def test_periodic_gain_table():
     assert _best_periodic_gain(history("x", "y", "x", "y")) == 2
 
 
+def _periodic_gain_oracle(hist):
+    """The double loop the fold replaced: for every period p and start i,
+    the most repeats k of hist[i:i+p] from i, worth (2k-3)p when k >= 2."""
+    t = len(hist)
+    best = 0
+    for p in range(1, t // 2 + 1):
+        for i in range(0, t - 2 * p + 1):
+            k = 1
+            while i + (k + 1) * p <= t and hist[i + k * p : i + (k + 1) * p] == hist[i : i + p]:
+                k += 1
+            if k >= 2:
+                best = max(best, (2 * k - 3) * p)
+    return best
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(history("x", "x^-1", "y")), max_size=12))
+def test_periodic_gain_fold_matches_the_double_loop(hist):
+    """Three labels make long periodic runs common."""
+    assert _best_periodic_gain(tuple(hist)) == _periodic_gain_oracle(tuple(hist))
+
+
 def test_lr_bound_small_matches_exhaustive():
     rep = check_lr_bound(max_tape=2)
     assert rep.status == "pass"
@@ -52,17 +75,47 @@ def test_wi_bound_lr():
     assert rep.counts["computations"] > 100
 
 
+def test_wi_bound_carries_each_paths_statistics(monkeypatch):
+    """On wi-bound's LR run at depth 6, every computation's carried length,
+    peak and gain are what its whole trace and history give."""
+    real = checks.enumerate_computations
+    seen = []
+
+    def recording(*args, **kwargs):
+        for comp in real(*args, **kwargs):
+            seen.append(comp)
+            yield comp
+
+    monkeypatch.setattr(checks, "enumerate_computations", recording)
+    lr, starts = checks._wi_lr_starts()
+    assert check_wi_bound(lr, starts, depth=6).counts == {"computations": 1866} and len(seen) == 1866
+    for comp in seen:
+        t, peak, gain, _ = comp.extra
+        steps = comp.steps()
+        assert peak == max(s.end.length() for s in steps)
+        assert (t, gain) == (len(steps) - 1, _periodic_gain_oracle(comp.history))
+
+
+def _growing_machine():
+    """One rule that puts aa beside both state letters, and its start q p."""
+    aa = (YLetter("a", 1),) * 2
+    hw = Hardware(parts=(("q",), ("p",)), sector_alphabets=(frozenset("a"),))
+    z = Rule("z", (RulePart("q", (), "q", aa), RulePart("p", aa, "p", ())), (frozenset("a"),))
+    return SMachine(hardware=hw, positive_rules=(z,), name="grow"), hw.word(["q", "p"])
+
+
+def _seeded_wi_bound():
+    machine, start = _growing_machine()
+    return check_wi_bound(machine, [start], depth=6)
+
+
 def test_wi_bound_fails_on_a_growing_rule():
     """One rule that puts aa beside both state letters grows the word by
     4 a step; z^3 z^-3 peaks above its bound, whose periodic discount is
     only 3, and the reported path replays to that peak."""
-    aa = (YLetter("a", 1),) * 2
-    hw = Hardware(parts=(("q",), ("p",)), sector_alphabets=(frozenset("a"),))
-    z = Rule("z", (RulePart("q", (), "q", aa), RulePart("p", aa, "p", ())), (frozenset("a"),))
-    machine = SMachine(hardware=hw, positive_rules=(z,), name="grow")
-    start = hw.word(["q", "p"])
+    machine, start = _growing_machine()
     assert check_wi_bound(machine, [start], depth=5).status == "pass"
-    rep = check_wi_bound(machine, [start], depth=6)
+    rep = _seeded_wi_bound()
     assert rep.status == "fail"
     assert rep.counterexample == {"start": "q p", "history": ["z"] * 3 + ["z^-1"] * 3}
     comp = run_history(machine, start, rep.counterexample["history"])
@@ -427,8 +480,11 @@ def collector_was_on(request):
         lambda b: _seeded_norep(),
         lambda b: _search_with_witness(),
         lambda b: _disk_out_of_budget(b),
+        lambda b: check_wi_bound(*checks._wi_lr_starts(), depth=3),
+        lambda b: _seeded_wi_bound(),
     ),
-    ids=("lr-bound", "chi", "norep-seeded-fail", "search-witness", "search-out-of-budget"),
+    ids=("lr-bound", "chi", "norep-seeded-fail", "search-witness", "search-out-of-budget", "wi-bound",
+         "wi-bound-seeded-fail"),
 )
 def test_paused_collector_is_restored(session_bundle, collector_was_on, run):
     """A sweep or search leaves the collector as its caller had it: on
@@ -438,8 +494,9 @@ def test_paused_collector_is_restored(session_bundle, collector_was_on, run):
 
 
 def test_paused_collector_is_restored_when_expansion_raises(session_bundle, collector_was_on, monkeypatch):
-    """An exception part-way through a sweep or a search still restores
-    the collector, which was off while the engine expanded."""
+    """An exception part-way through a sweep, a search or wi-bound's
+    enumeration still restores the collector, which was off while the
+    engine expanded."""
     real = engine.successors
     seen = []
 
@@ -456,12 +513,16 @@ def test_paused_collector_is_restored_when_expansion_raises(session_bundle, coll
     with pytest.raises(RuntimeError):
         _disk_out_of_budget(session_bundle)
     assert gc.isenabled() is collector_was_on
-    assert len(seen) == 10 and not any(seen)
+    with pytest.raises(RuntimeError):
+        check_wi_bound(*checks._wi_lr_starts(), depth=3)
+    assert gc.isenabled() is collector_was_on
+    assert len(seen) == 15 and not any(seen)
 
 
 def test_engine_states_hold_no_reference_cycles(session_bundle):
-    """The premise of the pause: with the collector off, the sweeps and a
-    disk search leave nothing that only the collector could free."""
+    """The premise of the pause: with the collector off, the sweeps, a
+    disk search and wi-bound's enumeration leave nothing that only the
+    collector could free."""
     bundle = session_bundle
     was_on = gc.isenabled()
     gc.collect()
@@ -473,6 +534,7 @@ def test_engine_states_hold_no_reference_cycles(session_bundle):
             check_norep(bundle, k, depth=4)
         _seeded_norep()
         _disk_out_of_budget(bundle)
+        check_wi_bound(*checks._wi_lr_starts(), depth=4)
         assert gc.collect() == 0
     finally:
         if was_on:

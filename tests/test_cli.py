@@ -253,6 +253,10 @@ def add_generator(line):
         ("lr_file", lambda t: t.replace(*WRONG_PART), SIMULATE),
         ("lr_file", lambda t: t.replace("| dom 1 = a'\n", "| dom -1 = a'\n"), SIMULATE),
         ("lr_file", lambda t: t.replace("| dom 1 = a'\n", "| dom 1 = a' ; dom 1 = a'\n"), SIMULATE),
+        ("lr_file", lambda t: t.replace("part 1 : ", "part 2 : "), SIMULATE),
+        ("lr_file", lambda t: t.replace("[q1 p1 -> q1 p2]", "[q1 p1 -> q1]"), SIMULATE),
+        ("lr_file", lambda t: t.replace("| dom 1 = a'\n", "| dim 1 = a'\n"), SIMULATE),
+        ("lr_file", lambda t: t.replace("| dom 1 = a'\n", "| dom 0 = a ; dom 1 = a'\n"), SIMULATE),
         ("gbar_file", add_generator("q"), EXPORT),
         ("gbar_file", add_generator("a a^(x)"), EXPORT),
         ("gbar_file", add_generator("th foo_tX"), EXPORT),
@@ -264,6 +268,10 @@ def add_generator(line):
         "rule-letter-in-other-part",
         "dom-negative-sector",
         "dom-repeated-sector",
+        "parts-out-of-order",
+        "group-more-sources-than-targets",
+        "dom-chunk-not-dom",
+        "dom-on-merged-locked-sector",
         "bare-generator",
         "superscript-not-int",
         "theta-index-not-int",

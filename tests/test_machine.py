@@ -11,6 +11,7 @@ from smachine.machine import (
     Rule,
     RulePart,
     SMachine,
+    UnknownRule,
     UntaggedRule,
     apply_rule,
     history,
@@ -19,7 +20,7 @@ from smachine.machine import (
     run_history,
     step_history,
 )
-from smachine.enumerate import enumerate_computations, reach_levels
+from smachine.enumerate import enumerate_computations, reach_levels, successors
 from smachine.main_machine import THETA_23
 from smachine.words import AdmissibleWord, MalformedWord, QLetter, YLetter
 
@@ -216,10 +217,41 @@ def test_step_history_untagged():
         step_history(history("k"), m)
 
 
+@pytest.mark.parametrize(
+    "h, error, message",
+    [
+        (history("f", "x"), UnknownRule, "x"),
+        (history("f", "m"), UntaggedRule, "m: unrecognized tag foo"),
+    ],
+    ids=["label-not-in-machine", "unrecognized-tag"],
+)
+def test_step_history_rejects_a_label_it_cannot_name(h, error, message):
+    """A label the machine lacks, and a tag that is neither ``setK`` nor
+    ``trXY``, raise rather than collapse."""
+    hw = Hardware(parts=(("u",),), sector_alphabets=(), circular=False)
+    m = SMachine(
+        hardware=hw,
+        positive_rules=(
+            Rule("f", (RulePart("u", (), "u", ()),), (), tag="set2"),
+            Rule("m", (RulePart("u", (), "u", ()),), (), tag="foo"),
+        ),
+        name="tagged",
+    )
+    with pytest.raises(error) as e:
+        step_history(h, m)
+    assert str(e.value) == message
+
+
 def test_enumerate_depth0(lr):
     w = lr.hardware.word(["q1", "p1", "q2"])
     comps = list(enumerate_computations(lr, w, 0))
     assert len(comps) == 1 and comps[0].history == ()
+
+
+@pytest.mark.parametrize("depth, filt", [(-1, "reduced"), (2, "nope")], ids=["negative-depth", "unknown-filter"])
+def test_enumerate_rejects_bad_arguments(lr, depth, filt):
+    with pytest.raises(ValueError):
+        next(enumerate_computations(lr, lr.hardware.word(["q1", "p1", "q2"]), depth, filt))
 
 
 def test_enumerate_monotone_and_deterministic(lr):
@@ -264,6 +296,40 @@ def test_enumerated_computations_replay(filt, shipped):
                 assert len(c) == len(c.history)
                 longest = max(longest, len(c))
     assert longest == 3
+
+
+def _plain_enumeration(machine, start, depth, filt, eligible_label):
+    """(history, end) of every computation in ``enumerate_computations``'
+    order, each end expanded afresh: the enumeration without its memo."""
+    level = [((), start)]
+    out = [((), str(start))]
+    for _ in range(depth):
+        nxt = []
+        for h, w in level:
+            last = h[-1] if h else None
+            if filt == "all" or (filt == "eligible" and last == (eligible_label, 1)):
+                last = None
+            nxt.extend((h + (r.signed_label,), w2) for r, w2 in successors(machine, w, last))
+        out.extend((h, str(w)) for h, w in nxt)
+        level = nxt
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    idx=st.integers(0, 10),
+    seed=st.integers(0, 2**16),
+    filt=st.sampled_from(["reduced", "all", "eligible"]),
+)
+def test_enumeration_memo_matches_the_plain_loop(shipped, idx, seed, filt):
+    """Expanding each (end word, skipped label) once yields the same
+    computations in the same order as expanding every computation; the
+    eligible label is one of the machine's own."""
+    machine = shipped[idx]
+    label = machine.positive_rules[seed % len(machine.positive_rules)].label
+    for w in random_words_for(machine, 3, seed):
+        got = [(c.history, str(c.end)) for c in enumerate_computations(machine, w, 4, filt, label)]
+        assert got == _plain_enumeration(machine, w, 4, filt, label), (machine.name, str(w), filt)
 
 
 def _sweep_machines(bundle):
