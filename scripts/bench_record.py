@@ -20,11 +20,18 @@ With ``--deep`` the file also records the deep sweep points under
 times and at depth 12 once (m = 2, L = 12, the suite's two starts), one
 child process at a time, each capping its own address space at
 ``DEEP_CAP_GIB`` GiB with ``resource.setrlimit(RLIMIT_AS)``.  A
-run keeps its state count, the wall time of the sweep alone (the bundle
-is built first), its peak RSS and its bytes per state (the growth of the
-peak RSS over the sweep, per state); a run that hits the cap is recorded
-as ``"capped"``.  A state count other than the one in ``DEEP`` is a failure:
-the script exits without writing the file.  Stdlib only; run from
+run keeps its state count; the digest of the states the sweep reaches
+(sha256 over one line per state, ``t``, end word, last rule and extra
+separated by tabs, level by level in the sweep's own order, as
+``tests/test_pins.py::test_sweep_states_pinned`` hashes them) and the
+time taken by hashing them (``digest_s``); the wall time of the sweep
+alone, without the bundle, built first, or the hashing; its peak RSS
+and its bytes per state (the growth of the peak RSS over the sweep, per
+state).  A run that hits the cap is recorded as ``"capped"``.  A state
+count or a digest other than the one in ``DEEP`` is a failure: the
+script exits without writing the file.  Each child has its own hash
+seed unless ``PYTHONHASHSEED`` is set, so equal digests also show that
+the sweep's order does not depend on it.  Stdlib only; run from
 anywhere.
 """
 
@@ -45,29 +52,46 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep", "compile", "verify-jobs2")
 RUNS = 3  # the host's run-to-run noise is about 25%, so keep the best of three
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
-# (depth, chi-occurrences states at m = 2 and L = 12, runs)
-DEEP = ((11, 761_657, 3), (12, 2_284_933, 1))
+# (depth, chi-occurrences states at m = 2 and L = 12, their digest, runs)
+DEEP = (
+    (11, 761_657, "92362f45306ebf9bfa55e7661edd9b42313a5729d59d85428758a86d92bb53b1", 3),
+    (12, 2_284_933, "28f4707c665af93a28d52bc68f65b615413934724b9a5504e691615f5efc383e", 1),
+)
 DEEP_CAP_GIB = 3
 
 # One deep run, in a child that caps its own address space first:
 # ``python -c _DEEP_CHILD DEPTH CAP_BYTES`` prints one JSON line, or ends
 # in a ``MemoryError`` at the cap.
 _DEEP_CHILD = """
-import json, resource, sys, time
+import hashlib, json, resource, sys, time
 depth, cap = int(sys.argv[1]), int(sys.argv[2])
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-from smachine.checks import bundle_cached, run_one_suite
-bundle_cached(2, 12)
+from smachine import checks
+checks.bundle_cached(2, 12)
+digest, digest_s, sweep = hashlib.sha256(), 0.0, checks.reach_levels
+
+def hashed_levels(*args, **kwargs):
+    global digest_s
+    for t, states in sweep(*args, **kwargs):
+        t1 = time.perf_counter()
+        for s in states:
+            digest.update(f"{t}\\t{s.end}\\t{s.last}\\t{s.extra}\\n".encode())
+        digest_s += time.perf_counter() - t1
+        yield t, states
+
+checks.reach_levels = hashed_levels
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 t0 = time.perf_counter()
-[report] = run_one_suite("chi-occurrences", {"m": 2, "L": 12, "depth": depth})
-wall = time.perf_counter() - t0
+[report] = checks.run_one_suite("chi-occurrences", {"m": 2, "L": 12, "depth": depth})
+wall = time.perf_counter() - t0 - digest_s
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 states = report.counts["states"]
 print(json.dumps({
     "status": report.status,
     "states": states,
+    "digest": digest.hexdigest(),
     "wall_s": round(wall, 3),
+    "digest_s": round(digest_s, 3),
     "peak_rss_mib": round(peak / 1024, 1),
     "bytes_per_state": round((peak - before) * 1024 / states, 1),
 }))
@@ -140,7 +164,7 @@ def _deep() -> dict:
     """The deep chi-occurrences points, one capped child at a time."""
     cap = DEEP_CAP_GIB << 30
     doc: dict = {"suite": "chi-occurrences", "m": 2, "L": 12, "cap_gib": DEEP_CAP_GIB}
-    for depth, states, runs in DEEP:
+    for depth, states, digest, runs in DEEP:
         rows = []
         for _ in range(runs):
             out = subprocess.run([sys.executable, "-c", _DEEP_CHILD, str(depth), str(cap)],
@@ -151,9 +175,9 @@ def _deep() -> dict:
                 row = "capped"
             else:
                 raise SystemExit(f"deep run at depth {depth} exited {out.returncode}:\n{out.stderr[-2000:]}")
-            if row != "capped" and (row["status"] != "pass" or row["states"] != states):
-                raise SystemExit(f"deep run at depth {depth}: {row['status']} with {row['states']} states, "
-                                 f"expected pass with {states}")
+            if row != "capped" and (row["status"], row["states"], row["digest"]) != ("pass", states, digest):
+                raise SystemExit(f"deep run at depth {depth}: {row['status']} with {row['states']} states "
+                                 f"(digest {row['digest']}), expected pass with {states} ({digest})")
             rows.append(row)
         doc[f"depth {depth}"] = rows
     return doc

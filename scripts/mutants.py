@@ -8,7 +8,8 @@ level-sweep report driver, the enumeration's memo and the per-path
 statistics wi-bound carries, the rule sets of the trimmed and no-return
 machines, the report bytes, the collector pause around the engine's
 drivers, and the failure branches of the checks, the trapezium and disk
-guards, the machine-file domain parser and the word adjacency check.
+guards, the machine-file domain parser and the word adjacency check,
+and the CLI's group table and the size of its bundle.
 
     python3 scripts/mutants.py
 
@@ -303,6 +304,16 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "do not reset a periodic run when the label differs",
         "checks.py",
         (("        e = e + 1 if next(earlier, None) == label else p\n", "        e = e + 1 if next(earlier, None) == label else e\n"),),
+    ),
+    (
+        "compile Gbar as Mbar in the CLI's table",
+        "cli.py",
+        (('"Gbar": lambda b: compile_trimmed(b)[1],', '"Gbar": lambda b: compile_trimmed(b)[0],'),),
+    ),
+    (
+        "build the CLI's bundle at the default size",
+        "cli.py",
+        (("checks.bundle_cached(args.m, args.L)", "checks.bundle_cached(2, 12)"),),
     ),
 )
 

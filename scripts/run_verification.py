@@ -4,7 +4,8 @@
 Reproduces the full desk-scale experiment: builds the machine tower,
 compiles the presentations, runs all harness suites, and drops the
 reports, machine files, manifest, and presentation exports under an
-output directory (default ./out).
+output directory (default ./out).  Each file is written by the
+``smachine`` command that a user would type for it.
 
     python3 scripts/run_verification.py [--out DIR] [--m 2] [--L 12] [--jobs N]
 
@@ -14,11 +15,9 @@ Exit code 2 if any suite fails, 1 on a usage error (as ``smachine``).
 import sys
 from pathlib import Path
 
-from smachine.checks import bundle_cached, run_suites
-from smachine.cli import _nonnegative, _Parser, _positive
+from smachine.checks import bundle_cached
+from smachine.cli import _nonnegative, _Parser, _positive, _reports, main as smachine
 from smachine.main_machine import BadParameters
-from smachine.presentation import compile_group_G, compile_trimmed, export, hnn_Gbar, hnn_Gk
-from smachine.serialize import manifest, print_machine
 
 
 def main() -> int:
@@ -31,37 +30,34 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        bundle = bundle_cached(args.m, args.L)
+        bundle_cached(args.m, args.L)
     except BadParameters as e:
         ap.error(str(e))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    (out / "machine_M.txt").write_text(print_machine(bundle.machine))
-    (out / "machine_Mbar.txt").write_text(print_machine(bundle.trimmed))
-    (out / "manifest.json").write_text(
-        manifest(bundle.machine, m=args.m, L=args.L, N=bundle.N, toy=bundle.toy.name, c4=None)
-    )
-    pres_g = compile_group_G(bundle)
-    (out / "presentation_G.txt").write_text(export(pres_g, "plain"))
-    (out / "presentation_G.g").write_text(export(pres_g, "gap-style"))
-    _, gbar = compile_trimmed(bundle)
-    (out / "presentation_Gbar.txt").write_text(export(gbar, "plain"))
-    (out / "presentation_G0_hnn.txt").write_text(export(hnn_Gk(pres_g, bundle, 0), "plain"))
-    (out / "presentation_Gbar_hnn.txt").write_text(export(hnn_Gbar(pres_g, bundle), "plain"))
+    size = [f"--m={args.m}", f"--L={args.L}"]
+    for command, name in (
+        (["build", "--main", "--manifest", str(out / "manifest.json")], "machine_M.txt"),
+        (["build", "--trimmed"], "machine_Mbar.txt"),
+        (["compile", "--group", "G"], "presentation_G.txt"),
+        (["compile", "--group", "G", "--format", "gap-style"], "presentation_G.g"),
+        (["compile", "--group", "Gbar"], "presentation_Gbar.txt"),
+        (["compile", "--group", "Gk:0"], "presentation_G0_hnn.txt"),
+        (["compile", "--group", "Gbar-hnn"], "presentation_Gbar_hnn.txt"),
+    ):
+        smachine([*command, *size, "-o", str(out / name)])
 
-    reports = run_suites("all", jobs=args.jobs, m=args.m, L=args.L, budget=args.budget)
-    text = "".join(r.to_json() for r in reports)
-    (out / "reports.json").write_text(text)
-
-    failed = [r for r in reports if r.status == "fail"]
-    for r in reports:
-        line = f"{r.suite:24} {r.status}"
-        if r.depth_exhausted:
+    budget = [] if args.budget is None else [f"--budget={args.budget}"]
+    reports = out / "reports.json"
+    code = smachine(["verify", "--suite", "all", f"--jobs={args.jobs}", *budget, *size, "-o", str(reports)])
+    for r in _reports(reports.read_text()):
+        line = f"{r['suite']:24} {r['status']}"
+        if r.get("depth_exhausted"):
             line += "  (depth exhausted)"
         print(line)
     print(f"\nartifacts in {out}/")
-    return 2 if failed else 0
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .compose import StageMismatch, add_control_letters, add_history_sectors, co
 from .enumerate import enumerate_computations
 from .lr import InvalidAlphabet, InvalidM, build_lr, build_lr_m, build_rl
 from .machine import NotApplicableAt, UnknownRule, format_slabel, run_history
-from .main_machine import BadParameters, build_main_machine, family
+from .main_machine import BadParameters, family
 from .presentation import (
     compile_group_G,
     compile_group_M,
@@ -78,7 +78,7 @@ def _parse(path: str, parse):
 
 
 def _bundle(args) -> "object":
-    return build_main_machine(toy_even_recognizer(), m=args.m, L=args.L)
+    return checks.bundle_cached(args.m, args.L)
 
 
 def cmd_build(args) -> int:
@@ -148,21 +148,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    bundle = _bundle(args)
-    name, k = args.group
-    if name == "M":
-        pres = compile_group_M(bundle)
-    elif name == "G":
-        pres = compile_group_G(bundle)
-    elif name == "Mbar":
-        pres = compile_trimmed(bundle)[0]
-    elif name == "Gbar":
-        pres = compile_trimmed(bundle)[1]
-    elif name == "Gk":
-        pres = hnn_Gk(compile_group_G(bundle), bundle, k)
-    else:
-        pres = hnn_Gbar(compile_group_G(bundle), bundle)
-    _write(args.output, export_presentation(pres, args.format))
+    _write(args.output, export_presentation(args.group(_bundle(args)), args.format))
     return EXIT_OK
 
 
@@ -182,7 +168,7 @@ def _replay_params(text: str) -> dict[str, int]:
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(k) for k in text.split(","))
+    return tuple(_nonnegative(k) for k in text.split(","))
 
 
 def _nonnegative(text: str) -> int:
@@ -205,16 +191,23 @@ def _letters_m(text: str) -> tuple[list[str], int | None]:
     return letters.split(","), int(m) if m else None
 
 
-GROUPS = ("M", "G", "Mbar", "Gbar", "Gbar-hnn")
+GROUPS = {
+    "M": compile_group_M,
+    "G": compile_group_G,
+    "Mbar": lambda b: compile_trimmed(b)[0],
+    "Gbar": lambda b: compile_trimmed(b)[1],
+    "Gbar-hnn": lambda b: hnn_Gbar(compile_group_G(b), b),
+}
 
 
-def _group(text: str) -> tuple[str, int | None]:
-    """A name from ``GROUPS``, or ``Gk:<k>`` read as ("Gk", k)."""
+def _group(text: str):
+    """The compiler of a group in ``GROUPS``, or of ``Gk:<k>``."""
     if text.startswith("Gk:"):
-        return "Gk", _nonnegative(text[3:])
+        k = _nonnegative(text[3:])
+        return lambda b: hnn_Gk(compile_group_G(b), b, k)
     if text not in GROUPS:
         raise argparse.ArgumentTypeError(f"unknown group {text!r}")
-    return text, None
+    return GROUPS[text]
 
 
 def cmd_verify(args) -> int:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import smachine
-from smachine.cli import main
+from smachine import checks
+from smachine.checks import CheckReport
+from smachine.cli import _reports, main
 from smachine.machine import run_history
 
 # The directory that holds the imported package: ``src`` under
@@ -118,6 +120,39 @@ def test_verify_exit_codes(tmp_path):
     assert doc["status"] == "pass"
 
 
+def test_verify_exits_2_on_a_failing_suite(monkeypatch, capsys):
+    """A ``fail`` report is the verification exit; ``verify`` hands
+    ``--ks`` and ``--jobs`` to the suites as read."""
+    seen = {}
+
+    def run_suites(names, **opts):
+        seen.update(opts, names=names)
+        return [CheckReport("periodic-distinctness", "pass"), CheckReport("accepted-language", "fail")]
+
+    monkeypatch.setattr(checks, "run_suites", run_suites)
+    assert main(["verify", "--suite", "accepted-language", "--ks", "0,2", "--jobs", "2"]) == 2
+    assert (seen["names"], seen["ks"], seen["jobs"]) == ("accepted-language", (0, 2), 2)
+    assert [d["status"] for d in _reports(capsys.readouterr().out)] == ["pass", "fail"]
+
+
+def test_report_renders_notes_and_exits_2_on_a_fail(capsys, tmp_path):
+    """``report`` notes a cut depth, each scalar stat (not a list or an
+    object) and a counterexample, and exits 2 when a report failed."""
+    rep = tmp_path / "reports.json"
+    rep.write_text(
+        CheckReport("chi-occurrences", "pass", depth_exhausted=True).to_json()
+        + CheckReport("wi-bound", "pass", stats={"peak": 7, "ratio": 0.5, "by_level": [1, 2], "why": "x"}).to_json()
+        + CheckReport("no-return", "fail", counterexample={"start": "q"}).to_json()
+    )
+    assert main(["report", "--reports", str(rep)]) == 2
+    assert capsys.readouterr().out == (
+        f"{'suite':24} {'status':8} notes\n"
+        f"{'chi-occurrences':24} {'pass':8} depth-exhausted\n"
+        f"{'wi-bound':24} {'pass':8} peak=7; ratio=0.5; why=x\n"
+        f"{'no-return':24} {'fail':8} counterexample recorded\n"
+    )
+
+
 def test_verify_report_render(tmp_path):
     rep = tmp_path / "rep.json"
     code, _ = run_cli(["verify", "--suite", "periodic", "-o", str(rep)])
@@ -143,6 +178,23 @@ def test_io_error_exit_3():
         ["simulate", "--machine", "/nonexistent/x", "--word", "q", "--history", "h"]
     )
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["build", "--lr", "a", "-o", "{missing}/lr.txt"],
+        ["simulate", "--machine", "{missing}/lr.txt", "--word", "q1 p1 q2", "--history", "z12"],
+    ],
+    ids=["output-in-missing-directory", "missing-machine-file"],
+)
+def test_io_error_is_one_line(capsys, tmp_path, args):
+    missing = tmp_path / "missing"
+    capsys.readouterr()
+    code, out = run_cli([a.format(missing=missing) for a in args])
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    assert err.startswith("i/o error: ") and err.count("\n") == 1, err
 
 
 def test_compile_round_trip(tmp_path):
@@ -366,6 +418,9 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         ["verify", "--suite", "wi-bound", "--depth", "-1"],
         ["verify", "--suite", "lr-bound", "--max-tape", "-1"],
         ["verify", "--suite", "periodic", "--jobs", "0"],
+        ["verify", "--suite", "accepted-language", "--ks", "0,x"],
+        ["verify", "--suite", "accepted-language", "--ks=0,-1"],
+        ["compile", "--group", "nope"],
         ["build", "--main", "--L", "0"],
         ["compile", "--group", "G", "--L", "0"],
         ["verify", "--suite", "no-return", "--L", "0"],
@@ -395,6 +450,9 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         "verify-negative-depth",
         "verify-negative-max-tape",
         "verify-no-jobs",
+        "verify-ks-not-int",
+        "verify-negative-ks",
+        "unknown-group",
         "build-L-too-small",
         "compile-L-too-small",
         "verify-L-too-small",

@@ -1,5 +1,7 @@
 """The composition tower over the toy recognizer, run end to end."""
 
+import dataclasses
+
 import pytest
 
 from smachine.compose import (
@@ -16,7 +18,7 @@ from smachine.compose import (
     stage_sweep_history,
     start_configuration_m3,
 )
-from smachine.machine import run_history
+from smachine.machine import Hardware, SMachine, run_history
 from smachine.toy import toy_even_recognizer
 from smachine.words import YLetter
 
@@ -83,11 +85,24 @@ def test_m2_scan_simulates_m1(toy, m2):
     )
 
 
-def test_m2_needs_input_sector(toy):
-    import dataclasses
+def _two_parts():
+    """A linear machine of two parts: its one sector is the input, and
+    no interior boundary is left for a history sector."""
+    return SMachine(Hardware((("s0",), ("s1",)), (frozenset("a"),)), (), input_sector=0, name="two-part")
 
-    with pytest.raises(NoInputSector):
-        add_history_sectors(dataclasses.replace(toy.machine, input_sector=None))
+
+@pytest.mark.parametrize(
+    "machine, match",
+    [
+        (lambda toy, m3: dataclasses.replace(toy.machine, input_sector=None), "has no input sector"),
+        (lambda toy, m3: circularize_m5(mirror_m4(m3)).machine, "non-circular"),
+        (lambda toy, m3: _two_parts(), "at least three parts"),
+    ],
+    ids=["no-input-sector", "circular", "two-parts"],
+)
+def test_m2_needs_input_sector(toy, m3, machine, match):
+    with pytest.raises(NoInputSector, match=match):
+        add_history_sectors(machine(toy, m3))
 
 
 def test_m2bar_base_triples(m2, m2bar):
@@ -176,8 +191,10 @@ def test_m3_input_consumed_mid_run(m3):
 
 
 def test_m3_rejects_bad_m(m2bar):
-    with pytest.raises(StageMismatch):
+    with pytest.raises(StageMismatch, match="m must be >= 1"):
         compose_m3(m2bar, 0)
+    with pytest.raises(StageMismatch, match="no history sectors"):
+        compose_m3(dataclasses.replace(m2bar, history=()), 1)
 
 
 def test_m4_base_doubles(m3):

@@ -112,6 +112,8 @@ def test_wst_to_wkk_witness(bundle):
     for k in (0, 1, 3):
         comp = run_history(bundle.machine, bundle.w_st, bundle.witness_wst_to_wkk(k))
         assert comp.end == bundle.w_word(k, k)
+    with pytest.raises(BadParameters, match="only nonnegative inputs"):
+        bundle.witness_wst_to_wkk(-1)
 
 
 def test_full_accepting_witness(bundle):

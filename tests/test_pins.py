@@ -84,6 +84,7 @@ MACHINE_PINS = {
     "LR[a,b]": (lambda b: build_lr(["a", "b"]), "f0f19ab5618c9e6c90e44ae7418995c4427effe2a527d00d600dd95e4119b68e"),
     "RL[a]": (lambda b: build_rl(["a"]), "63911c917a9e7431f4fc9268c0037845937ec299dea62de507355239679ff5bf"),
     "RL[a,b]": (lambda b: build_rl(["a", "b"]), "9d76727773922a4f132666ce1f54372c830fa1598ef8c542535dd56944468a3f"),
+    "toy-even": (lambda b: toy_even_recognizer().machine, "d978c06314c542b05ae2c87e581929d3559733150a228797a93c8d01f6f87f70"),
     "LRm[a],2": (lambda b: build_lr_m(["a"], 2), "98eb4fd76a463cc6dabc1444cde06ab7f608199a1b41597019cebc0b6d975a50"),
     "M3": (lambda b: tower(2)[0].machine, "ba31b89896ceb9c8f5ab3eb3b863ea5da3310a14416d1165a526cc08687cccb9"),
     "M4": (lambda b: tower(2)[1].machine, "9fd3ec15d03ddc8459cb8fb4b656c249404e2874fee7510a7316fad50ba7e05a"),
@@ -108,6 +109,25 @@ EXPORT_PINS = {
 GAP_PINS = {
     "G": (compile_group_G, "b0c1a52ef4c6e465ebff447028088e7276ca807a2a2fc47b934f0ed311051e3b"),
     "Gbar": (lambda b: compile_trimmed(b)[1], "31d2cb4008931f08e6fed6306bf6380d23630d915e3a8163684646d01d9fa42a"),
+}
+
+# `smachine build ...`: the CLI's machine files against the builders' pins
+BUILD_PINS = {
+    "rl": (["--rl", "a"], "RL[a]"),
+    "lr-m-a:2": (["--lr-m", "a:2"], "LRm[a],2"),
+    "lr-m-a-m-2": (["--lr-m", "a", "--m", "2"], "LRm[a],2"),  # m from --m
+    "m3": (["--m3"], "M3"),
+    "toy-even": (["--toy-even"], "toy-even"),
+}
+
+# `smachine compile --group NAME`: each entry of the CLI's group table
+# against the pin of the compiler it names, and G at another size
+COMPILE_PINS = {
+    **{g: (["--group", g], EXPORT_PINS[name][1]) for name, g in (
+        ("M", "M"), ("Mbar", "Mbar"), ("Gbar", "Gbar"), ("G", "G"), ("G_0", "Gk:0"), ("Gbar-hnn", "Gbar-hnn"),
+    )},
+    **{f"{g}-gap": (["--group", g, "--format", "gap-style"], GAP_PINS[g][1]) for g in GAP_PINS},
+    "G(2,16)": (["--group", "G", "--m", "2", "--L", "16"], "4b3a893db842df02cc731628e4c3c4f08461b39b108d3e04df980664bec8f106"),
 }
 
 # `smachine disk ... --budget 3000`: the witness paths of the disk-word
@@ -165,6 +185,20 @@ def test_gbar_before_g_on_a_fresh_bundle():
 def test_gap_export_pinned(name, session_bundle):
     compile_, digest = GAP_PINS[name]
     assert sha(export(compile_(session_bundle), "gap-style")) == digest
+
+
+@pytest.mark.parametrize("name", list(BUILD_PINS))
+def test_build_output_pinned(name, capsys):
+    args, machine = BUILD_PINS[name]
+    assert main(["build", *args]) == 0
+    assert sha(capsys.readouterr().out) == MACHINE_PINS[machine][1]
+
+
+@pytest.mark.parametrize("name", list(COMPILE_PINS))
+def test_compile_output_pinned(name, capsys):
+    args, digest = COMPILE_PINS[name]
+    assert main(["compile", *args]) == 0
+    assert sha(capsys.readouterr().out) == digest
 
 
 @pytest.mark.parametrize("name", list(DISK_PINS))

@@ -1,14 +1,19 @@
 """Compilation to group presentations: relator shapes, counts, audits."""
 
+import dataclasses
+
 import pytest
 
 from smachine.machine import run_history
 from smachine.main_machine import BadParameters, build_main_machine, family
 from smachine.presentation import (
     Generator,
+    Presentation,
     QLetterPresent,
+    Relator,
     RelatorFactory,
     SuperscriptMismatch,
+    UnknownGenerator,
     _supped_letters,
     add_hub_relations,
     canonical_rotation,
@@ -260,6 +265,19 @@ def test_canonical_rotation_invariance():
     assert canonical_rotation(w) == canonical_rotation(rotated)
     # cyclic reduction strips the conjugating letter
     assert canonical_rotation(w) == ((b, 1),)
+    # a word that reduces to nothing has the empty rotation
+    assert canonical_rotation(((a, 1), (b, 1), (b, -1), (a, -1))) == ()
+
+
+def test_q_gen_checks_the_superscript():
+    """A superscript goes on exactly the state letters that own
+    superscripted copies."""
+    fac = RelatorFactory(3, 8, frozenset({"s"}))
+    assert fac.q_gen("s", 2) == Generator("q", "s", None, 2)
+    with pytest.raises(SuperscriptMismatch, match="p has no superscript copies"):
+        fac.q_gen("p", 2)
+    with pytest.raises(SuperscriptMismatch, match="s lacks superscript copies"):
+        fac.q_gen("s", None)
 
 
 def test_has_relator_up_to_rotation_and_inverse(bundle, pres_m):
@@ -322,8 +340,6 @@ def test_hub2_expands_wac_L_times(bundle):
 
 
 def test_mu_unknown_generator(bundle, pres_g):
-    from smachine.presentation import UnknownGenerator
-
     ghost = Generator("q", "no_such_letter")
     with pytest.raises(UnknownGenerator):
         mu(pres_g, ((ghost, 1),))
@@ -336,11 +352,43 @@ def test_nu_tape_only_word(bundle):
 
 
 def test_export_empty_relator_list():
-    from smachine.presentation import Presentation, parse_presentation
-
     p = Presentation(
         "tiny", 8, 3, frozenset({Generator("q", "u")}), (), frozenset({"u"})
     )
     text = export(p, "plain")
     assert "RELATORS" in text and text.strip().endswith("RELATORS")
     assert parse_presentation(text).generators == p.generators
+
+
+def test_relator_over_an_undeclared_generator_is_refused():
+    u, v = Generator("q", "u"), Generator("q", "v")
+    with pytest.raises(UnknownGenerator, match="v in relator but not declared"):
+        Presentation("tiny", 8, 3, frozenset({u}), (Relator(((v, 1),), "hub"),), frozenset())
+
+
+def test_export_refuses_an_unknown_format():
+    p = Presentation("tiny", 8, 3, frozenset({Generator("q", "u")}), (), frozenset())
+    with pytest.raises(ValueError, match="unknown format 'nope'"):
+        export(p, "nope")
+
+
+def test_gap_export_refuses_names_that_collide():
+    """``a'`` and ``ap`` both sanitize to ``ap``."""
+    gens = frozenset({Generator("a", "a'"), Generator("a", "ap")})
+    p = Presentation("tiny", 8, 3, gens, (), frozenset())
+    export(p, "plain")
+    with pytest.raises(ValueError, match="collision"):
+        export(p, "gap-style")
+
+
+def test_gap_export_drops_an_empty_relator():
+    """A parsed file may hold an empty relator: it stays in the plain
+    export and is left out of the GAP one."""
+    text = (
+        "PRESENTATION tiny\nparam L 8\nparam N 3\ntletters u\nGENERATORS\nq u\n"
+        "RELATORS\nhub : u.u\nhub : \n"
+    )
+    p = parse_presentation(text)
+    assert [r.word for r in p.relators][1] == ()
+    assert export(p, "plain") == text
+    assert export(p, "gap-style") == export(dataclasses.replace(p, relators=p.relators[:1]), "gap-style")
