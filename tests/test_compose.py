@@ -91,18 +91,15 @@ def _two_parts():
     return SMachine(Hardware((("s0",), ("s1",)), (frozenset("a"),)), (), input_sector=0, name="two-part")
 
 
-@pytest.mark.parametrize(
-    "machine, match",
-    [
-        (lambda toy, m3: dataclasses.replace(toy.machine, input_sector=None), "has no input sector"),
-        (lambda toy, m3: circularize_m5(mirror_m4(m3)).machine, "non-circular"),
-        (lambda toy, m3: _two_parts(), "at least three parts"),
-    ],
-    ids=["no-input-sector", "circular", "two-parts"],
-)
-def test_m2_needs_input_sector(toy, m3, machine, match):
-    with pytest.raises(NoInputSector, match=match):
-        add_history_sectors(machine(toy, m3))
+def test_m2_needs_input_sector(toy, m3):
+    """A linear machine of three or more parts with an input sector."""
+    for machine, match in (
+        (dataclasses.replace(toy.machine, input_sector=None), "has no input sector"),
+        (circularize_m5(mirror_m4(m3)).machine, "non-circular"),
+        (_two_parts(), "at least three parts"),
+    ):
+        with pytest.raises(NoInputSector, match=match):
+            add_history_sectors(machine)
 
 
 def test_m2bar_base_triples(m2, m2bar):
