@@ -9,7 +9,9 @@ statistics wi-bound carries, the rule sets of the trimmed and no-return
 machines, the report bytes, the collector pause around the engine's
 drivers, and the failure branches of the checks, the trapezium and disk
 guards, the machine-file domain parser and the word adjacency check,
-and the CLI's group table and the size of its bundle.
+the CLI's group table and the size of its bundle, and the rejected
+arguments: one ``BadParameters`` from every builder, a negative k' in
+W(k,k'), a suite named twice, a sweep letter named like a state letter.
 
     python3 scripts/mutants.py
 
@@ -50,6 +52,7 @@ TESTS = (
     "tests/test_words.py",
     "tests/test_trapezia.py",
     "tests/test_cli.py",
+    "tests/test_main_machine.py",
 )
 TIMEOUT_S = 600
 JOBS = 2
@@ -314,6 +317,26 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "build the CLI's bundle at the default size",
         "cli.py",
         (("checks.bundle_cached(args.m, args.L)", "checks.bundle_cached(2, 12)"),),
+    ),
+    (
+        "reject a sweep's m as a plain ValueError",
+        "lr.py",
+        (('raise BadParameters(f"m must be >= 1, got {m}")', 'raise ValueError(f"m must be >= 1, got {m}")'),),
+    ),
+    (
+        "accept a negative k' in W(k,k')",
+        "main_machine.py",
+        (("        if k < 0 or k2 < 0:\n", "        if k < 0:\n"),),
+    ),
+    (
+        "let a suite be named twice",
+        "checks.py",
+        (("        if n in names[:i]:\n", "        if False:\n"),),
+    ),
+    (
+        "accept a sweep letter named like a state letter",
+        "lr.py",
+        (('        if _UNREADABLE.search(a) or a in ("q1", "q2", *p_letters):\n', "        if _UNREADABLE.search(a):\n"),),
     ),
 )
 

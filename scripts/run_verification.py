@@ -17,7 +17,7 @@ from pathlib import Path
 
 from smachine.checks import bundle_cached
 from smachine.cli import _nonnegative, _Parser, _positive, _reports, main as smachine
-from smachine.main_machine import BadParameters
+from smachine.machine import BadParameters
 
 
 def main() -> int:

@@ -26,6 +26,7 @@ from .compose import M3Build, start_configuration_m3
 from .enumerate import PRUNE, enumerate_computations, paused_collector, reach_levels, search
 from .lr import build_lr
 from .machine import (
+    BadParameters,
     Computation,
     History,
     NotApplicableAt,
@@ -220,7 +221,7 @@ def check_wi_bound(
     min_slack = None
     for w0 in starts:
         if len(w0.q) != 2:
-            raise ValueError("wi bound applies to 2-letter-base words")
+            raise BadParameters("wi bound applies to 2-letter-base words")
         n0 = w0.length()
         for comp in enumerate_computations(
             machine, w0, depth, "all", extend=extend, extra=(0, n0, 0, tuple(range(1, depth // 2 + 1)))
@@ -556,15 +557,17 @@ def run_one_suite(name: str, opts: Mapping[str, object]) -> list[CheckReport]:
             rep.notes = rep.notes + ("trimmed presentation carries superscripts",)
         out.append(rep)
         return out
-    raise ValueError(f"unknown suite {name!r}")
+    raise BadParameters(f"unknown suite {name!r}")
 
 
 def suite_names(text: str) -> tuple[str, ...]:
     """The suites ``text`` names: ``all`` or a comma-separated list."""
     names = SUITE_NAMES if text == "all" else tuple(text.split(","))
-    for n in names:
+    for i, n in enumerate(names):
         if n not in SUITE_NAMES:
-            raise ValueError(f"unknown suite {n!r}")
+            raise BadParameters(f"unknown suite {n!r}")
+        if n in names[:i]:
+            raise BadParameters(f"suite {n!r} named twice")
     return names
 
 

@@ -14,11 +14,11 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import checks
-from .compose import StageMismatch, add_control_letters, add_history_sectors, compose_m3
+from .compose import add_control_letters, add_history_sectors, compose_m3
 from .enumerate import enumerate_computations
-from .lr import InvalidAlphabet, InvalidM, build_lr, build_lr_m, build_rl
-from .machine import NotApplicableAt, UnknownRule, format_slabel, run_history
-from .main_machine import BadParameters, family
+from .lr import build_lr, build_lr_m, build_rl
+from .machine import BadParameters, NotApplicableAt, UnknownRule, format_slabel, run_history
+from .main_machine import family
 from .presentation import (
     compile_group_G,
     compile_group_M,
@@ -153,8 +153,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_export(args) -> int:
-    pres = _parse(args.presentation, parse_presentation)
-    _write(args.output, export_presentation(pres, args.format))
+    # the export runs inside _parse: GAP names that collide are the file's content
+    _write(args.output, _parse(args.presentation, lambda t: export_presentation(parse_presentation(t), args.format)))
     return EXIT_OK
 
 
@@ -385,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BadParameters, StageMismatch, InvalidM, InvalidAlphabet) as e:  # parameters a builder rejects
+    except BadParameters as e:  # an argument a builder or an experiment rejects
         _usage_error(str(e))
 
 

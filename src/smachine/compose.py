@@ -14,16 +14,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .lr import Host, Label, build_lr_m, place, primed, read_right_to_left, sweep_run
-from .machine import Hardware, History, Rule, RulePart, SMachine
+from .machine import BadParameters, Hardware, History, Rule, RulePart, SMachine
 from .words import AdmissibleWord, Word, YLetter
-
-
-class NoInputSector(Exception):
-    pass
-
-
-class StageMismatch(Exception):
-    pass
 
 
 # --------------------------------------------------------------------------
@@ -68,13 +60,13 @@ def add_history_sectors(m1: SMachine) -> M2Build:
     A rule locking an old working sector locks its image.
     """
     if m1.hardware.circular:
-        raise NoInputSector("history sectors need a non-circular machine")
+        raise BadParameters("history sectors need a non-circular machine")
     if m1.input_sector is None:
-        raise NoInputSector(f"machine {m1.name} has no input sector")
+        raise BadParameters(f"machine {m1.name} has no input sector")
     hw = m1.hardware
     n = hw.n_parts - 1
     if n < 2:
-        raise NoInputSector("need at least three parts so a history sector exists")
+        raise BadParameters("need at least three parts so a history sector exists")
 
     parts: list[tuple[str, ...]] = []
     for i in range(hw.n_parts):
@@ -299,12 +291,12 @@ def compose_m3(m2bar: M2BarBuild, m: int) -> M3Build:
     one-shot.
     """
     if m < 1:
-        raise StageMismatch(f"m must be >= 1, got {m}")
+        raise BadParameters(f"m must be >= 1, got {m}")
     base = m2bar.machine
     hw = base.hardware
     hist = m2bar.history
     if not hist:
-        raise StageMismatch("controlled machine has no history sectors")
+        raise BadParameters("controlled machine has no history sectors")
     n_stages = 4 * m + 1
     input_sector = base.input_sector
     input_dom = hw.sector_alphabets[input_sector]

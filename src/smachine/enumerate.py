@@ -43,6 +43,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
 from .machine import (
+    BadParameters,
     Computation,
     History,
     Rule,
@@ -116,9 +117,9 @@ def enumerate_computations(
     did, with the same skip, reuses the successors that one yielded.
     """
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise BadParameters("depth must be >= 0")
     if filt not in ("reduced", "eligible", "all"):
-        raise ValueError(f"unknown filter {filt!r}")
+        raise BadParameters(f"unknown filter {filt!r}")
     level = [Computation(start, extra=extra)]
     yield level[0]
     expanded: dict[tuple[AdmissibleWord, SignedLabel | None], list[tuple[Rule, AdmissibleWord]]] = {}

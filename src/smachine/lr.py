@@ -17,19 +17,14 @@ and RL placed on every history sector, each placement under its own names.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .machine import Hardware, History, Rule, RulePart, SMachine
+from .machine import BadParameters, Hardware, History, Rule, RulePart, SMachine
 from .words import Word, YLetter
 
-
-class InvalidAlphabet(Exception):
-    """Letters that are empty, repeated or another letter's primed copy,
-    or none at all."""
-
-
-class InvalidM(Exception):
-    pass
+# What a tape letter cannot hold and still be read back from a machine file.
+_UNREADABLE = re.compile(r"[\s,|\[\]]|->|\^-1$")
 
 
 def primed(name: str) -> str:
@@ -148,17 +143,25 @@ def build_lr_m(
     Odd phases move left (consume the left sector), even phases move
     right.  Turning rules ``label(i, None)`` (i = 1..2m-1) bump the phase:
     odd turns lock the left sector, even turns lock the right one.
+    The letters must be distinct and nonempty, none another's primed
+    copy, and each must read back from a machine file as a tape letter.
     """
     if m < 1:
-        raise InvalidM(f"m must be >= 1, got {m}")
+        raise BadParameters(f"m must be >= 1, got {m}")
     ys = tuple(alphabet)
     ysp = tuple(primed(a) for a in ys)
     if not ys or "" in ys or len({*ys, *ysp}) < 2 * len(ys):
-        raise InvalidAlphabet(
+        raise BadParameters(
             f"alphabet {','.join(ys)!r}: need distinct nonempty letters, none another's primed copy"
         )
-    both = frozenset(ys) | frozenset(ysp)
     p_letters = tuple(phase(i) for i in range(1, 2 * m + 1))
+    for a in ys:
+        if _UNREADABLE.search(a) or a in ("q1", "q2", *p_letters):
+            raise BadParameters(
+                f"letter {a!r} would not read back from a machine file: it holds whitespace, ',', '|', '[', ']'"
+                " or '->', ends in '^-1' or names a state letter"
+            )
+    both = frozenset(ys) | frozenset(ysp)
     hw = Hardware(
         parts=(("q1",), p_letters, ("q2",)),
         sector_alphabets=(both, both),

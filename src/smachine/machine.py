@@ -55,6 +55,10 @@ class UnknownRule(Exception):
     pass
 
 
+class BadParameters(ValueError):
+    """An argument that a builder or an experiment rejects."""
+
+
 # A signed rule label; histories are sequences of these.
 SignedLabel = tuple[str, int]
 

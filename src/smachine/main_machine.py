@@ -32,13 +32,9 @@ from .compose import (
     stage_sweep_history,
 )
 from .lr import Host, build_lr_m, lrm_label, place, primed, sweep_run
-from .machine import Hardware, History, Rule, SMachine
+from .machine import BadParameters, Hardware, History, Rule, SMachine
 from .toy import ToyRecognizer
 from .words import AdmissibleWord, Word, YLetter
-
-
-class BadParameters(Exception):
-    pass
 
 
 # The rule family of each tag.  Relation letters of the sup family carry L
@@ -112,16 +108,15 @@ class MainMachineBundle:
         return self._phase_config("w1")
 
     def w_word(self, k: int, k2: int) -> AdmissibleWord:
-        """W(k,k') = w1 a^k w2 (a')^{-k'} w3 over the third-phase letters."""
+        """W(k,k') = w1 a^k w2 (a')^{-k'} w3 over the third-phase letters,
+        for inputs k, k' >= 0."""
+        if k < 0 or k2 < 0:
+            raise BadParameters("only nonnegative inputs can be inserted")
         a = self.toy.input_letter
         sector = self.machine.input_sector
         tape = {
-            sector: tuple(
-                YLetter(a, 1 if k >= 0 else -1) for _ in range(abs(k))
-            ),
-            self.m5.mirror_sector[sector]: tuple(
-                YLetter(mirror_name(a), -1 if k2 >= 0 else 1) for _ in range(abs(k2))
-            ),
+            sector: (YLetter(a, 1),) * k,
+            self.m5.mirror_sector[sector]: (YLetter(mirror_name(a), -1),) * k2,
         }
         return self._phase_config("w3", tape)
 

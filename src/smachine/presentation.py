@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .machine import Rule, SMachine
-from .main_machine import BadParameters, MainMachineBundle, sup_sides
-from .serialize import Lines, format_names, names
+from .machine import BadParameters, Rule, SMachine
+from .main_machine import MainMachineBundle, sup_sides
+from .serialize import FormatError, Lines, format_names, names
 from .words import AdmissibleWord, Word, parse_signed, reduce_word, signed
 
 
@@ -341,8 +341,6 @@ def _hnn(pres: Presentation, bundle: MainMachineBundle, stable: str, w: Admissib
 
 def hnn_Gk(pres: Presentation, bundle: MainMachineBundle, k: int) -> Presentation:
     """Add a stable letter x and the relation x W(k,k) x^-1 = W_ac."""
-    if k < 0:
-        raise BadParameters("only nonnegative inputs can be inserted")
     return _hnn(pres, bundle, "x", bundle.w_word(k, k), f"hnn-x-{k}", f"G_{k}")
 
 
@@ -392,7 +390,7 @@ def export(pres: Presentation, fmt: str = "plain") -> str:
         return _export_plain(pres)
     if fmt == "gap-style":
         return _export_gap(pres)
-    raise ValueError(f"unknown format {fmt!r}")
+    raise BadParameters(f"unknown format {fmt!r}")
 
 
 def _export_plain(pres: Presentation) -> str:
@@ -450,8 +448,10 @@ def _gap_name(g: Generator) -> str:
 def _export_gap(pres: Presentation) -> str:
     gens = sorted(pres.generators, key=_sort_key)
     names = [_gap_name(g) for g in gens]
-    if len(set(names)) != len(names):
-        raise ValueError("generator name collision after sanitization")
+    first: dict[str, Generator] = {}
+    for g, n in zip(gens, names):
+        if first.setdefault(n, g) is not g:
+            raise FormatError(f"generator name collision after sanitization: {first[n].display()} and {g.display()}")
     by_gen = dict(zip(gens, names))
     out = ["# free presentation, consumable by GAP-style systems"]
     quoted = ", ".join(f'"{n}"' for n in names)

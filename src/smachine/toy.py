@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machine import Hardware, History, Rule, RulePart, SMachine
+from .machine import BadParameters, Hardware, History, Rule, RulePart, SMachine
 from .words import AdmissibleWord, YLetter
 
 
@@ -71,7 +71,7 @@ class ToyRecognizer:
 
     def accepting_history(self, k: int) -> History:
         if not self.accepts(k):
-            raise ValueError(f"a^{k} is not in the toy language")
+            raise BadParameters(f"a^{k} is not in the toy language")
         return tuple([("del2", 1)] * (k // 2) + [("fin", 1)])
 
     def input_configuration(self, k: int) -> AdmissibleWord:

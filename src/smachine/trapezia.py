@@ -23,16 +23,8 @@ from .machine import (
     is_eligible,
 )
 from .main_machine import THETA_23, MainMachineBundle, sup_sides
-from .presentation import GWord, RelatorFactory, factory_for
+from .presentation import GWord, RelatorFactory, SuperscriptMismatch, factory_for
 from .words import AdmissibleWord, MalformedWord, QLetter, Word, reduce_word, signed
-
-
-class SuperscriptRequired(Exception):
-    pass
-
-
-class SuperscriptForbidden(Exception):
-    pass
 
 
 class IneligibleHistory(Exception):
@@ -106,12 +98,12 @@ def make_permissible(
     kind = lift_kind(rule)
     if kind == "plain":
         if first_sup is not None:
-            raise SuperscriptForbidden(
+            raise SuperscriptMismatch(
                 f"rule {format_slabel(rule.signed_label)} admits only the plain lift"
             )
         return plain_lift(v)
     if first_sup is None:
-        raise SuperscriptRequired(
+        raise SuperscriptMismatch(
             f"rule {format_slabel(rule.signed_label)} needs a first-letter superscript"
         )
     n_last = machine.hardware.n_parts - 1

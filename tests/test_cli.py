@@ -313,6 +313,7 @@ def add_generator(line):
         ("gbar_file", add_generator("a a^(x)"), EXPORT),
         ("gbar_file", add_generator("th foo_tX"), EXPORT),
         ("gbar_file", lambda t: t + "hub : no_such_letter\n", EXPORT),
+        ("gbar_file", add_generator("a x'\na xp"), EXPORT),
     ],
     ids=[
         "part-without-letters",
@@ -328,6 +329,7 @@ def add_generator(line):
         "superscript-not-int",
         "theta-index-not-int",
         "undeclared-generator",
+        "gap-name-collision",
     ],
 )
 def test_malformed_body_line_is_one_format_error(request, capsys, tmp_path, source, edit, args):
@@ -434,6 +436,16 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         ["build", "--lr", "a", "--toy-even"],
         ["build", "--rl", "a", "--toy-even"],
         ["build", "--lr-m", "a:1", "--toy-even"],
+        ["build", "--lr", "q1"],
+        ["build", "--lr", "p1"],
+        ["build", "--rl", "r2"],
+        ["build", "--lr", "a b"],
+        ["build", "--lr", "a]"],
+        ["build", "--lr", "a[b"],
+        ["build", "--lr", "a|b"],
+        ["build", "--lr-m", "a->b:1"],
+        ["build", "--lr", "a^-1"],
+        ["verify", "--suite", "periodic,periodic"],
     ],
     ids=[
         "negative-depth",
@@ -466,6 +478,16 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         "lr-and-toy-even",
         "rl-and-toy-even",
         "lr-m-and-toy-even",
+        "lr-state-letter",
+        "lr-phase-letter",
+        "rl-phase-letter",
+        "lr-letter-with-space",
+        "lr-letter-with-bracket",
+        "lr-letter-with-open-bracket",
+        "lr-letter-with-bar",
+        "lr-m-letter-with-arrow",
+        "lr-inverse-letter",
+        "suite-named-twice",
     ],
 )
 def test_bad_parameter_is_a_usage_error(capsys, tmp_path, lr_file, args):

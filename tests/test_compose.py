@@ -5,8 +5,6 @@ import dataclasses
 import pytest
 
 from smachine.compose import (
-    NoInputSector,
-    StageMismatch,
     add_control_letters,
     add_history_sectors,
     circularize_m5,
@@ -18,7 +16,7 @@ from smachine.compose import (
     stage_sweep_history,
     start_configuration_m3,
 )
-from smachine.machine import Hardware, SMachine, run_history
+from smachine.machine import BadParameters, Hardware, SMachine, run_history
 from smachine.toy import toy_even_recognizer
 from smachine.words import YLetter
 
@@ -98,7 +96,7 @@ def test_m2_needs_input_sector(toy, m3):
         (circularize_m5(mirror_m4(m3)).machine, "non-circular"),
         (_two_parts(), "at least three parts"),
     ):
-        with pytest.raises(NoInputSector, match=match):
+        with pytest.raises(BadParameters, match=match):
             add_history_sectors(machine)
 
 
@@ -188,9 +186,9 @@ def test_m3_input_consumed_mid_run(m3):
 
 
 def test_m3_rejects_bad_m(m2bar):
-    with pytest.raises(StageMismatch, match="m must be >= 1"):
+    with pytest.raises(BadParameters, match="m must be >= 1"):
         compose_m3(m2bar, 0)
-    with pytest.raises(StageMismatch, match="no history sectors"):
+    with pytest.raises(BadParameters, match="no history sectors"):
         compose_m3(dataclasses.replace(m2bar, history=()), 1)
 
 

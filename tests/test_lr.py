@@ -5,8 +5,9 @@ import dataclasses
 import pytest
 
 from conftest import random_words_for
-from smachine.lr import Host, InvalidAlphabet, InvalidM, build_lr, build_lr_m, build_rl, place, sweep_run
+from smachine.lr import Host, build_lr, build_lr_m, build_rl, place, sweep_run
 from smachine.machine import (
+    BadParameters,
     apply_rule,
     invert_rule,
     is_applicable,
@@ -184,9 +185,9 @@ def test_m1_structural_match():
 
 
 def test_bad_parameters():
-    with pytest.raises(InvalidAlphabet):
+    with pytest.raises(BadParameters):
         build_lr([])
-    with pytest.raises(InvalidM):
+    with pytest.raises(BadParameters):
         build_lr_m(["a"], 0)
 
 

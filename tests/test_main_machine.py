@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from smachine.checks import run_suites
 from smachine.machine import (
     NotApplicable,
     apply_rule,
@@ -28,11 +29,18 @@ def bundle():
     return build_main_machine(toy_even_recognizer(), m=2, L=12)
 
 
-def test_bad_parameters():
+def test_bad_parameters(bundle):
     with pytest.raises(BadParameters):
         build_main_machine(toy_even_recognizer(), m=0)
     with pytest.raises(BadParameters):
         build_main_machine(toy_even_recognizer(), L=4)
+    # the reference acceptor answers for k >= 0 only
+    with pytest.raises(BadParameters, match="only nonnegative inputs"):
+        bundle.w_word(-1, 0)
+    with pytest.raises(BadParameters, match="only nonnegative inputs"):
+        bundle.w_word(0, -1)
+    with pytest.raises(BadParameters, match="only nonnegative inputs"):
+        run_suites("accepted-language", ks=(-2,))
 
 
 # The superscripted (source, target) sides by family and sign, written

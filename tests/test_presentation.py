@@ -30,6 +30,7 @@ from smachine.presentation import (
     parse_presentation,
     word_to_gens,
 )
+from smachine.serialize import FormatError
 from smachine.toy import toy_even_recognizer
 from smachine.trapezia import computation_to_trapezium, make_band
 
@@ -377,7 +378,7 @@ def test_gap_export_refuses_names_that_collide():
     gens = frozenset({Generator("a", "a'"), Generator("a", "ap")})
     p = Presentation("tiny", 8, 3, gens, (), frozenset())
     export(p, "plain")
-    with pytest.raises(ValueError, match="collision"):
+    with pytest.raises(FormatError, match="collision after sanitization: a' and ap"):
         export(p, "gap-style")
 
 

@@ -36,6 +36,7 @@ def all_machines():
         m5.machine,
         bundle.machine,
         bundle.trimmed,
+        build_lr(["x'", "a;b", "#a"]),  # letters a machine file still reads back
     ]
 
 

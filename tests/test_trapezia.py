@@ -5,14 +5,12 @@ import pytest
 from smachine import trapezia
 from smachine.machine import run_history
 from smachine.main_machine import build_main_machine
-from smachine.presentation import compile_group_G, factory_for
+from smachine.presentation import SuperscriptMismatch, compile_group_G, factory_for
 from smachine.toy import toy_even_recognizer
 from smachine.trapezia import (
     DiskVerdict,
     EmptyHistory,
     IneligibleHistory,
-    SuperscriptForbidden,
-    SuperscriptRequired,
     Trapezium,
     WitnessInvalid,
     computation_to_trapezium,
@@ -46,13 +44,13 @@ def test_plain_family_lift_is_identity(bundle):
 def test_plain_family_forbids_superscript(bundle):
     w = bundle.w_word(0, 0)
     rule = bundle.machine.rule("tr_34")
-    with pytest.raises(SuperscriptForbidden):
+    with pytest.raises(SuperscriptMismatch, match="admits only the plain lift"):
         make_permissible(bundle.machine, w, rule, 3, modulus=bundle.L)
 
 
 def test_sup_family_requires_superscript(bundle):
     rule = bundle.machine.rule("tr_st1")
-    with pytest.raises(SuperscriptRequired):
+    with pytest.raises(SuperscriptMismatch, match="needs a first-letter superscript"):
         make_permissible(bundle.machine, bundle.w_st, rule, None, modulus=bundle.L)
 
 
