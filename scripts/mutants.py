@@ -9,9 +9,11 @@ statistics wi-bound carries, the rule sets of the trimmed and no-return
 machines, the report bytes, the collector pause around the engine's
 drivers, and the failure branches of the checks, the trapezium and disk
 guards, the machine-file domain parser and the word adjacency check,
-the CLI's group table and the size of its bundle, and the rejected
-arguments: one ``BadParameters`` from every builder, a negative k' in
-W(k,k'), a suite named twice, a sweep letter named like a state letter.
+the CLI's group table and the size of its bundle, the report stream's
+reader, the order of the suites' pool, and the rejected arguments: one
+``BadParameters`` from every builder, a negative k' in W(k,k'), a suite
+named twice, a sweep letter named like a state letter or like the
+domain separator.
 
     python3 scripts/mutants.py
 
@@ -24,9 +26,11 @@ or no kill means anything.  At most two runs go at once, and the
 working tree is never written to.
 
 Exit 0 when every mutant is killed; 1 when one survives, when an edit
-no longer matches its source exactly once, or when the unedited copy
-fails.  A survivor means a missing test: add the test, never drop the
-mutant.  Stdlib only; not part of Tier-1.
+no longer matches its source exactly once, when the unedited copy
+fails, or on SIGTERM or SIGINT.  A signal kills the process group of
+each live run and starts no further one; every copy is removed as its
+run returns.  A survivor means a missing test: add the test, never drop
+the mutant.  Stdlib only; not part of Tier-1.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -338,12 +343,63 @@ MUTANTS: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
         "lr.py",
         (('        if _UNREADABLE.search(a) or a in ("q1", "q2", *p_letters):\n', "        if _UNREADABLE.search(a):\n"),),
     ),
+    (
+        "read only the first report of the stream",
+        "checks.py",
+        (("        rest = rest[end:].lstrip()\n", '        rest = ""\n'),),
+    ),
+    (
+        "accept the domain separator as a letter",
+        "lr.py",
+        ((r'|\^-1$|^;$")', r'|\^-1$")'),),
+    ),
+    (
+        "use an unordered pool map",
+        "checks.py",
+        (
+            (
+                "            groups = list(pool.map(_suite_worker, names, [opts] * len(names)))\n",
+                "            from concurrent.futures import as_completed\n\n"
+                "            futures = [pool.submit(_suite_worker, n, opts) for n in names]\n"
+                "            groups = [f.result() for f in as_completed(futures)]\n",
+            ),
+        ),
+    ),
 )
 
+def _kill(proc: subprocess.Popen) -> None:
+    """Kill ``proc``'s process group, unless ``proc`` was already reaped."""
+    if proc.returncode is None:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
-def _run(edits: tuple[str, tuple[tuple[str, str], ...]] | None) -> tuple[str, float]:
+
+class Runs:
+    """The test runs under way.  ``stop``, the SIGTERM and SIGINT handler,
+    kills each live run's process group, and no run starts after it.
+
+    The handler runs in the main thread, which may be inside a run of its
+    own, so it takes no lock: a run adds its process to ``live`` before it
+    reads ``stopped``, and the handler sets ``stopped`` before it reads
+    ``live``, so one of the two sees the other and kills the process."""
+
+    def __init__(self) -> None:
+        self.live: set[subprocess.Popen] = set()
+        self.stopped = threading.Event()
+
+    def stop(self, signum, frame) -> None:
+        self.stopped.set()
+        for proc in list(self.live):
+            _kill(proc)
+
+
+def _run(runs: Runs, edits: tuple[str, tuple[tuple[str, str], ...]] | None) -> tuple[str, float]:
     """Apply ``edits`` (file, replacements) to a fresh copy and run the
     tests there; returns (outcome, seconds)."""
+    if runs.stopped.is_set():
+        return "stopped", 0.0
     with tempfile.TemporaryDirectory(prefix="smachine-mutant-") as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -363,23 +419,33 @@ def _run(edits: tuple[str, tuple[tuple[str, str], ...]] | None) -> tuple[str, fl
         t0 = time.perf_counter()
         proc = subprocess.Popen(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                                 start_new_session=True)
+        runs.live.add(proc)
         try:
+            if runs.stopped.is_set():
+                _kill(proc)
             proc.wait(timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
+            _kill(proc)
             proc.wait()
             return "timeout", time.perf_counter() - t0
+        finally:
+            runs.live.discard(proc)
+        if runs.stopped.is_set():
+            return "stopped", time.perf_counter() - t0
         return ("pass" if proc.returncode == 0 else "fail"), time.perf_counter() - t0
 
 
 def main() -> int:
-    outcome, secs = _run(None)
+    runs = Runs()
+    signal.signal(signal.SIGTERM, runs.stop)
+    signal.signal(signal.SIGINT, runs.stop)
+    outcome, secs = _run(runs, None)
     print(f"{'unedited copy':56} {outcome} ({secs:.0f} s)", flush=True)
     if outcome != "pass":
         return 1
     bad = 0
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        results = pool.map(lambda m: _run((m[1], m[2])), MUTANTS)
+        results = pool.map(lambda m: _run(runs, (m[1], m[2])), MUTANTS)
         for (name, _, _), (outcome, secs) in zip(MUTANTS, results):
             if outcome == "timeout":
                 verdict = "killed (timeout)"
@@ -389,6 +455,9 @@ def main() -> int:
                 verdict = "SURVIVED" if outcome == "pass" else outcome
                 bad += 1
             print(f"{name:56} {verdict} ({secs:.0f} s)", flush=True)
+    if runs.stopped.is_set():
+        print("stopped by a signal")
+        return 1
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 

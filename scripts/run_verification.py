@@ -5,7 +5,8 @@ Reproduces the full desk-scale experiment: builds the machine tower,
 compiles the presentations, runs all harness suites, and drops the
 reports, machine files, manifest, and presentation exports under an
 output directory (default ./out).  Each file is written by the
-``smachine`` command that a user would type for it.
+``smachine`` command that a user would type for it, and the summary is
+``smachine report`` on the reports.
 
     python3 scripts/run_verification.py [--out DIR] [--m 2] [--L 12] [--jobs N]
 
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from smachine.checks import bundle_cached
-from smachine.cli import _nonnegative, _Parser, _positive, _reports, main as smachine
+from smachine.cli import _nonnegative, _Parser, _positive, main as smachine
 from smachine.machine import BadParameters
 
 
@@ -51,11 +52,7 @@ def main() -> int:
     budget = [] if args.budget is None else [f"--budget={args.budget}"]
     reports = out / "reports.json"
     code = smachine(["verify", "--suite", "all", f"--jobs={args.jobs}", *budget, *size, "-o", str(reports)])
-    for r in _reports(reports.read_text()):
-        line = f"{r['suite']:24} {r['status']}"
-        if r.get("depth_exhausted"):
-            line += "  (depth exhausted)"
-        print(line)
+    smachine(["report", "--reports", str(reports)])
     print(f"\nartifacts in {out}/")
     return code
 

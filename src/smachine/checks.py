@@ -5,7 +5,8 @@ presentation audits.
 Each suite returns a :class:`CheckReport`; a failing suite carries a
 minimal reproduction (start word plus history) replayable through
 ``run_history``.  Reports serialize deterministically: no timestamps,
-sorted keys, explicit seeds.
+sorted keys, explicit seeds.  ``write_reports`` writes the stream that
+``smachine verify`` prints, and ``read_reports`` reads it back.
 
 The level sweeps (lr-bound, chi-occurrences, no-return) report through
 one driver, ``_sweep``: ``states`` counts every state of every level on
@@ -20,7 +21,7 @@ import dataclasses
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .compose import M3Build, start_configuration_m3
 from .enumerate import PRUNE, enumerate_computations, paused_collector, reach_levels, search
@@ -38,6 +39,7 @@ from .machine import (
 )
 from .main_machine import MainMachineBundle, build_main_machine
 from .presentation import Presentation, compile_group_G, compile_trimmed, mu, nu
+from .serialize import FormatError
 from .toy import toy_even_recognizer
 from .words import AdmissibleWord, QLetter, YLetter
 
@@ -58,6 +60,29 @@ class CheckReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def write_reports(reports: Iterable[CheckReport]) -> str:
+    """The report stream: each report's JSON, one after another."""
+    return "".join(r.to_json() for r in reports)
+
+
+def read_reports(text: str) -> list[dict]:
+    """The reports in a stream that ``write_reports`` gives, as objects."""
+    decoder = json.JSONDecoder()
+    docs = []
+    rest = text.lstrip()
+    while rest:
+        try:
+            doc, end = decoder.raw_decode(rest)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"reports: report {len(docs) + 1}: {e}") from None
+        ok = isinstance(doc, dict) and isinstance(doc.get("stats", {}), dict)
+        if not ok or not all(isinstance(doc.get(k), str) for k in ("suite", "status")):
+            raise FormatError(f"reports: report {len(docs) + 1} is not a report object")
+        docs.append(doc)
+        rest = rest[end:].lstrip()
+    return docs
 
 
 def _repro(start: AdmissibleWord, history: History) -> dict:

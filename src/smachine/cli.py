@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
         params.update(_parse(args.manifest, _replay_params))
     # an option left unset runs its check at the check's own default
     reports = checks.run_suites(
-        ",".join(args.suite),
+        args.suite,
         **params,
         max_tape=args.max_tape,
         depth=args.depth,
@@ -224,8 +224,7 @@ def cmd_verify(args) -> int:
         ks=args.ks,
         jobs=args.jobs,
     )
-    text = "".join(r.to_json() for r in reports)
-    _write(args.output, text)
+    _write(args.output, checks.write_reports(reports))
     if any(r.status == "fail" for r in reports):
         return EXIT_VERIFY
     return EXIT_OK
@@ -264,26 +263,8 @@ def cmd_disk(args) -> int:
     return EXIT_OK
 
 
-def _reports(text: str) -> list[dict]:
-    """The reports in a ``verify`` output: JSON objects one after another."""
-    decoder = json.JSONDecoder()
-    docs = []
-    rest = text.lstrip()
-    while rest:
-        try:
-            doc, end = decoder.raw_decode(rest)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"reports: report {len(docs) + 1}: {e}") from None
-        ok = isinstance(doc, dict) and isinstance(doc.get("stats", {}), dict)
-        if not ok or not all(isinstance(doc.get(k), str) for k in ("suite", "status")):
-            raise FormatError(f"reports: report {len(docs) + 1} is not a report object")
-        docs.append(doc)
-        rest = rest[end:].lstrip()
-    return docs
-
-
 def cmd_report(args) -> int:
-    docs = _parse(args.reports, _reports)
+    docs = _parse(args.reports, checks.read_reports)
     lines = [f"{'suite':24} {'status':8} notes"]
     worst = EXIT_OK
     for d in docs:
@@ -355,7 +336,6 @@ def make_parser() -> _Parser:
     v.add_argument(
         "--suite",
         default="all",
-        type=checks.suite_names,
         help=" | ".join((*checks.SUITE_NAMES, "all")),
     )
     v.add_argument("--max-tape", type=_nonnegative, default=None)

@@ -23,8 +23,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .machine import BadParameters, Hardware, History, Rule, RulePart, SMachine
 from .words import Word, YLetter
 
-# What a tape letter cannot hold and still be read back from a machine file.
-_UNREADABLE = re.compile(r"[\s,|\[\]]|->|\^-1$")
+# What a tape letter cannot hold and still be read back from a machine
+# file; ';' alone is the separator of a rule's domain chunks.
+_UNREADABLE = re.compile(r"[\s,|\[\]]|->|\^-1$|^;$")
 
 
 def primed(name: str) -> str:
@@ -159,7 +160,7 @@ def build_lr_m(
         if _UNREADABLE.search(a) or a in ("q1", "q2", *p_letters):
             raise BadParameters(
                 f"letter {a!r} would not read back from a machine file: it holds whitespace, ',', '|', '[', ']'"
-                " or '->', ends in '^-1' or names a state letter"
+                " or '->', ends in '^-1', is ';' or names a state letter"
             )
     both = frozenset(ys) | frozenset(ysp)
     hw = Hardware(

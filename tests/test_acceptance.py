@@ -17,6 +17,7 @@ from smachine.checks import (
     check_wi_bound,
     presentation_audit,
     run_suites,
+    write_reports,
 )
 from smachine.compose import start_configuration_m3
 from smachine.enumerate import enumerate_computations
@@ -224,7 +225,7 @@ def test_criterion_10_determinism(session_bundle):
         reports.extend(run_suites("periodic"))
         reports.append(check_lr_bound(max_tape=2))
         reports.append(presentation_audit(compile_group_G(session_bundle), session_bundle))
-        outs.append("".join(r.to_json() for r in reports))
+        outs.append(write_reports(reports))
     exports = [export(compile_trimmed(session_bundle)[1], "plain") for _ in range(2)]
     ok = outs[0] == outs[1] and exports[0] == exports[1]
     _verdict(10, "determinism", ok, f"{len(outs[0])} report bytes, {len(exports[0])} export bytes")

@@ -351,7 +351,7 @@ def test_meet_in_the_middle_ends_when_a_frontier_empties():
 def test_run_suites_registry_and_json(session_bundle):
     reports = run_suites("periodic")
     assert all(r.suite == "periodic-distinctness" for r in reports)
-    text = "".join(r.to_json() for r in reports)
+    text = checks.write_reports(reports)
     assert '"suite"' in text
     with pytest.raises(ValueError):
         run_suites("no-such-suite")
@@ -359,8 +359,8 @@ def test_run_suites_registry_and_json(session_bundle):
 
 def test_run_suites_jobs_2_matches_serial():
     """A 2-worker pool gives the serial report bytes."""
-    serial = "".join(r.to_json() for r in run_suites("lr-bound,periodic"))
-    assert "".join(r.to_json() for r in run_suites("lr-bound,periodic", jobs=2)) == serial
+    serial = checks.write_reports(run_suites("lr-bound,periodic"))
+    assert checks.write_reports(run_suites("lr-bound,periodic", jobs=2)) == serial
 
 
 def test_run_suites_pool_has_at_most_one_worker_per_suite(monkeypatch):

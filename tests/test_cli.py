@@ -10,8 +10,8 @@ import pytest
 
 import smachine
 from smachine import checks
-from smachine.checks import CheckReport
-from smachine.cli import _reports, main
+from smachine.checks import CheckReport, read_reports, write_reports
+from smachine.cli import main
 from smachine.machine import run_history
 
 # The directory that holds the imported package: ``src`` under
@@ -132,7 +132,7 @@ def test_verify_exits_2_on_a_failing_suite(monkeypatch, capsys):
     monkeypatch.setattr(checks, "run_suites", run_suites)
     assert main(["verify", "--suite", "accepted-language", "--ks", "0,2", "--jobs", "2"]) == 2
     assert (seen["names"], seen["ks"], seen["jobs"]) == ("accepted-language", (0, 2), 2)
-    assert [d["status"] for d in _reports(capsys.readouterr().out)] == ["pass", "fail"]
+    assert [d["status"] for d in read_reports(capsys.readouterr().out)] == ["pass", "fail"]
 
 
 def test_report_renders_notes_and_exits_2_on_a_fail(capsys, tmp_path):
@@ -140,9 +140,13 @@ def test_report_renders_notes_and_exits_2_on_a_fail(capsys, tmp_path):
     object) and a counterexample, and exits 2 when a report failed."""
     rep = tmp_path / "reports.json"
     rep.write_text(
-        CheckReport("chi-occurrences", "pass", depth_exhausted=True).to_json()
-        + CheckReport("wi-bound", "pass", stats={"peak": 7, "ratio": 0.5, "by_level": [1, 2], "why": "x"}).to_json()
-        + CheckReport("no-return", "fail", counterexample={"start": "q"}).to_json()
+        write_reports(
+            [
+                CheckReport("chi-occurrences", "pass", depth_exhausted=True),
+                CheckReport("wi-bound", "pass", stats={"peak": 7, "ratio": 0.5, "by_level": [1, 2], "why": "x"}),
+                CheckReport("no-return", "fail", counterexample={"start": "q"}),
+            ]
+        )
     )
     assert main(["report", "--reports", str(rep)]) == 2
     assert capsys.readouterr().out == (
@@ -446,6 +450,7 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         ["build", "--lr-m", "a->b:1"],
         ["build", "--lr", "a^-1"],
         ["verify", "--suite", "periodic,periodic"],
+        ["build", "--lr", ";"],
     ],
     ids=[
         "negative-depth",
@@ -488,6 +493,7 @@ def test_malformed_machine_is_a_format_error(capsys, tmp_path):
         "lr-m-letter-with-arrow",
         "lr-inverse-letter",
         "suite-named-twice",
+        "lr-domain-separator",
     ],
 )
 def test_bad_parameter_is_a_usage_error(capsys, tmp_path, lr_file, args):
@@ -503,6 +509,21 @@ def test_bad_parameter_is_a_usage_error(capsys, tmp_path, lr_file, args):
     assert (code, out) == (1, "")
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "suite, err",
+    [("periodic,periodic", "suite 'periodic' named twice"), ("nope", "unknown suite 'nope'")],
+    ids=["named-twice", "unknown"],
+)
+def test_rejected_suite_names_the_reason(capsys, tmp_path, suite, err):
+    """``--suite`` is read once, by ``run_suites``: the line says why, and
+    no report file is written."""
+    rep = tmp_path / "reports.json"
+    capsys.readouterr()
+    code, out = run_cli(["verify", "--suite", suite, "-o", str(rep)])
+    assert (code, out, capsys.readouterr().err.splitlines()[-1]) == (1, "", f"error: {err}")
+    assert not rep.exists()
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from smachine.machine import (
     is_applicable,
     run_history,
 )
+from smachine.serialize import parse_machine, print_machine
 from smachine.words import AdmissibleWord, QLetter, YLetter
 
 
@@ -189,6 +190,18 @@ def test_bad_parameters():
         build_lr([])
     with pytest.raises(BadParameters):
         build_lr_m(["a"], 0)
+
+
+@pytest.mark.parametrize("build", [build_lr, build_rl, lambda ys: build_lr_m(ys, 2)], ids=["LR", "RL", "LRm2"])
+def test_domain_separator_is_no_letter(build):
+    """A rule line joins its domain chunks with ' ; ', so ';' alone is
+    refused; a letter that only holds ';' prints and reads back."""
+    with pytest.raises(BadParameters):
+        build([";"])
+    for letter in ("a;b", ";a", "a;", ";;"):
+        text = print_machine(build([letter]))
+        assert parse_machine(text) == build([letter])
+        assert print_machine(parse_machine(text)) == text
 
 
 # LR's state letters under the right-to-left reading, as RL names them

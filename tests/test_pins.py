@@ -9,10 +9,11 @@ and report byte the same.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from smachine.checks import run_suites
+from smachine.checks import read_reports, run_suites, write_reports
 from smachine.cli import main
 from smachine.compose import (
     add_control_letters,
@@ -217,12 +218,21 @@ def test_cli_output_pinned(name, session_bundle, tmp_path, capsys):
     assert sha(capsys.readouterr().out) == digest
 
 
-def test_reports_pinned():
-    """Every suite at reduced size: the bytes of `verify --suite all
-    --depth 6 --budget 2000`."""
-    reports = run_suites("all", m=2, L=12, max_tape=4, depth=6, budget=2000, ks=(0, 1, 2, 3))
-    text = "".join(r.to_json() for r in reports)
-    assert sha(text) == "d174353bddcafb7c4c66860c77b05c917b0056cea445918309e5f13bab1b4760"
+@pytest.fixture(scope="module")
+def reduced_reports():
+    """Every suite at reduced size, as `verify --suite all --depth 6
+    --budget 2000` runs them."""
+    return run_suites("all", m=2, L=12, max_tape=4, depth=6, budget=2000, ks=(0, 1, 2, 3))
+
+
+def test_reports_pinned(reduced_reports):
+    assert sha(write_reports(reduced_reports)) == "d174353bddcafb7c4c66860c77b05c917b0056cea445918309e5f13bab1b4760"
+
+
+def test_report_stream_reads_back(reduced_reports):
+    """The stream reads back as each report's own JSON, report for report."""
+    docs = read_reports(write_reports(reduced_reports))
+    assert docs == [json.loads(r.to_json()) for r in reduced_reports]
 
 
 def _chi_starts(b):
